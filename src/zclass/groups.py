@@ -1,12 +1,20 @@
-"""Enumerated finite groups as permutation tables with canonical byte encodings.
+"""Enumerated finite groups as permutation tables indexed by a base.
 
 Every group the oracle consumes is realized concretely as permutations of a
 small point set: symmetric groups on their letters, signed-permutation groups
 on 2n signed points, dihedral groups on polygon vertices, reflection groups on
 their root sets, and direct products on disjoint unions.  Elements are stored
-as uint8 image arrays; the canonical encoding of an element is its row's bytes,
-and rows are kept lexicographically sorted so the encoding order never depends
-on generation order.
+as uint8 image arrays, so a point set holds at most 256 points; rows are kept
+lexicographically sorted so the order never depends on generation order.
+
+Each table carries a base: points b_1 < ... < b_k found greedily from the
+table, each the smallest point moved by the pointwise stabilizer of the points
+before it, until only the identity fixes them all.  Two elements are then
+equal exactly when they agree on the base, and two rows compare
+lexicographically as their base images do.  The mixed-radix integer key of the
+base images is therefore strictly increasing down the table: a lookup is one
+int64 searchsorted, and an equation between group elements (commutation,
+conjugation) is checked at the base points alone.
 """
 
 from __future__ import annotations
@@ -17,19 +25,27 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import Partition
-from .errors import OrderCapExceeded
+from .errors import OrderCapExceeded, UnsupportedGroupError
 from .signed_perm import SignedPermutation, signed_cycle_type
 
 DEFAULT_ORDER_CAP = 100_000
 LARGE_ORDER_CAP = 5_000_000
+MAX_DEGREE = 256
 
 _CHUNK = 1 << 17
 
 
-def _as_void(rows: np.ndarray) -> np.ndarray:
-    """View uint8 rows as opaque fixed-width scalars comparable bytewise."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+def _splitmix64(n: int) -> np.ndarray:
+    """The first n outputs of the SplitMix64 generator seeded with 0."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+# Fixed odd multipliers of the closure's row hash; any hash hit is confirmed
+# by comparing rows, so they only need to spread rows well.
+_HASH_MULTIPLIERS = _splitmix64(MAX_DEGREE) | np.uint64(1)
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -37,11 +53,71 @@ def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.take_along_axis(a, b, axis=1)
 
 
+def _check_degree(name: str, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise UnsupportedGroupError(
+            f"{name} acts on {degree} points; group tables hold at most "
+            f"{MAX_DEGREE} points"
+        )
+
+
+def _find_base(perms: np.ndarray) -> np.ndarray:
+    """Greedy base of the table's group.
+
+    Each base point is the least point moved by the pointwise stabilizer of the
+    points before it.  The search stops when one element is left, and that
+    element must be the identity.
+    """
+    order, degree = perms.shape
+    stab = np.arange(order)
+    base = []
+    for p in range(degree):
+        if stab.size <= 1:
+            break
+        fixed = perms[stab, p] == p
+        if not fixed.all():
+            base.append(p)
+            stab = stab[fixed]
+    if stab.size != 1 or np.any(perms[stab[0]] != np.arange(degree)):
+        raise ValueError("table has no base: the identity is not alone in fixing it")
+    return np.array(base, dtype=np.intp)
+
+
+def _key_code(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """code[i, p] = weight of base point i times the rank of p in its orbit.
+
+    Weights are mixed-radix over the orbit sizes with the first base point most
+    significant, so keys sort like the rows.  A point outside the orbit codes
+    as the key bound, which no member key reaches.
+    """
+    degree = perms.shape[1]
+    orbits = [
+        np.flatnonzero(np.bincount(perms[:, b], minlength=degree)) for b in base
+    ]
+    bound = math.prod(o.size for o in orbits)
+    if bound * (len(base) + 1) >= 2**63:
+        raise UnsupportedGroupError("base keys of this group do not fit in 63 bits")
+    code = np.full((len(base), degree), bound, dtype=np.int64)
+    weight = bound
+    for i, orbit in enumerate(orbits):
+        weight //= orbit.size
+        code[i, orbit] = np.arange(orbit.size, dtype=np.int64) * weight
+    return code
+
+
+def _keys(code: np.ndarray, images: np.ndarray) -> np.ndarray:
+    keys = np.zeros(images.shape[0], dtype=np.int64)
+    for i, column in enumerate(code):
+        keys += column[images[:, i]]
+    return keys
+
+
 class GroupTable:
     """Enumerated permutation group on `degree` points.
 
-    `perms` holds all elements as image arrays, rows sorted lexicographically.
-    Generator rows are retained so orbit algorithms can walk the Cayley graph.
+    `perms` holds all elements as image arrays, rows sorted lexicographically;
+    `keys` holds their strictly increasing base keys.  Generator rows are
+    retained so orbit algorithms can walk the Cayley graph.
     """
 
     def __init__(
@@ -56,9 +132,14 @@ class GroupTable:
         self.name = name
         self.gen_rows = gen_rows
         self.labeler = labeler
-        self._void = _as_void(perms)
+        self.base = _find_base(perms)
+        self._code = _key_code(perms, self.base)
+        self.keys = _keys(self._code, perms[:, self.base])
+        if np.any(self.keys[1:] <= self.keys[:-1]):
+            raise ValueError(f"{name}: table rows are not sorted and distinct")
         self.identity_row = self.index_of(bytes(np.arange(self.degree, dtype=np.uint8)))
         self._inverses: np.ndarray | None = None
+        self._inverse_base: np.ndarray | None = None
         self._orders: np.ndarray | None = None
 
     # --- canonical-encoding surface -------------------------------------
@@ -89,21 +170,44 @@ class GroupTable:
 
     def contains(self, enc: bytes) -> bool:
         row = np.frombuffer(enc, dtype=np.uint8)
-        if row.shape[0] != self.degree:
+        if row.shape[0] != self.degree or row.max(initial=0) >= self.degree:
             return False
-        qv = _as_void(row[None, :])
-        pos = np.searchsorted(self._void, qv)
-        return bool(pos[0] < self.order and self._void[pos[0]] == qv[0])
+        try:
+            self.row_index(row[None, :])
+        except LookupError:
+            return False
+        return True
 
     # --- bulk internals ---------------------------------------------------
 
+    def base_keys(self, images: np.ndarray) -> np.ndarray:
+        """Keys of elements given by their base images, one (k,) row each."""
+        return _keys(self._code, images)
+
+    def base_index(self, images: np.ndarray) -> np.ndarray:
+        """Indices of members given by their base images, one (k,) row each.
+
+        Queries are sorted before the search; a key with no member raises.
+        """
+        query = self.base_keys(images)
+        order = np.argsort(query)
+        idx = np.empty(query.size, dtype=np.intp)
+        idx[order] = np.searchsorted(self.keys, query[order])
+        if idx.size and (
+            idx.max() >= self.order or np.any(self.keys[idx] != query)
+        ):
+            raise LookupError(f"element not in group table {self.name}")
+        return idx
+
     def row_index(self, rows: np.ndarray) -> np.ndarray:
-        """Indices of query rows in the table; every row must be a member."""
-        qv = _as_void(rows)
-        idx = np.searchsorted(self._void, qv)
-        if __debug__:
-            if idx.size and (idx.max() >= self.order or np.any(self._void[idx] != qv)):
-                raise AssertionError("row not in group table")
+        """Indices of query rows in the table; a row that is not a member raises.
+
+        The base key finds the candidate row and the full row confirms it.
+        """
+        rows = np.asarray(rows)
+        idx = self.base_index(rows[:, self.base])
+        if not np.array_equal(self.perms[idx], rows):
+            raise LookupError(f"row not in group table {self.name}")
         return idx
 
     def inverses(self) -> np.ndarray:
@@ -115,21 +219,35 @@ class GroupTable:
             self._inverses = inv
         return self._inverses
 
+    def inverse_base_images(self) -> np.ndarray:
+        """Row r holds the preimages of the base points under element r."""
+        if self._inverse_base is None:
+            out = np.empty((self.order, self.base.size), dtype=np.uint8)
+            points = np.arange(self.degree, dtype=np.uint8)
+            step = _CHUNK >> 3
+            for lo in range(0, self.order, step):
+                block = self.perms[lo : lo + step]
+                inv = np.empty_like(block)
+                np.put_along_axis(inv, block, np.broadcast_to(points, block.shape), 1)
+                out[lo : lo + block.shape[0]] = inv[:, self.base]
+            self._inverse_base = out
+        return self._inverse_base
+
     def element_orders(self) -> np.ndarray:
+        """Order of each element: the first power that returns every base point."""
         if self._orders is None:
-            identity = np.arange(self.degree, dtype=np.uint8)
             orders = np.ones(self.order, dtype=np.int64)
+            flat = self.perms.ravel()
             for lo in range(0, self.order, _CHUNK):
-                base = self.perms[lo : min(lo + _CHUNK, self.order)]
-                powers = base.copy()
-                chunk_orders = np.ones(base.shape[0], dtype=np.int64)
-                active = np.nonzero(~(powers == identity).all(axis=1))[0]
-                while active.size:
-                    powers[active] = compose_rows(powers[active], base[active])
-                    chunk_orders[active] += 1
-                    still = ~(powers[active] == identity).all(axis=1)
-                    active = active[still]
-                orders[lo : lo + base.shape[0]] = chunk_orders
+                rows = np.arange(lo, min(lo + _CHUNK, self.order))
+                images = self.perms[rows[:, None], self.base]
+                power = 1
+                while rows.size:
+                    moved = np.flatnonzero(np.any(images != self.base, axis=1))
+                    rows, images = rows[moved], images[moved]
+                    power += 1
+                    orders[rows] = power
+                    images = flat[(rows * self.degree)[:, None] + images]
             self._orders = orders
         return self._orders
 
@@ -154,6 +272,19 @@ class GroupTable:
             self.row_index(self.inverses()[a])
 
 
+def _take_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """rows[idx] for uint8 rows, copying each row as one opaque item."""
+    width = rows.shape[1]
+    items = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
+    return items[idx].view(np.uint8).reshape(-1, width)
+
+
+def _confirm(a: np.ndarray, b: np.ndarray) -> None:
+    """Rows whose hashes matched must be equal; otherwise refuse."""
+    if not np.array_equal(a, b):
+        raise AssertionError("row hash collision between distinct elements")
+
+
 def group_from_generators(
     gens: list[np.ndarray],
     *,
@@ -162,48 +293,70 @@ def group_from_generators(
     order_cap: int = DEFAULT_ORDER_CAP,
     labeler: Callable[[np.ndarray], str] | None = None,
 ) -> GroupTable:
-    """Breadth-first closure of the generators under right multiplication."""
-    identity = np.arange(degree, dtype=np.uint8)
+    """Breadth-first closure of the generators under right multiplication.
+
+    The walk uses the generators closed under inverses, so the Cayley graph is
+    undirected and a product of level L lies in level L-1, L or L+1: each new
+    level is deduplicated against the two before it only.  Rows are matched by
+    a 64-bit hash, each level kept in hash order, and every hit is confirmed
+    by comparing the rows.
+    """
+    _check_degree(name, degree)
     gen_arrays = []
     for g in gens:
         arr = np.asarray(g, dtype=np.uint8)
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise ValueError(f"generator is not a permutation of 0..{degree - 1}: {g}")
         gen_arrays.append(arr)
+    walk = {}
+    for g in gen_arrays:
+        walk.setdefault(g.tobytes(), g)
+        inv = np.argsort(g).astype(np.uint8)
+        walk.setdefault(inv.tobytes(), inv)
 
-    seen: set[bytes] = {identity.tobytes()}
-    levels: list[np.ndarray] = [identity[None, :]]
-    frontier = identity[None, :]
-    while frontier.size:
-        level_fresh: list[np.ndarray] = []
-        for g in gen_arrays:
-            products = frontier[:, g]
-            fresh_idx = [
-                i
-                for i in range(products.shape[0])
-                if products[i].tobytes() not in seen
-            ]
-            if fresh_idx:
-                block = products[np.array(fresh_idx)]
-                seen.update(row.tobytes() for row in block)
-                level_fresh.append(block)
-        if len(seen) > order_cap:
+    steps = list(walk.values())
+    multipliers = _HASH_MULTIPLIERS[:degree]
+    # hash(x) = x @ multipliers, and hash(x * steps[j]) = x @ step_hashes[:, j]
+    step_hashes = np.array([multipliers[np.argsort(s)] for s in steps]).T
+    identity = np.arange(degree, dtype=np.uint8)[None, :]
+    levels = [identity]
+    previous = (identity[:0], np.empty(0, dtype=np.uint64))
+    current = (identity, identity @ multipliers)
+    count = 1
+    while steps and current[0].size:
+        rows = current[0]
+        columns = np.ascontiguousarray(rows.T)
+        products = np.concatenate([columns[s] for s in steps], axis=1).T
+        hashes = (rows @ step_hashes).T.ravel()
+        by_hash = np.argsort(hashes)
+        products, hashes = _take_rows(products, by_hash), hashes[by_hash]
+        repeat = np.flatnonzero(hashes[1:] == hashes[:-1])
+        _confirm(_take_rows(products, repeat + 1), _take_rows(products, repeat))
+        fresh = np.ones(hashes.size, dtype=bool)
+        fresh[repeat + 1] = False
+        for known, known_hashes in (previous, current):
+            if not known_hashes.size:
+                continue
+            pos = np.searchsorted(known_hashes, hashes)
+            pos[pos == known_hashes.size] = 0
+            seen = known_hashes[pos] == hashes
+            _confirm(_take_rows(products, seen), _take_rows(known, pos[seen]))
+            fresh &= ~seen
+        previous, current = current, (_take_rows(products, fresh), hashes[fresh])
+        count += current[0].shape[0]
+        if count > order_cap:
             raise OrderCapExceeded(
-                f"{name}: enumeration passed {len(seen)} elements, beyond the cap "
+                f"{name}: enumeration passed {count} elements, beyond the cap "
                 f"{order_cap}; raise it with --allow-large"
             )
-        if level_fresh:
-            frontier = np.concatenate(level_fresh)
-            levels.append(frontier)
-        else:
-            frontier = np.empty((0, degree), np.uint8)
+        levels.append(current[0])
 
     perms = np.concatenate(levels)
-    order = np.argsort(_as_void(perms), kind="stable")
-    perms = perms[order]
+    base = _find_base(perms)
+    perms = _take_rows(perms, np.argsort(_keys(_key_code(perms, base), perms[:, base])))
     table = GroupTable(perms, (), name, labeler)
-    gen_rows = tuple(int(table.row_index(g[None, :])[0]) for g in gen_arrays)
-    table.gen_rows = gen_rows
+    if gen_arrays:
+        table.gen_rows = tuple(int(r) for r in table.row_index(np.array(gen_arrays)))
     return table
 
 
@@ -329,6 +482,7 @@ def build_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise ValueError("m must be at least 3")
     if 2 * m > order_cap:
         raise OrderCapExceeded(f"I2({m}) has order {2 * m} > cap {order_cap}")
+    _check_degree(f"I2({m})", m)
     rot = np.array([(i + 1) % m for i in range(m)], dtype=np.uint8)
     ref = np.array([(m - i) % m for i in range(m)], dtype=np.uint8)
     table = group_from_generators(
@@ -347,6 +501,7 @@ def direct_product(
             f"{g1.name} x {g2.name} has order {g1.order * g2.order} > cap {order_cap}"
         )
     d1, d2 = g1.degree, g2.degree
+    _check_degree(f"{g1.name} x {g2.name}", d1 + d2)
     gens = []
     for r in g1.gen_rows:
         g = np.concatenate([g1.perms[r], np.arange(d2, dtype=np.uint8) + d1])

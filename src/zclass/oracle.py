@@ -5,6 +5,11 @@ centralizer of each representative, and group classes whose centralizers are
 conjugate subgroups, scanning existing groups in order and absorbing into the
 first match.  Everything is deterministic: classes are ordered by their
 minimal canonical encoding and witnesses are the smallest-index conjugators.
+
+Every equation between elements is decided on the table's base (see
+`zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
+b, and a conjugate w*e*w^-1 is looked up by its base images w(e(w^-1(b)))
+alone, so no full product row is formed on the hot paths.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, GroupTable, compose_rows
+from .groups import DEFAULT_ORDER_CAP, GroupTable
 
 _CHUNK = 1 << 16
 
@@ -47,14 +52,14 @@ class SubgroupHandle:
 
 
 def _conjugate_by_row(g: GroupTable, t: int, rows: np.ndarray) -> np.ndarray:
-    """Indices of t * e * t^-1 for the given element rows."""
+    """Indices of t * e * t^-1 for the given element rows, as int32."""
     t_arr = g.perms[t]
-    t_inv = g.inverses()[t]
-    out = np.empty(rows.size, dtype=np.int64)
+    columns = np.argsort(t_arr)[g.base]  # t^-1 of each base point
+    out = np.empty(rows.size, dtype=np.int32)
     for lo in range(0, rows.size, _CHUNK):
         hi = min(lo + _CHUNK, rows.size)
-        conj = t_arr[g.perms[rows[lo:hi]]][:, t_inv]
-        out[lo:hi] = g.row_index(conj)
+        images = t_arr[g.perms[rows[lo:hi, None], columns]]
+        out[lo:hi] = g.base_index(images)
     return out
 
 
@@ -70,35 +75,34 @@ def conjugacy_classes(
     conj_maps = [_conjugate_by_row(g, t, all_rows) for t in g.gen_rows]
     visited = np.zeros(g.order, dtype=bool)
     classes: list[ConjugacyClass] = []
-    for rep in range(g.order):
-        if visited[rep]:
-            continue
+    rep = 0
+    while not visited[rep]:
         visited[rep] = True
-        members = [rep]
-        frontier = np.array([rep], dtype=np.int64)
+        members = [np.array([rep])]
+        frontier = members[0]
         while frontier.size and conj_maps:
             images = np.concatenate([m[frontier] for m in conj_maps])
-            images = np.unique(images)
-            images = images[~visited[images]]
+            images = np.unique(images[~visited[images]])
             visited[images] = True
             members.append(images)
             frontier = images
-        member_arr = np.unique(np.concatenate([np.atleast_1d(m) for m in members]))
-        classes.append(ConjugacyClass(rep, member_arr))
+        classes.append(ConjugacyClass(rep, np.sort(np.concatenate(members))))
+        rep = int(visited.argmin())
     assert sum(c.size for c in classes) == g.order
     return classes
 
 
+def _commuting(g: GroupTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Those of `rows` whose elements w satisfy w x = x w, tested at the base."""
+    perms = g.perms
+    for b in g.base:
+        rows = rows[perms[rows, x[b]] == x[perms[rows, b]]]
+    return rows
+
+
 def centralizer(g: GroupTable, row: int) -> SubgroupHandle:
     """All elements commuting with the element at `row`."""
-    x = g.perms[row]
-    keep = []
-    for lo in range(0, g.order, _CHUNK):
-        hi = min(lo + _CHUNK, g.order)
-        block = g.perms[lo:hi]
-        mask = (block[:, x] == x[block]).all(axis=1)
-        keep.append(np.nonzero(mask)[0] + lo)
-    members = np.concatenate(keep)
+    members = _commuting(g, np.arange(g.order), g.perms[row])
     if members.size == g.order:
         gens = tuple(g.gen_rows)
     else:
@@ -110,38 +114,35 @@ def centralizer(g: GroupTable, row: int) -> SubgroupHandle:
 def _subgroup_generators(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
     """Greedy small generating list: add the least uncovered member, re-close."""
     gens: list[int] = []
-    closed = {g.identity_row}
-    closed_rows = np.array([g.identity_row], dtype=np.int64)
+    closed = np.zeros(g.order, dtype=bool)
+    closed[g.identity_row] = True
+    closed_rows = np.array([g.identity_row])
     for r in members.tolist():
-        if r in closed:
+        if closed[r]:
             continue
         gens.append(r)
         frontier = closed_rows
         while frontier.size:
-            products = []
-            for gr in gens:
-                prod = g.row_index(g.perms[frontier][:, g.perms[gr]])
-                products.append(prod)
-            fresh = np.unique(np.concatenate(products))
-            fresh = np.array(
-                [p for p in fresh.tolist() if p not in closed], dtype=np.int64
-            )
-            closed.update(fresh.tolist())
+            products = [
+                g.base_index(g.perms[frontier[:, None], g.perms[gr][g.base]])
+                for gr in gens
+            ]
+            fresh = np.concatenate(products)
+            fresh = np.unique(fresh[~closed[fresh]])
+            closed[fresh] = True
             frontier = fresh
-        closed_rows = np.fromiter(closed, dtype=np.int64, count=len(closed))
-    assert len(closed) == members.size
+        closed_rows = np.flatnonzero(closed)
+    assert closed_rows.size == members.size
     return tuple(gens)
 
 
 def _fingerprint(g: GroupTable, members: np.ndarray, gens: tuple[int, ...]) -> tuple:
     orders = g.element_orders()[members]
     histogram = tuple(np.bincount(orders).tolist())
-    member_rows = g.perms[members]
-    central = np.ones(members.size, dtype=bool)
+    central = members
     for gr in gens:
-        garr = g.perms[gr]
-        central &= (member_rows[:, garr] == garr[member_rows]).all(axis=1)
-    return (int(members.size), histogram, int(central.sum()))
+        central = _commuting(g, central, g.perms[gr])
+    return (int(members.size), histogram, int(central.size))
 
 
 def subgroups_conjugate(
@@ -157,23 +158,22 @@ def subgroups_conjugate(
         return False, None
     if np.array_equal(h.member_rows, k.member_rows):
         return True, g.identity_row
-    candidates = np.arange(g.order, dtype=np.int64)
-    inverses = g.inverses()
+    k_keys = g.keys[k.member_rows]
+    inverse_base = g.inverse_base_images()
+    candidates = np.arange(g.order)
     for gr in h.generator_rows:
         if not candidates.size:
             break
         gen_arr = g.perms[gr]
         keep_parts = []
         for lo in range(0, candidates.size, _CHUNK):
-            hi = min(lo + _CHUNK, candidates.size)
-            cand = candidates[lo:hi]
-            w = g.perms[cand]
-            conj = compose_rows(w, gen_arr[inverses[cand]])
-            idx = g.row_index(conj)
-            inside = np.searchsorted(k.member_rows, idx)
-            inside[inside == k.member_rows.size] = 0
-            keep_parts.append(cand[k.member_rows[inside] == idx])
-        candidates = np.concatenate(keep_parts) if keep_parts else candidates[:0]
+            cand = candidates[lo : lo + _CHUNK]
+            images = g.perms[cand[:, None], gen_arr[inverse_base[cand]]]
+            query = g.base_keys(images)
+            inside = np.searchsorted(k_keys, query)
+            inside[inside == k_keys.size] = 0
+            keep_parts.append(cand[k_keys[inside] == query])
+        candidates = np.concatenate(keep_parts)
     if not candidates.size:
         return False, None
     witness = int(candidates[0])

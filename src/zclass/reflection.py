@@ -15,6 +15,7 @@ chain of unit roots whose first bond has order 5.
 from __future__ import annotations
 
 import hashlib
+import zipfile
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +26,7 @@ from .errors import OrderCapExceeded, UnsupportedGroupError
 from .groups import DEFAULT_ORDER_CAP, GroupTable, group_from_generators
 
 _CACHE_VERSION = 1
+_CHUNK = 1 << 17
 
 EXPECTED_ROOT_COUNT = {"H3": 30, "F4": 48, "E6": 72, "H4": 120, "E7": 126}
 EXPECTED_GROUP_ORDER = {
@@ -238,6 +240,47 @@ def _cache_path(cache_dir: Path, name: str) -> Path:
     return cache_dir / f"zclass-group-{name}-{key}.npz"
 
 
+def _rows_sorted(perms: np.ndarray) -> bool:
+    """Whether the rows are strictly increasing in lexicographic order."""
+    for lo in range(0, perms.shape[0] - 1, _CHUNK):
+        b = perms[lo + 1 : lo + 1 + _CHUNK]
+        a = perms[lo : lo + b.shape[0]]
+        differ = a != b
+        first = differ.argmax(axis=1)
+        r = np.arange(b.shape[0])
+        if not (differ[r, first].all() and (a[r, first] < b[r, first]).all()):
+            return False
+    return True
+
+
+def _load_cached(path: Path, rs: RootSystem, expected: int) -> GroupTable | None:
+    """The cached table of `rs`, or None when the file does not hold one.
+
+    A file is accepted only if its rows are sorted with distinct base keys and
+    its generator rows are the reflection tables.
+    """
+    try:
+        with np.load(path) as data:
+            perms, gen_rows = data["perms"], data["gen_rows"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+    gens = np.array(rs.reflection_tables, dtype=np.uint8)
+    if (
+        perms.shape != (expected, len(rs.roots))
+        or perms.dtype != np.uint8
+        or gen_rows.shape != (rs.rank,)
+        or not np.issubdtype(gen_rows.dtype, np.integer)
+        or not np.all((0 <= gen_rows) & (gen_rows < expected))
+        or not np.array_equal(perms[gen_rows], gens)
+        or not _rows_sorted(perms)
+    ):
+        return None
+    try:
+        return GroupTable(perms, tuple(int(r) for r in gen_rows), rs.type_name)
+    except (ValueError, UnsupportedGroupError):
+        return None
+
+
 def generate_group(
     rs: RootSystem,
     order_cap: int = DEFAULT_ORDER_CAP,
@@ -253,11 +296,9 @@ def generate_group(
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), rs.type_name)
         if path.exists():
-            data = np.load(path)
-            perms = data["perms"]
-            gen_rows = tuple(int(r) for r in data["gen_rows"])
-            if perms.shape == (expected, len(rs.roots)):
-                return GroupTable(perms, gen_rows, rs.type_name)
+            table = _load_cached(path, rs, expected)
+            if table is not None:
+                return table
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
     table = group_from_generators(
         gens, name=rs.type_name, degree=len(rs.roots), order_cap=order_cap

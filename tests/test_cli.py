@@ -185,6 +185,21 @@ class TestCacheDir:
         assert out1 == out2
 
 
+class TestLargeDegree:
+    @pytest.mark.parametrize("text", ["I2(300)", "I2(200) x I2(100)"])
+    def test_point_sets_over_256_exit_3(self, text):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zclass.cli", "verify", text],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("zclass: ")
+        assert "at most 256 points" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestDeterminism:
     def test_consecutive_runs_byte_identical(self):
         cmd = [

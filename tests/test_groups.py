@@ -2,12 +2,14 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import assert_valid_permutation_table
 
-from zclass.errors import OrderCapExceeded
+from zclass.errors import OrderCapExceeded, UnsupportedGroupError
 from zclass.groups import (
     build_d,
     build_dihedral,
@@ -116,6 +118,36 @@ class TestGroupTableContract:
         for k in np.unique(orders):
             assert table.order % int(k) == 0
 
+    def test_non_member_rows_refused(self):
+        table = build_d(4)
+        key_miss = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
+        key_hit = np.array([4, 1, 2, 3, 0, 5, 6, 7], dtype=np.uint8)  # in B4 only
+        for row in (key_miss, key_hit):
+            with pytest.raises(LookupError):
+                table.row_index(row[None, :])
+            assert not table.contains(row.tobytes())
+
+    def test_membership_checked_under_optimize(self):
+        # under python -O assertions vanish; row_index must still refuse
+        script = (
+            "import numpy as np\n"
+            "from zclass.groups import build_d\n"
+            "table = build_d(4)\n"
+            "print(__debug__)\n"
+            "for row in ([0, 4, 2, 3, 1, 5, 6, 7], [4, 1, 2, 3, 0, 5, 6, 7]):\n"
+            "    try:\n"
+            "        table.row_index(np.array([row], dtype=np.uint8))\n"
+            "        print('accepted')\n"
+            "    except LookupError:\n"
+            "        print('refused')\n"
+            "print(table.row_index(table.perms[:3]).tolist())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "refused", "refused", "[0, 1, 2]"]
+
     def test_rejects_non_permutation_generator(self):
         with pytest.raises(ValueError):
             group_from_generators(
@@ -131,6 +163,15 @@ class TestDirectProduct:
     def test_cap_applies(self):
         with pytest.raises(OrderCapExceeded):
             direct_product(build_wreath_bc(5), build_wreath_bc(5), order_cap=1000)
+
+    def test_point_sets_over_256_refused(self):
+        with pytest.raises(UnsupportedGroupError):
+            build_dihedral(257)
+        with pytest.raises(UnsupportedGroupError):
+            direct_product(build_dihedral(200), build_dihedral(100))
+        with pytest.raises(UnsupportedGroupError):
+            group_from_generators([np.arange(257)], name="big", degree=257)
+        assert build_dihedral(256).degree == 256
 
     def test_component_labels(self):
         g = direct_product(build_symmetric(3), build_symmetric(2))

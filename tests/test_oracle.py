@@ -16,7 +16,7 @@ from zclass.groups import (
     direct_product,
     signed_perm_to_row,
 )
-from zclass.signed_perm import SignedPartition, class_representative
+from zclass.signed_perm import SignedPartition, SignedPermutation, class_representative
 from zclass.verify import dn_oracle_label, oracle_grouping_labels
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zclass import oracle
@@ -133,3 +134,37 @@ class TestGeneratedGroups:
         assert (first.perms == cached.perms).all()
         assert first.gen_rows == cached.gen_rows
         assert len(list(tmp_path.iterdir())) == 1
+
+    @pytest.mark.parametrize("corruption", ["duplicate_rows", "permuted_rows"])
+    def test_corrupted_cache_is_recomputed(self, tmp_path, corruption):
+        fresh = build_reflection_group("H3", cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        perms = fresh.perms.copy()
+        gen_rows = np.array(fresh.gen_rows)
+        if corruption == "duplicate_rows":
+            spare = next(
+                r for r in range(1, fresh.order) if r - 1 not in fresh.gen_rows
+            )
+            perms[spare - 1] = perms[spare]
+        else:
+            order = np.random.default_rng(3).permutation(fresh.order)
+            perms = perms[order]
+            gen_rows = np.argsort(order)[gen_rows]
+        assert np.array_equal(perms[gen_rows], fresh.perms[list(fresh.gen_rows)])
+        np.savez_compressed(path, perms=perms, gen_rows=gen_rows)
+
+        table = build_reflection_group("H3", cache_dir=tmp_path)
+        assert np.array_equal(table.perms, fresh.perms)
+        assert table.gen_rows == fresh.gen_rows
+        assert len(oracle.conjugacy_classes(table)) == 10
+        assert oracle.z_class_count(table) == 4
+        with np.load(path) as data:
+            assert np.array_equal(data["perms"], fresh.perms)
+
+    def test_cache_with_wrong_generator_rows_is_recomputed(self, tmp_path):
+        fresh = build_reflection_group("H3", cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        gen_rows = np.array(fresh.gen_rows)[::-1]
+        np.savez_compressed(path, perms=fresh.perms, gen_rows=gen_rows)
+        table = build_reflection_group("H3", cache_dir=tmp_path)
+        assert table.gen_rows == fresh.gen_rows
