@@ -1,7 +1,8 @@
 """Command-line front end: count z-classes, list class structure, verify formulas.
 
 Exit codes: 0 success / verified, 1 verification mismatch, 2 usage or parse
-error, 3 order cap or unsupported-group limit.  Output is deterministic:
+error, 3 order cap or unsupported-group limit, 4 internal error (an
+unexpected exception, reported on one stderr line).  Output is deterministic:
 re-running a command byte-for-byte reproduces its output.
 """
 
@@ -14,14 +15,10 @@ import json
 import sys
 
 from . import oracle
-from .closed_form import (
+from .closed_form import parse_coxeter_type, z_count
+from .errors import (
     DEFAULT_ORDER_CAP,
     LARGE_ORDER_CAP,
-    CoxeterType,
-    parse_coxeter_type,
-    z_count,
-)
-from .errors import (
     CoxeterParseError,
     CoxeterRankError,
     OrderCapExceeded,
@@ -42,6 +39,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _record_base(command: str) -> dict:
@@ -280,14 +278,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         record, code = _HANDLERS[args.command](args)
+        buffer = io.StringIO()
+        _emit(record, args.fmt, buffer)
     except (CoxeterParseError, CoxeterRankError, UsageError) as exc:
         print(f"zclass: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OrderCapExceeded, UnsupportedGroupError) as exc:
         print(f"zclass: {exc}", file=sys.stderr)
         return EXIT_CAP
-    buffer = io.StringIO()
-    _emit(record, args.fmt, buffer)
+    except Exception as exc:  # a defect, never a verification mismatch
+        print(f"zclass: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     sys.stdout.write(buffer.getvalue())
     return code
 

@@ -5,17 +5,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import (
-    delta_prime_set,
-    delta_set,
-    partitions_of,
-    signed_partitions_of,
-    zeta,
+from .combinatorics import product_series, zeta
+from .errors import (
+    DEFAULT_ORDER_CAP,
+    CoxeterParseError,
+    CoxeterRankError,
+    OrderCapExceeded,
 )
-from .errors import CoxeterParseError, CoxeterRankError, OrderCapExceeded
-
-DEFAULT_ORDER_CAP = 100_000
-LARGE_ORDER_CAP = 5_000_000
 
 # family -> (conjugacy class count, z-class count); computed externally once,
 # exposed here as lookup data
@@ -162,35 +158,73 @@ def parse_coxeter_type(text: str) -> CoxeterType:
     return CoxeterType(tuple(factors))
 
 
-def _z_product(entries) -> int:
-    prod = 1
-    for p, m in entries:
-        prod *= (m // 2 + 1) if p % 2 else (m + 1)
-    return prod
+def _part_series(n: int, odd, even) -> int:
+    """q^n coefficient of a product with one set of factors per part size p <= n.
+
+    `odd` and `even` list (scale, power) pairs: part size p contributes
+    1/(1 - q^(scale*p))^power for each pair of its parity.
+    """
+    factors = (
+        (p * scale, power)
+        for p in range(1, n + 1)
+        for scale, power in (odd if p % 2 else even)
+    )
+    return product_series(factors, n)[n]
+
+
+def partition_count(n: int) -> int:
+    """p(n): the conjugacy classes of S_n."""
+    return _part_series(n, ((1, 1),), ((1, 1),))
+
+
+def conjugacy_count_bc(n: int) -> int:
+    """Signed partitions (bipartitions) of n: the conjugacy classes of C2 wr S_n."""
+    return _part_series(n, ((1, 2),), ((1, 2),))
+
+
+def conjugacy_count_d(n: int) -> int:
+    """Conjugacy classes of D_n: (bp(n) + 3 p(n/2)) / 2 for even n, bp(n) / 2 for odd n.
+
+    Half the signed partitions have an even bar count, up to the signed sum
+    of (-1)^bars, which is p(n/2); each of the p(n/2) all-even positive
+    classes splits in two.
+    """
+    if n % 2:
+        return conjugacy_count_bc(n) // 2
+    return (conjugacy_count_bc(n) + 3 * partition_count(n // 2)) // 2
 
 
 def z_count_bc(n: int) -> int:
     """z-classes of the hyperoctahedral group C2 wr S_n.
 
-    Sum over partitions of n of prod (floor(l_i/2)+1) over odd parts times
-    prod (w_j+1) over even parts.
+    The paper's sum over partitions of n of prod (floor(m/2)+1) over odd parts
+    of multiplicity m times prod (m+1) over even parts.  Per part size p
+    those factors sum to 1/((1-q^p)(1-q^2p)) for odd p and 1/(1-q^p)^2 for
+    even p; the count is the q^n coefficient of their product.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return sum(_z_product(lam.entries) for lam in partitions_of(n))
+    return _part_series(n, ((1, 1), (2, 1)), ((1, 2),))
 
 
 def z_count_d(n: int) -> int:
-    """z-classes of D_n: same as C2 wr S_n for odd n, corrected sum for even n."""
+    """z-classes of D_n: same as C2 wr S_n for odd n, corrected sum for even n.
+
+    For even n the paper sums z over Delta(n), ceil(z/2) over Delta'(n), then
+    subtracts zeta(n-2) and adds |Delta'(n/2)|.  Delta'(n) (odd parts of even
+    multiplicity) has a series per part size, so its z-sum and the number of
+    its members with odd z are coefficients; the Delta sum is the rest of
+    z_count_bc(n).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
+    all_z = z_count_bc(n)
     if n % 2:
-        return z_count_bc(n)
-    total = sum(_z_product(lam.entries) for lam in delta_set(n))
-    total += sum((_z_product(lam.entries) + 1) // 2 for lam in delta_prime_set(n))
-    total -= zeta(n - 2)
-    total += len(delta_prime_set(n // 2))
-    return total
+        return all_z
+    prime_z = _part_series(n, ((2, 2),), ((1, 2),))
+    prime_odd_z = _part_series(n, ((4, 1),), ((2, 1),))
+    prime_half = _part_series(n // 2, ((2, 1),), ((1, 1),))
+    return all_z - prime_z + (prime_z + prime_odd_z) // 2 - zeta(n - 2) + prime_half
 
 
 def z_count_dihedral(m: int) -> int:
@@ -211,10 +245,6 @@ def conjugacy_count_dihedral(m: int) -> int:
     if m % 2:
         return (m + 3) // 2
     return m // 2 + 3
-
-
-def conjugacy_count_exceptional(family: str) -> int:
-    return EXCEPTIONAL_TABLE[family][0]
 
 
 @dataclass(frozen=True)
@@ -240,14 +270,10 @@ def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
     fam, rank = factor.family, factor.rank
     if fam in ("B", "C"):
         return FactorCount(
-            factor, z_count_bc(rank), len(signed_partitions_of(rank)), "formula"
+            factor, z_count_bc(rank), conjugacy_count_bc(rank), "formula"
         )
     if fam == "D":
-        from .signed_perm import dn_conjugacy_classes
-
-        return FactorCount(
-            factor, z_count_d(rank), len(dn_conjugacy_classes(rank)), "formula"
-        )
+        return FactorCount(factor, z_count_d(rank), conjugacy_count_d(rank), "formula")
     if fam == "I2":
         return FactorCount(
             factor, z_count_dihedral(rank), conjugacy_count_dihedral(rank), "formula"
@@ -267,9 +293,7 @@ def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
 
     g = build_symmetric(rank + 1, order_cap=order_cap)
     groups = oracle.z_classes(g, order_cap=order_cap)
-    return FactorCount(
-        factor, len(groups), len(partitions_of(rank + 1)), "oracle"
-    )
+    return FactorCount(factor, len(groups), partition_count(rank + 1), "oracle")
 
 
 def z_count(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> ZCountResult:

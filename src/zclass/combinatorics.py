@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 
@@ -150,18 +149,20 @@ def signed_partitions_of(n: int) -> list[SignedPartition]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _zeta_count(remaining: int, cap: int) -> int:
-    if remaining == 0:
-        return 1
-    total = 0
-    p = min(cap, remaining)
-    if p % 2:
-        p -= 1
-    while p >= 4:
-        total += _zeta_count(remaining - p, p)
-        p -= 2
-    return total
+def product_series(factors, n: int) -> list[int]:
+    """Coefficients of q^0..q^n in the product of 1/(1 - q^step)^power.
+
+    `factors` yields (step, power) pairs with step >= 1.  Each power of each
+    factor costs n additions, so a product over part sizes 1..n is O(n^2).
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    coeffs = [1] + [0] * n
+    for step, power in factors:
+        for _ in range(power):
+            for k in range(step, n + 1):
+                coeffs[k] += coeffs[k - step]
+    return coeffs
 
 
 def zeta(n: int) -> int:
@@ -171,7 +172,7 @@ def zeta(n: int) -> int:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _zeta_count(n, n)
+    return product_series(((p, 1) for p in range(4, n + 1, 2)), n)[n]
 
 
 def delta_set(n: int) -> list[Partition]:

@@ -1,4 +1,7 @@
-"""Exceptions shared across the package."""
+"""Exceptions shared across the package, and the group-order caps."""
+
+DEFAULT_ORDER_CAP = 100_000
+LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7 (order 2,903,040)
 
 
 class ZClassError(Exception):
@@ -27,11 +30,3 @@ class OrderCapExceeded(ZClassError):
 
 class UnsupportedGroupError(ZClassError):
     """The requested group is not buildable by this engine (e.g. E8 by policy)."""
-
-
-class VerificationMismatch(ZClassError):
-    """Formula and oracle disagree; carries a printable diff."""
-
-    def __init__(self, message: str, diff_lines: list[str] | None = None):
-        super().__init__(message)
-        self.diff_lines = diff_lines or []

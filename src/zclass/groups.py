@@ -25,11 +25,9 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import Partition
-from .errors import OrderCapExceeded, UnsupportedGroupError
+from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded, UnsupportedGroupError
 from .signed_perm import SignedPermutation, signed_cycle_type
 
-DEFAULT_ORDER_CAP = 100_000
-LARGE_ORDER_CAP = 5_000_000
 MAX_DEGREE = 256
 
 _CHUNK = 1 << 17

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, GroupTable
+from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded
+from .groups import GroupTable
 
 _CHUNK = 1 << 16
 

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import OrderCapExceeded, UnsupportedGroupError
-from .groups import DEFAULT_ORDER_CAP, GroupTable, group_from_generators
+from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded, UnsupportedGroupError
+from .groups import GroupTable, group_from_generators
 
 _CACHE_VERSION = 1
 _CHUNK = 1 << 17
@@ -166,10 +166,6 @@ class RootSystem:
     norms: tuple[QuadraticNumber, ...]
     roots: tuple[tuple[QuadraticNumber, ...], ...]
     reflection_tables: tuple[tuple[int, ...], ...]
-
-    @property
-    def simple_roots(self) -> tuple[tuple[QuadraticNumber, ...], ...]:
-        return self.roots[: self.rank]
 
     def inner(self, v, w) -> QuadraticNumber:
         # (a_i, a_j) = C[i][j] * (a_j, a_j) / 2

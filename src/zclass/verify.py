@@ -8,13 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .closed_form import (
-    DEFAULT_ORDER_CAP,
-    CoxeterType,
-    IrreducibleType,
-    z_count,
-)
-from .errors import UnsupportedGroupError
+from .closed_form import CoxeterType, IrreducibleType, z_count
+from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded
 from .groups import (
     GroupTable,
     build_d,
@@ -61,9 +56,9 @@ def build_group(
     """The whole group of a product type, as one permutation group."""
     order = t.group_order()
     if order > order_cap:
-        raise UnsupportedGroupError(
+        raise OrderCapExceeded(
             f"{t} has order {order} > cap {order_cap}; raise it with --allow-large"
-        ) from None
+        )
     table = build_factor_group(t.factors[0], order_cap, cache_dir)
     for factor in t.factors[1:]:
         table = direct_product(

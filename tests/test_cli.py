@@ -7,8 +7,13 @@ import subprocess
 import sys
 
 import pytest
+from sympy import partition as npartitions
 
+import zclass.cli as cli
 from zclass.cli import main
+from zclass.closed_form import parse_coxeter_type
+from zclass.errors import OrderCapExceeded
+from zclass.verify import build_group
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +62,15 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "E8", "--method", "oracle")
         assert code == 3
         assert "E8" in err
+        with pytest.raises(OrderCapExceeded, match="raise it with --allow-large"):
+            build_group(parse_coxeter_type("E8"))
+
+    def test_d40_class_count(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "D40", "--format", "json")
+        assert code == 0
+        bp = sum(npartitions(k) * npartitions(40 - k) for k in range(41))
+        record = json.loads(out)
+        assert record["conjugacy_class_count"] == (bp + 3 * npartitions(20)) // 2
 
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "B3 + D4")
@@ -146,6 +160,18 @@ class TestVerify:
         _, out, _ = run_cli(capsys, "verify", "B3", "--format", "json")
         record = json.loads(out)
         assert json.loads(json.dumps(record)) == record
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_4_on_one_line(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._HANDLERS, "count", boom)
+        code, out, err = run_cli(capsys, "count", "B2")
+        assert code == 4
+        assert out == ""
+        assert err == "zclass: internal error: RuntimeError('boom')\n"
 
 
 class TestVerifyMismatchPath:

@@ -1,20 +1,42 @@
 """Type parsing and the closed-form counts (frozen oracle values in comments)."""
 
 import pytest
+from sympy import partition as npartitions
 
 from zclass.closed_form import (
     EXCEPTIONAL_TABLE,
     CoxeterType,
     IrreducibleType,
+    conjugacy_count_bc,
+    conjugacy_count_d,
     parse_coxeter_type,
+    partition_count,
     z_count,
     z_count_bc,
     z_count_d,
     z_count_dihedral,
     z_count_exceptional,
 )
-from zclass.combinatorics import signed_partitions_of
+from zclass.combinatorics import (
+    delta_prime_set,
+    delta_set,
+    partitions_of,
+    signed_partitions_of,
+    zeta,
+)
 from zclass.errors import CoxeterParseError, CoxeterRankError, OrderCapExceeded
+
+
+def paper_z(lam):
+    """The paper's summand: floor(m/2)+1 per odd part, m+1 per even part."""
+    prod = 1
+    for p, m in lam.entries:
+        prod *= (m // 2 + 1) if p % 2 else (m + 1)
+    return prod
+
+
+def bipartitions(n):
+    return sum(npartitions(k) * npartitions(n - k) for k in range(n + 1))
 
 
 class TestParser:
@@ -76,6 +98,15 @@ class TestCountBC:
     def test_bounded_by_signed_partition_count(self, n):
         assert z_count_bc(n) <= len(signed_partitions_of(n))
 
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_series_equals_partition_sum(self, n):
+        assert z_count_bc(n) == sum(paper_z(lam) for lam in partitions_of(n))
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_class_count_is_bipartition_count(self, n):
+        assert conjugacy_count_bc(n) == bipartitions(n)
+        assert partition_count(n) == npartitions(n)
+
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             z_count_bc(0)
@@ -90,6 +121,21 @@ class TestCountD:
     @pytest.mark.parametrize("n", range(3, 26, 2))
     def test_odd_rank_equals_bc(self, n):
         assert z_count_d(n) == z_count_bc(n)
+
+    @pytest.mark.parametrize("n", range(2, 21, 2))
+    def test_series_equals_paper_sum(self, n):
+        expected = sum(paper_z(lam) for lam in delta_set(n))
+        expected += sum((paper_z(lam) + 1) // 2 for lam in delta_prime_set(n))
+        expected += len(delta_prime_set(n // 2)) - zeta(n - 2)
+        assert z_count_d(n) == expected
+
+    @pytest.mark.parametrize("n", range(2, 61))
+    def test_class_count_from_bipartitions(self, n):
+        if n % 2:
+            expected = bipartitions(n) // 2
+        else:
+            expected = (bipartitions(n) + 3 * npartitions(n // 2)) // 2
+        assert conjugacy_count_d(n) == expected
 
     def test_rejects_rank_below_two(self):
         with pytest.raises(ValueError):

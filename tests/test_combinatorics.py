@@ -13,6 +13,7 @@ from zclass.combinatorics import (
     delta_set,
     even_sum_tuple_count,
     partitions_of,
+    product_series,
     signed_partitions_of,
     zeta,
 )
@@ -109,6 +110,14 @@ class TestSignedPartition:
 
 
 class TestRestrictedCounts:
+    def test_product_series_small_products(self):
+        assert product_series([(1, 1)], 4) == [1, 1, 1, 1, 1]
+        assert product_series([(1, 2)], 3) == [1, 2, 3, 4]
+        assert product_series([(2, 1), (3, 1), (9, 1)], 6) == [1, 0, 1, 1, 1, 1, 2]
+        assert product_series([], 0) == [1]
+        with pytest.raises(ValueError):
+            product_series([(1, 1)], -1)
+
     def test_zeta_paper_value(self):
         assert zeta(8) == 2  # 4+4 and 8
 

@@ -10,7 +10,12 @@ from itertools import permutations, product
 
 import pytest
 
-from zclass.closed_form import z_count_bc, z_count_d
+from zclass.closed_form import (
+    conjugacy_count_bc,
+    conjugacy_count_d,
+    z_count_bc,
+    z_count_d,
+)
 from zclass.combinatorics import SignedPartition, signed_partitions_of
 from zclass.signed_perm import (
     SignedClassLabel,
@@ -99,7 +104,7 @@ class TestSignedCycleType:
     def test_class_count_by_exhaustion(self):
         for n in range(1, 6):
             types = {signed_cycle_type(a) for a in all_elements(n)}
-            assert len(types) == len(signed_partitions_of(n))
+            assert len(types) == len(signed_partitions_of(n)) == conjugacy_count_bc(n)
 
 
 class TestClassRepresentative:
@@ -171,7 +176,9 @@ class TestZClassesBC:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_group_count_matches_formula(self, n):
-        assert len(z_classes_bc(n)) == z_count_bc(n)
+        groups = z_classes_bc(n)
+        assert len(groups) == z_count_bc(n)
+        assert sum(len(g) for g in groups) == conjugacy_count_bc(n)
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_groups_partition_all_classes(self, n):
@@ -204,7 +211,7 @@ class TestDnClasses:
             orbit = {g * a * g.inverse() for g in elements}
             seen |= orbit
             count += 1
-        assert count == len(dn_conjugacy_classes(n))
+        assert count == len(dn_conjugacy_classes(n)) == conjugacy_count_d(n)
 
     def test_split_half_requires_all_even_positive(self):
         with pytest.raises(ValueError):
@@ -236,7 +243,9 @@ class TestZClassesDn:
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_group_count_matches_formula(self, n):
-        assert len(z_classes_dn(n)) == z_count_d(n)
+        groups = z_classes_dn(n)
+        assert len(groups) == z_count_d(n)
+        assert sum(len(g) for g in groups) == conjugacy_count_d(n)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_groups_partition_all_classes(self, n):
