@@ -8,9 +8,11 @@ from dataclasses import dataclass
 from .combinatorics import product_series, zeta
 from .errors import (
     DEFAULT_ORDER_CAP,
+    MAX_FORMULA_RANK,
     CoxeterParseError,
     CoxeterRankError,
     OrderCapExceeded,
+    UnsupportedGroupError,
 )
 
 # family -> (conjugacy class count, z-class count); computed externally once,
@@ -266,8 +268,17 @@ class ZCountResult:
         return math.prod(f.conjugacy_count for f in self.per_factor)
 
 
+def check_series_rank(factor: IrreducibleType) -> None:
+    """Refuse a B/C/D rank over MAX_FORMULA_RANK before any series is evaluated."""
+    if factor.family in ("B", "C", "D") and factor.rank > MAX_FORMULA_RANK:
+        raise UnsupportedGroupError(
+            f"{factor}: the formula route serves B/C/D ranks up to {MAX_FORMULA_RANK}"
+        )
+
+
 def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
     fam, rank = factor.family, factor.rank
+    check_series_rank(factor)
     if fam in ("B", "C"):
         return FactorCount(
             factor, z_count_bc(rank), conjugacy_count_bc(rank), "formula"

@@ -2,6 +2,10 @@
 
 DEFAULT_ORDER_CAP = 100_000
 LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7 (order 2,903,040)
+# `classes` lists B26 (177,087 classes) and D28, and refuses B27 and D29 up
+MAX_LISTED_CLASSES = 200_000
+# the B/C/D series take O(rank^2) big-int additions: about 4 s at rank 5000
+MAX_FORMULA_RANK = 5000
 
 
 class ZClassError(Exception):
@@ -29,4 +33,8 @@ class OrderCapExceeded(ZClassError):
 
 
 class UnsupportedGroupError(ZClassError):
-    """The requested group is not buildable by this engine (e.g. E8 by policy)."""
+    """The request is beyond what this engine serves.
+
+    For example E8 by policy, a B/C/D rank over MAX_FORMULA_RANK, or a class
+    listing over MAX_LISTED_CLASSES.
+    """

@@ -31,6 +31,7 @@ from .signed_perm import SignedPermutation, signed_cycle_type
 MAX_DEGREE = 256
 
 _CHUNK = 1 << 17
+_CONJUGATE_CHUNK = 1 << 16
 
 
 def _splitmix64(n: int) -> np.ndarray:
@@ -139,6 +140,7 @@ class GroupTable:
         self._inverses: np.ndarray | None = None
         self._inverse_base: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._conjugation_maps: np.ndarray | None = None
 
     # --- canonical-encoding surface -------------------------------------
 
@@ -230,6 +232,34 @@ class GroupTable:
                 out[lo : lo + block.shape[0]] = inv[:, self.base]
             self._inverse_base = out
         return self._inverse_base
+
+    def _conjugate_block(self, t: int, select) -> np.ndarray:
+        """Indices of t * e * t^-1 for the elements e = perms[select]."""
+        t_arr = self.perms[t]
+        columns = np.argsort(t_arr)[self.base]  # t^-1 of each base point
+        return self.base_index(t_arr[self.perms[select, columns]])
+
+    def conjugates(self, t: int, rows: np.ndarray) -> np.ndarray:
+        """Indices of t * e * t^-1 for the elements at `rows`, as int32."""
+        out = np.empty(rows.size, dtype=np.int32)
+        for lo in range(0, rows.size, _CONJUGATE_CHUNK):
+            hi = min(lo + _CONJUGATE_CHUNK, rows.size)
+            out[lo:hi] = self._conjugate_block(t, rows[lo:hi, None])
+        return out
+
+    def conjugation_maps(self) -> np.ndarray:
+        """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as int32.
+
+        Computed once, into one preallocated array.
+        """
+        if self._conjugation_maps is None:
+            maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
+            for s, t in enumerate(self.gen_rows):
+                for lo in range(0, self.order, _CONJUGATE_CHUNK):
+                    hi = min(lo + _CONJUGATE_CHUNK, self.order)
+                    maps[s, lo:hi] = self._conjugate_block(t, slice(lo, hi))
+            self._conjugation_maps = maps
+        return self._conjugation_maps
 
     def element_orders(self) -> np.ndarray:
         """Order of each element: the first power that returns every base point."""

@@ -6,28 +6,70 @@ conjugate subgroups, scanning existing groups in order and absorbing into the
 first match.  Everything is deterministic: classes are ordered by their
 minimal canonical encoding and witnesses are the smallest-index conjugators.
 
+Schreier vector.  `conjugacy_classes` walks each class breadth-first from its
+representative x with the generator conjugation maps r -> s r s^-1, and
+records for every member y the member it was first reached from and the index
+of that generator (int32 and int8 arrays over the rows).  Following these
+steps up to x spells a short word t_y with t_y x t_y^-1 = y.
+
+Centralizers.  By Schreier's lemma, C(x) is generated by t_z^-1 s t_y over
+the edges y -> z = s y s^-1 of the orbit.  `centralizer` takes the edges of
+members spread over the walk (a stride near |class|/phi), in chunks that
+double, keeps a Schreier generator only when the subgroup closed so far
+misses it, and extends the closure incrementally: the new generator times the
+old members, then every generator times the fresh elements.  It stops at the
+orbit-stabilizer order |G|/|class|.  Running out of edges below that order,
+passing it, or keeping a generator that does not commute with x raises, also
+under `python -O`.  Edges in breadth-first order give shorter words, but
+their generators often span a proper subgroup until deep into the walk.
+
+Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
+the center Z(C(y)) meets the class of x.  If w C(x) w^-1 = C(y), then
+w x w^-1 is central in C(y).  Conversely, if z = u x u^-1 lies in Z(C(y)),
+then C(y) lies in C(z) = u C(x) u^-1, and the two orders are equal.  So
+`z_classes` needs each centralizer's center rows (the members commuting with
+its few generators) and a row-to-class array.  The conjugator search
+`subgroups_conjugate` and its fingerprint remain as general tools.
+
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
-b, and a conjugate w*e*w^-1 is looked up by its base images w(e(w^-1(b)))
-alone, so no full product row is formed on the hot paths.
+b, and a product or conjugate is looked up by its base images alone, so no
+full product row is formed on the hot paths.
 """
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded
 from .groups import GroupTable
 
+log = logging.getLogger(__name__)
+
 _CHUNK = 1 << 16
+_FIRST_EDGE_CHUNK = 4  # orbit members in the first chunk of edges
 
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """A conjugacy class with the breadth-first walk that found it.
+
+    `walk` lists the members in walk order from `rep`.  Member r was first
+    reached as s p s^-1 from p = parent[r] with s = gen_rows[via[r]]; the root
+    is its own parent, with via -1.  `parent` and `via` are indexed by row and
+    shared by all classes of one walk.
+    """
+
     rep: int  # row index of the minimal-encoding member
     members: np.ndarray = field(repr=False)  # sorted row indices
+    walk: np.ndarray = field(repr=False)
+    parent: np.ndarray = field(repr=False)
+    via: np.ndarray = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -36,31 +78,65 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """Subgroup as sorted member rows, a short generating list, and a fingerprint.
+    """Subgroup as sorted member rows and a short generating list.
 
-    The fingerprint (order, element-order histogram, center order) is invariant
-    under conjugation, so unequal fingerprints reject conjugacy outright.
+    The center and the fingerprint (order, element-order histogram, center
+    order) are computed on first use.  The fingerprint is invariant under
+    conjugation, so unequal fingerprints reject conjugacy outright.
     """
 
+    group: GroupTable = field(repr=False)
     member_rows: np.ndarray = field(repr=False)
     generator_rows: tuple[int, ...]
-    fingerprint: tuple
 
     @property
     def order(self) -> int:
         return int(self.member_rows.size)
 
+    @cached_property
+    def center_rows(self) -> np.ndarray:
+        """Members commuting with every generator."""
+        rows = self.member_rows
+        for gr in self.generator_rows:
+            rows = _commuting(self.group, rows, self.group.perms[gr])
+        return rows
 
-def _conjugate_by_row(g: GroupTable, t: int, rows: np.ndarray) -> np.ndarray:
-    """Indices of t * e * t^-1 for the given element rows, as int32."""
-    t_arr = g.perms[t]
-    columns = np.argsort(t_arr)[g.base]  # t^-1 of each base point
-    out = np.empty(rows.size, dtype=np.int32)
-    for lo in range(0, rows.size, _CHUNK):
-        hi = min(lo + _CHUNK, rows.size)
-        images = t_arr[g.perms[rows[lo:hi, None], columns]]
-        out[lo:hi] = g.base_index(images)
-    return out
+    @cached_property
+    def fingerprint(self) -> tuple:
+        orders = self.group.element_orders()[self.member_rows]
+        histogram = tuple(np.bincount(orders).tolist())
+        return (self.order, histogram, int(self.center_rows.size))
+
+
+def _walk(
+    maps: np.ndarray, root: int, parent: np.ndarray, via: np.ndarray
+) -> ConjugacyClass:
+    """Breadth-first orbit of `root` under the conjugation maps.
+
+    Rows with parent -1 are unvisited; the walk fills parent and via for the
+    rows it reaches.  Each level is kept in row order.
+    """
+    parent[root] = root
+    via[root] = -1
+    level = np.array([root], dtype=np.int32)
+    levels = [level]
+    while level.size and maps.size:
+        images = maps[:, level].ravel()  # generator-major
+        fresh = np.flatnonzero(parent[images] < 0)
+        rows, first = np.unique(images[fresh], return_index=True)
+        source = fresh[first]
+        parent[rows] = level[source % level.size]
+        via[rows] = source // level.size
+        level = rows
+        levels.append(level)
+    walk = np.concatenate(levels)
+    return ConjugacyClass(root, np.sort(walk), walk, parent, via)
+
+
+def _new_schreier_vector(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    parent = np.full(g.order, -1, dtype=np.int32)
+    via = np.empty(g.order, dtype=np.min_scalar_type(-1 - len(g.gen_rows)))
+    return parent, via
 
 
 def conjugacy_classes(
@@ -71,23 +147,13 @@ def conjugacy_classes(
         raise OrderCapExceeded(
             f"{g.name} has order {g.order} > cap {order_cap}; raise it with --allow-large"
         )
-    all_rows = np.arange(g.order, dtype=np.int64)
-    conj_maps = [_conjugate_by_row(g, t, all_rows) for t in g.gen_rows]
-    visited = np.zeros(g.order, dtype=bool)
+    maps = g.conjugation_maps()
+    parent, via = _new_schreier_vector(g)
     classes: list[ConjugacyClass] = []
     rep = 0
-    while not visited[rep]:
-        visited[rep] = True
-        members = [np.array([rep])]
-        frontier = members[0]
-        while frontier.size and conj_maps:
-            images = np.concatenate([m[frontier] for m in conj_maps])
-            images = np.unique(images[~visited[images]])
-            visited[images] = True
-            members.append(images)
-            frontier = images
-        classes.append(ConjugacyClass(rep, np.sort(np.concatenate(members))))
-        rep = int(visited.argmin())
+    while parent[rep] < 0:
+        classes.append(_walk(maps, rep, parent, via))
+        rep = int(parent.argmin())  # the least unvisited row, or a visited one
     assert sum(c.size for c in classes) == g.order
     return classes
 
@@ -100,49 +166,122 @@ def _commuting(g: GroupTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return rows
 
 
-def centralizer(g: GroupTable, row: int) -> SubgroupHandle:
-    """All elements commuting with the element at `row`."""
-    members = _commuting(g, np.arange(g.order), g.perms[row])
-    if members.size == g.order:
-        gens = tuple(g.gen_rows)
-    else:
-        gens = _subgroup_generators(g, members)
-    fp = _fingerprint(g, members, gens)
-    return SubgroupHandle(members, gens, fp)
+def _steps_to_root(cl: ConjugacyClass, nodes: np.ndarray):
+    """Yield (positions, generator indices), one step up the walk tree at a time.
+
+    Each step moves every node of `nodes` not yet at the root to its parent,
+    reporting the generator of the edge it left by.
+    """
+    w = nodes.copy()
+    active = np.flatnonzero(cl.via[w] >= 0)
+    while active.size:
+        yield active, cl.via[w[active]]
+        w[active] = cl.parent[w[active]]
+        active = active[cl.via[w[active]] >= 0]
 
 
-def _subgroup_generators(g: GroupTable, members: np.ndarray) -> tuple[int, ...]:
-    """Greedy small generating list: add the least uncovered member, re-close."""
-    gens: list[int] = []
-    closed = np.zeros(g.order, dtype=bool)
-    closed[g.identity_row] = True
-    closed_rows = np.array([g.identity_row])
-    for r in members.tolist():
-        if closed[r]:
-            continue
-        gens.append(r)
-        frontier = closed_rows
-        while frontier.size:
-            products = [
-                g.base_index(g.perms[frontier[:, None], g.perms[gr][g.base]])
-                for gr in gens
-            ]
-            fresh = np.concatenate(products)
-            fresh = np.unique(fresh[~closed[fresh]])
-            closed[fresh] = True
-            frontier = fresh
-        closed_rows = np.flatnonzero(closed)
-    assert closed_rows.size == members.size
-    return tuple(gens)
+def _schreier_generators(
+    g: GroupTable, cl: ConjugacyClass, ys: np.ndarray
+) -> np.ndarray:
+    """Rows of t_z^-1 s t_y for the non-tree edges y -> z = s y s^-1 leaving `ys`."""
+    maps = g.conjugation_maps()
+    n_gens = maps.shape[0]
+    gen_perms = g.perms[list(g.gen_rows)]
+    inv_perms = np.argsort(gen_perms, axis=1).astype(np.uint8)
+    # t_y = s_y t_parent(y) ..., so multiply on the right going up the tree
+    t_y = np.tile(np.arange(g.degree, dtype=np.uint8), (ys.size, 1))
+    for pos, s in _steps_to_root(cl, ys):
+        t_y[pos] = np.take_along_axis(t_y[pos], gen_perms[s], axis=1)
+    source = np.repeat(np.arange(ys.size), n_gens)
+    s = np.tile(np.arange(n_gens), ys.size)
+    z = maps[s, ys[source]]
+    edge = (cl.parent[z] != ys[source]) | (cl.via[z] != s)
+    source, s, z = source[edge], s[edge], z[edge]
+    images = gen_perms[s[:, None], t_y[:, g.base][source]]  # s t_y at the base
+    # t_z^-1 = ... s_parent(z)^-1 s_z^-1: apply s_z^-1 first going up the tree
+    for pos, step in _steps_to_root(cl, z):
+        images[pos] = inv_perms[step[:, None], images[pos]]
+    return g.base_index(images)
 
 
-def _fingerprint(g: GroupTable, members: np.ndarray, gens: tuple[int, ...]) -> tuple:
-    orders = g.element_orders()[members]
-    histogram = tuple(np.bincount(orders).tolist())
-    central = members
-    for gr in gens:
-        central = _commuting(g, central, g.perms[gr])
-    return (int(members.size), histogram, int(central.size))
+class _Closure:
+    """A subgroup grown by right multiplication, its members flagged in a mask."""
+
+    def __init__(self, g: GroupTable, target: int):
+        self.g = g
+        self.target = target
+        self.inside = np.zeros(g.order, dtype=bool)
+        self.inside[g.identity_row] = True
+        self.members = np.empty(target, dtype=np.int32)
+        self.members[0] = g.identity_row
+        self.size = 1
+        self.gens: list[int] = []
+
+    def add(self, gen: int) -> None:
+        """Adjoin `gen`: old members times gen, then fresh elements times all."""
+        self.gens.append(gen)
+        frontier = self._fresh(self.members[: self.size], [gen])
+        while frontier.size and self.size < self.target:
+            frontier = self._fresh(frontier, self.gens)
+
+    def _fresh(self, rows: np.ndarray, gens: list[int]) -> np.ndarray:
+        """Products of rows by gens not yet inside; they are added."""
+        g = self.g
+        columns = g.perms[np.array(gens)[:, None], g.base].ravel()
+        step = max(1, _CHUNK // len(gens))
+        parts = []
+        for lo in range(0, rows.size, step):
+            images = g.perms[rows[lo : lo + step, None], columns]
+            products = g.base_index(images.reshape(-1, g.base.size))
+            parts.append(products[~self.inside[products]])
+        fresh = np.unique(np.concatenate(parts)).astype(np.int32)
+        if self.size + fresh.size > self.target:
+            raise AssertionError("centralizer closure passed |G|/|class|")
+        self.inside[fresh] = True
+        self.members[self.size : self.size + fresh.size] = fresh
+        self.size += fresh.size
+        return fresh
+
+
+def _spreading_stride(n: int) -> int:
+    """A step near n/phi and coprime to n: i * step % n visits every position once."""
+    step = max(1, round(n * 0.6180339887))
+    while math.gcd(step, n) != 1:
+        step += 1
+    return step
+
+
+def centralizer(
+    g: GroupTable, row: int, cl: ConjugacyClass | None = None
+) -> SubgroupHandle:
+    """All elements commuting with the element at `row`, from Schreier generators.
+
+    `cl` is the class of `row` as walked from it by `conjugacy_classes`;
+    without it, the orbit of `row` is walked here.
+    """
+    if cl is None:
+        cl = _walk(g.conjugation_maps(), row, *_new_schreier_vector(g))
+    elif cl.rep != row:
+        raise ValueError(f"class walked from row {cl.rep}, not {row}")
+    if cl.size == 1:
+        return SubgroupHandle(g, np.arange(g.order, dtype=np.int32), tuple(g.gen_rows))
+    closure = _Closure(g, g.order // cl.size)
+    stride = _spreading_stride(cl.size)
+    chunk, lo = _FIRST_EDGE_CHUNK, 0
+    while closure.size < closure.target:
+        if lo >= cl.size:
+            raise AssertionError("Schreier generators ran out below |G|/|class|")
+        positions = np.arange(lo, min(lo + chunk, cl.size)) * stride % cl.size
+        candidates = _schreier_generators(g, cl, cl.walk[positions])
+        lo, chunk = lo + chunk, 2 * chunk
+        candidates = candidates[~closure.inside[candidates]]
+        while candidates.size and closure.size < closure.target:
+            closure.add(int(candidates[0]))
+            candidates = candidates[~closure.inside[candidates]]
+    gens = np.array(closure.gens, dtype=np.intp)
+    if _commuting(g, gens, g.perms[row]).size != gens.size:
+        raise AssertionError("a Schreier generator does not centralize")
+    return SubgroupHandle(g, np.sort(closure.members), tuple(closure.gens))
 
 
 def subgroups_conjugate(
@@ -177,7 +316,7 @@ def subgroups_conjugate(
     if not candidates.size:
         return False, None
     witness = int(candidates[0])
-    conj_members = np.sort(_conjugate_by_row(g, witness, h.member_rows))
+    conj_members = np.sort(g.conjugates(witness, h.member_rows))
     if not np.array_equal(conj_members, k.member_rows):
         raise AssertionError("generator images matched but member sets differ")
     return True, witness
@@ -189,24 +328,31 @@ def z_classes(
     """Group conjugacy classes whose centralizers are conjugate in g.
 
     The first existing group with a conjugate centralizer absorbs each class;
-    otherwise the class opens a new group.
+    otherwise the class opens a new group.  Conjugacy with a group's first
+    class is decided by the center test (see the module docstring).
     """
     classes = conjugacy_classes(g, order_cap=order_cap)
-    groups: list[list[int]] = []
-    group_cens: list[SubgroupHandle] = []
+    class_of = np.empty(g.order, dtype=np.int32)
     for ci, cl in enumerate(classes):
-        cen = centralizer(g, cl.rep)
-        assert cen.order * cl.size == g.order
-        placed = False
-        for gi, existing in enumerate(group_cens):
-            ok, _ = subgroups_conjugate(g, existing, cen)
-            if ok:
-                groups[gi].append(ci)
-                placed = True
+        class_of[cl.members] = ci
+    groups: list[list[int]] = []
+    for ci, cl in enumerate(classes):
+        cen = centralizer(g, cl.rep, cl)
+        meets = set(class_of[cen.center_rows].tolist())
+        log.debug(
+            "class %d/%d: size %d, centralizer order %d, %d generators",
+            ci + 1,
+            len(classes),
+            cl.size,
+            cen.order,
+            len(cen.generator_rows),
+        )
+        for grp in groups:
+            if classes[grp[0]].size == cl.size and grp[0] in meets:
+                grp.append(ci)
                 break
-        if not placed:
+        else:
             groups.append([ci])
-            group_cens.append(cen)
     return [[classes[ci] for ci in grp] for grp in groups]
 
 

@@ -8,8 +8,20 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle
-from .closed_form import CoxeterType, IrreducibleType, z_count
-from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded
+from .closed_form import (
+    CoxeterType,
+    IrreducibleType,
+    check_series_rank,
+    conjugacy_count_bc,
+    conjugacy_count_d,
+    z_count,
+)
+from .errors import (
+    DEFAULT_ORDER_CAP,
+    MAX_LISTED_CLASSES,
+    OrderCapExceeded,
+    UnsupportedGroupError,
+)
 from .groups import (
     GroupTable,
     build_d,
@@ -101,12 +113,25 @@ def oracle_grouping_labels(
 
 
 def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | None:
-    """Label grouping from the signed-partition structure theory (B/C/D only)."""
-    if factor.family in ("B", "C"):
-        return [[str(sp) for sp in grp] for grp in z_classes_bc(factor.rank)]
+    """Label grouping from the signed-partition structure theory (B/C/D only).
+
+    A listing of more than MAX_LISTED_CLASSES classes is refused before any
+    class is enumerated.
+    """
+    if factor.family not in ("B", "C", "D"):
+        return None
+    check_series_rank(factor)
+    count = (conjugacy_count_d if factor.family == "D" else conjugacy_count_bc)(
+        factor.rank
+    )
+    if count > MAX_LISTED_CLASSES:
+        raise UnsupportedGroupError(
+            f"{factor} has {count} conjugacy classes; a listing holds at most "
+            f"{MAX_LISTED_CLASSES}"
+        )
     if factor.family == "D":
         return [[str(lbl) for lbl in grp] for grp in z_classes_dn(factor.rank)]
-    return None
+    return [[str(sp) for sp in grp] for grp in z_classes_bc(factor.rank)]
 
 
 def _as_partition(groups: list[list[str]]) -> set[frozenset[str]]:

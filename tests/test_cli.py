@@ -10,6 +10,7 @@ import pytest
 from sympy import partition as npartitions
 
 import zclass.cli as cli
+from zclass import closed_form, verify
 from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
 from zclass.errors import OrderCapExceeded
@@ -72,6 +73,30 @@ class TestCount:
         record = json.loads(out)
         assert record["conjugacy_class_count"] == (bp + 3 * npartitions(20)) // 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "B5001"),
+            ("count", "B3 x D5001"),
+            ("count", "C100000", "--format", "json"),
+            ("classes", "D5001"),
+            ("verify", "B5001"),
+        ],
+    )
+    def test_rank_over_formula_cap_exits_3(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"zclass: {argv[1].split()[-1]}: the formula route serves B/C/D "
+            "ranks up to 5000"
+        ]
+
+    def test_formula_rank_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(closed_form, "MAX_FORMULA_RANK", 30)
+        assert run_cli(capsys, "count", "D30")[0] == 0
+        assert run_cli(capsys, "count", "D31")[0] == 3
+
     def test_parse_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "B3 + D4")
         assert code == 2
@@ -100,6 +125,27 @@ class TestClasses:
         code, out, _ = run_cli(capsys, "classes", "A1")
         assert code == 0
         assert len(out.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "text,count", [("B28", 326015), ("C27", 240840), ("D30", 294828)]
+    )
+    def test_listing_over_cap_exits_3(self, capsys, text, count):
+        code, out, err = run_cli(capsys, "classes", text)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"zclass: {text} has {count} conjugacy classes; a listing holds at "
+            "most 200000\n"
+        )
+
+    def test_listing_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "MAX_LISTED_CLASSES", 20)
+        code, out, _ = run_cli(capsys, "classes", "B4")
+        assert code == 0
+        assert len(out.splitlines()) == 13
+        assert run_cli(capsys, "classes", "B5")[0] == 3
+        assert run_cli(capsys, "classes", "D5")[0] == 0
+        assert run_cli(capsys, "classes", "D6")[0] == 3
 
     def test_exceptional_requires_oracle(self, capsys):
         code, _, err = run_cli(capsys, "classes", "H3")
@@ -224,6 +270,17 @@ class TestLargeDegree:
         assert proc.stderr.startswith("zclass: ")
         assert "at most 256 points" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestSizeCaps:
+    @pytest.mark.parametrize("argv", [("count", "B5001"), ("classes", "B28")])
+    def test_exit_3_from_the_command_line(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zclass.cli", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestDeterminism:

@@ -1,9 +1,10 @@
 """Base-indexed kernels against independent references on small groups.
 
 Every group of the `verify --all-small` sweep plus a mixed product is checked
-against definitions that do not use the table's base (full-row power loops and
-full-row commutation), and against sympy's Schreier-Sims group orders and
-centralizers.
+against definitions that do not use the table's base (full-row power loops,
+full-row commutation and full-row closure), against sympy's Schreier-Sims
+group orders, centralizers and conjugacy classes, and the center-test z-class
+grouping against the pairwise conjugator search `subgroups_conjugate`.
 """
 
 import numpy as np
@@ -15,6 +16,10 @@ from zclass.closed_form import parse_coxeter_type
 from zclass.verify import ALL_SMALL_SWEEP, build_group
 
 TYPES = list(ALL_SMALL_SWEEP) + ["B3 x I2(5)"]
+# sympy's conjugacy_classes() is slow beyond order 5000, so D6 (23040) is left out
+SYMPY_CLASS_TYPES = [
+    t for t in TYPES if parse_coxeter_type(t).group_order() <= 5000
+]
 
 
 @pytest.fixture(scope="module", params=TYPES)
@@ -37,6 +42,34 @@ def naive_orders(perms: np.ndarray) -> np.ndarray:
 
 def reference_centralizer(perms: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.flatnonzero((perms[:, x] == x[perms]).all(axis=1))
+
+
+def full_row_closure(table, gens) -> list[int]:
+    """Rows of the subgroup generated by `gens`, by composing whole rows."""
+    closed = {table.identity_row}
+    frontier = [table.identity_row]
+    while frontier and gens:
+        rows = table.perms[frontier]
+        products = np.concatenate([rows[:, table.perms[g]] for g in gens])
+        fresh = set(table.row_index(products).tolist()) - closed
+        closed |= fresh
+        frontier = sorted(fresh)
+    return sorted(closed)
+
+
+def first_absorbing_grouping(table) -> list[list[int]]:
+    """Class representatives grouped by the pairwise conjugator search."""
+    groups, openers = [], []
+    for cl in oracle.conjugacy_classes(table):
+        cen = oracle.centralizer(table, cl.rep, cl)
+        for grp, opener in zip(groups, openers):
+            if oracle.subgroups_conjugate(table, opener, cen)[0]:
+                grp.append(cl.rep)
+                break
+        else:
+            groups.append([cl.rep])
+            openers.append(cen)
+    return groups
 
 
 def sympy_group(table, rows) -> PermutationGroup:
@@ -82,3 +115,29 @@ def test_centralizers_match_sympy(table):
                 table.index_of(bytes(p.array_form)) for p in sym_cen.elements
             )
             assert members == cen.member_rows.tolist()
+
+
+def test_centralizers_of_random_rows_match_full_row_definition(table):
+    rng = np.random.default_rng(0)
+    for row in rng.choice(table.order, size=min(8, table.order), replace=False):
+        cen = oracle.centralizer(table, int(row))
+        expected = reference_centralizer(table.perms, table.perms[row])
+        assert np.array_equal(cen.member_rows, expected)
+
+
+def test_centralizer_generators_close_to_members(table):
+    for cl in oracle.conjugacy_classes(table):
+        cen = oracle.centralizer(table, cl.rep, cl)
+        assert full_row_closure(table, cen.generator_rows) == cen.member_rows.tolist()
+
+
+def test_center_test_grouping_matches_conjugator_search(table):
+    got = [[cl.rep for cl in grp] for grp in oracle.z_classes(table)]
+    assert got == first_absorbing_grouping(table)
+
+
+@pytest.mark.parametrize("text", SYMPY_CLASS_TYPES)
+def test_class_count_matches_sympy(text):
+    table = build_group(parse_coxeter_type(text))
+    group = sympy_group(table, table.gen_rows)
+    assert len(group.conjugacy_classes()) == len(oracle.conjugacy_classes(table))

@@ -1,6 +1,10 @@
 """Brute-force engine: conjugacy classes, centralizers, subgroup conjugacy, z-grouping."""
 
+import logging
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -117,6 +121,84 @@ class TestCentralizer:
                             fresh.append(p)
                 frontier = fresh
             assert closed == members
+
+
+    def test_schreier_vector_spells_conjugators(self):
+        # following parent/via up to the root conjugates the root into each member
+        table = build_d(4)
+        for cl in oracle.conjugacy_classes(table):
+            assert cl.walk[0] == cl.rep
+            assert sorted(cl.walk.tolist()) == cl.members.tolist()
+            for y in cl.walk.tolist():
+                word, w = [], y
+                while cl.via[w] >= 0:
+                    word.append(table.gen_rows[cl.via[w]])
+                    w = int(cl.parent[w])
+                t = np.arange(table.degree)
+                for gen in word:  # t_y = s_y t_parent(y) ... s_1
+                    t = t[table.perms[gen]]
+                conj = t[table.perms[cl.rep]][np.argsort(t)]
+                assert table.index_of(conj.astype(np.uint8).tobytes()) == y
+
+    def test_running_out_of_schreier_generators_raises(self, monkeypatch):
+        table = build_wreath_bc(3)
+        cl = oracle.conjugacy_classes(table)[1]
+        monkeypatch.setattr(
+            oracle,
+            "_schreier_generators",
+            lambda g, cl, ys: np.full(ys.size, g.identity_row),
+        )
+        with pytest.raises(AssertionError, match="ran out"):
+            oracle.centralizer(table, cl.rep, cl)
+
+    def test_non_centralizing_generator_raises(self, monkeypatch):
+        table = build_wreath_bc(3)
+        cl = oracle.conjugacy_classes(table)[1]
+        monkeypatch.setattr(
+            oracle,
+            "_schreier_generators",
+            lambda g, cl, ys: np.array(g.gen_rows),
+        )
+        with pytest.raises(AssertionError):
+            oracle.centralizer(table, cl.rep, cl)
+
+    def test_centralizer_checks_survive_python_O(self):
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from zclass import oracle
+            from zclass.groups import build_wreath_bc
+
+            table = build_wreath_bc(3)
+            cl = oracle.conjugacy_classes(table)[1]
+            fakes = {
+                "ran out": lambda g, cl, ys: np.full(ys.size, g.identity_row),
+                "passed": lambda g, cl, ys: np.array(g.gen_rows),
+            }
+            for name, fake in fakes.items():
+                oracle._schreier_generators = fake
+                try:
+                    oracle.centralizer(table, cl.rep, cl)
+                    print(name, "accepted")
+                except AssertionError as exc:
+                    print(name, "refused", name in str(exc))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "ran out refused True",
+            "passed refused True",
+        ]
+
+    def test_class_walked_from_another_row_is_refused(self):
+        table = build_wreath_bc(2)
+        cl = oracle.conjugacy_classes(table)[1]
+        other = int(cl.members[cl.members != cl.rep][0])
+        with pytest.raises(ValueError):
+            oracle.centralizer(table, other, cl)
 
 
 class TestSubgroupsConjugate:
@@ -237,6 +319,21 @@ class TestZClasses:
         groups = oracle.z_classes(table)
         firsts = [grp[0].rep for grp in groups]
         assert firsts == sorted(firsts)
+
+
+    def test_debug_log_has_one_line_per_class(self, caplog):
+        table = build_wreath_bc(3)
+        with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
+            oracle.z_classes(table)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
+        assert len(lines) == 10
+        assert lines[0] == "class 1/10: size 1, centralizer order 48, 3 generators"
+        for i, line in enumerate(lines, 1):
+            assert line.startswith(f"class {i}/10: ")
+
+    def test_no_log_output_by_default(self, capsys):
+        oracle.z_classes(build_wreath_bc(3))
+        assert capsys.readouterr() == ("", "")
 
 
 class TestIndexTwoConsistency:
