@@ -11,8 +11,8 @@ from .errors import (
     MAX_FORMULA_RANK,
     CoxeterParseError,
     CoxeterRankError,
-    OrderCapExceeded,
     UnsupportedGroupError,
+    order_cap_exceeded,
 )
 
 # family -> (conjugacy class count, z-class count); computed externally once,
@@ -25,6 +25,9 @@ EXCEPTIONAL_TABLE: dict[str, tuple[int, int]] = {
     "H3": (10, 4),
     "H4": (34, 15),
 }
+
+# Python refuses to read an integer of more than 4300 digits
+MAX_NUMBER_DIGITS = 1000
 
 _EXCEPTIONAL_ORDERS = {
     "F4": 1152,
@@ -113,10 +116,12 @@ def parse_coxeter_type(text: str) -> CoxeterType:
 
     def read_int(j: int) -> tuple[int, int]:
         start = j
-        while j < n and text[j].isdigit():
+        while j < n and text[j] in "0123456789":
             j += 1
         if j == start:
             raise CoxeterParseError("expected a number", start)
+        if j - start > MAX_NUMBER_DIGITS:
+            raise CoxeterParseError(f"number of over {MAX_NUMBER_DIGITS} digits", start)
         return int(text[start:j]), j
 
     i = skip_ws(i)
@@ -293,12 +298,9 @@ def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
         cc, zc = EXCEPTIONAL_TABLE[fam]
         return FactorCount(factor, zc, cc, "table")
     # type A has no closed form here; delegate to the brute-force oracle
-    order = math.factorial(rank + 1)
+    order = factor.group_order()
     if order > order_cap:
-        raise OrderCapExceeded(
-            f"A{rank} needs the oracle on a group of order {order}, beyond the "
-            f"cap {order_cap}; raise it with --allow-large"
-        )
+        raise order_cap_exceeded(f"A{rank}, counted by the oracle,", order, order_cap)
     from . import oracle
     from .groups import build_symmetric
 

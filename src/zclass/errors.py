@@ -1,5 +1,7 @@
 """Exceptions shared across the package, and the group-order caps."""
 
+import math
+
 DEFAULT_ORDER_CAP = 100_000
 LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7 (order 2,903,040)
 # `classes` lists B26 (177,087 classes) and D28, and refuses B27 and D29 up
@@ -38,3 +40,20 @@ class UnsupportedGroupError(ZClassError):
     For example E8 by policy, a B/C/D rank over MAX_FORMULA_RANK, or a class
     listing over MAX_LISTED_CLASSES.
     """
+
+
+def order_text(order: int) -> str:
+    """An order for a message: its digits, or past 30 digits (Python prints at
+    most 4300) their count."""
+    if order < 10**30:
+        return str(order)
+    digits = int((order.bit_length() - 1) * math.log10(2)) + 1  # may be one short
+    return f"of {digits + (order >= 10**digits)} digits"
+
+
+def order_cap_exceeded(what: str, order: int, cap: int) -> OrderCapExceeded:
+    """The refusal of an order over `cap`, saying whether --allow-large helps."""
+    hint = "raise it with --allow-large"
+    if order > LARGE_ORDER_CAP:
+        hint = f"no order cap serves it (--allow-large raises it to {LARGE_ORDER_CAP})"
+    return OrderCapExceeded(f"{what} has order {order_text(order)} > cap {cap}; {hint}")

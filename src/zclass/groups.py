@@ -7,44 +7,36 @@ their root sets, and direct products on disjoint unions.  Elements are stored
 as uint8 image arrays, so a point set holds at most 256 points; rows are kept
 lexicographically sorted so the order never depends on generation order.
 
-Each table carries a base: points b_1 < ... < b_k found greedily from the
-table, each the smallest point moved by the pointwise stabilizer of the points
-before it, until only the identity fixes them all.  Two elements are then
-equal exactly when they agree on the base, and two rows compare
-lexicographically as their base images do.  The mixed-radix integer key of the
-base images is therefore strictly increasing down the table: a lookup is one
-int64 searchsorted, and an equation between group elements (commutation,
-conjugation) is checked at the base points alone.
+A group is enumerated from a stabilizer chain (`stabilizer_chain`, a
+deterministic Schreier-Sims): every element is exactly one product of one
+transversal element per level, so nothing is hashed or deduplicated.
+
+Each table carries a base: points b_1 < ... < b_k, each the smallest point
+moved by the pointwise stabilizer of the points before it, until only the
+identity fixes them all.  Two elements are then equal exactly when they agree
+on the base, and two rows compare lexicographically as their base images do.
+The mixed-radix integer key of the base images is therefore strictly
+increasing down the table: a lookup is one int64 searchsorted, and an equation
+between group elements (commutation, conjugation) is checked at the base
+points alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .combinatorics import Partition
-from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded, UnsupportedGroupError
+from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
 from .signed_perm import SignedPermutation, signed_cycle_type
 
 MAX_DEGREE = 256
 
 _CHUNK = 1 << 17
 _CONJUGATE_CHUNK = 1 << 16
-
-
-def _splitmix64(n: int) -> np.ndarray:
-    """The first n outputs of the SplitMix64 generator seeded with 0."""
-    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
-
-
-# Fixed odd multipliers of the closure's row hash; any hash hit is confirmed
-# by comparing rows, so they only need to spread rows well.
-_HASH_MULTIPLIERS = _splitmix64(MAX_DEGREE) | np.uint64(1)
+_TAKE_CHUNK = 1 << 14
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -111,6 +103,13 @@ def _keys(code: np.ndarray, images: np.ndarray) -> np.ndarray:
     return keys
 
 
+def _table_index(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base, key code and keys of a whole table, found from its rows."""
+    base = _find_base(perms)
+    code = _key_code(perms, base)
+    return base, code, _keys(code, perms[:, base])
+
+
 class GroupTable:
     """Enumerated permutation group on `degree` points.
 
@@ -125,15 +124,15 @@ class GroupTable:
         gen_rows: tuple[int, ...],
         name: str,
         labeler: Callable[[np.ndarray], str] | None = None,
+        index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     ):
+        # index: the (base, key code, keys) the builder found, if it did
         self.perms = perms
         self.order, self.degree = perms.shape
         self.name = name
         self.gen_rows = gen_rows
         self.labeler = labeler
-        self.base = _find_base(perms)
-        self._code = _key_code(perms, self.base)
-        self.keys = _keys(self._code, perms[:, self.base])
+        self.base, self._code, self.keys = index or _table_index(perms)
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError(f"{name}: table rows are not sorted and distinct")
         self.identity_row = self.index_of(bytes(np.arange(self.degree, dtype=np.uint8)))
@@ -300,17 +299,99 @@ class GroupTable:
             self.row_index(self.inverses()[a])
 
 
-def _take_rows(rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """rows[idx] for uint8 rows, copying each row as one opaque item."""
-    width = rows.shape[1]
-    items = np.ascontiguousarray(rows).view(np.dtype((np.void, width))).ravel()
-    return items[idx].view(np.uint8).reshape(-1, width)
+class ChainLevel(NamedTuple):
+    """A chain level: transversal[j] maps `point` to the j-th least point q of
+    its orbit, position[q] = j (-1 off the orbit), inverse[j] = transversal[j]^-1.
+    """
+
+    point: int
+    position: np.ndarray
+    transversal: np.ndarray
+    inverse: np.ndarray
 
 
-def _confirm(a: np.ndarray, b: np.ndarray) -> None:
-    """Rows whose hashes matched must be equal; otherwise refuse."""
-    if not np.array_equal(a, b):
-        raise AssertionError("row hash collision between distinct elements")
+def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
+    """A complete stabilizer chain of <gens>, by deterministic Schreier-Sims.
+
+    The first base point is the least point moved.  Level d is the orbit of
+    base point d under the strong generators fixing the earlier ones.  From
+    the last level up, each Schreier generator u_{s(q)}^-1 s u_q of a level is
+    sifted through the levels below; the first non-identity residue becomes a
+    strong generator (and, if it fixes every base point, adds the least point
+    it moves) and the work resumes where it stopped.  When all sift to the
+    identity, each level's group is the stabilizer of its point in the one above.
+    """
+    degree = gens.shape[1]
+    identity = np.arange(degree, dtype=np.uint8)
+    strong = gens[(gens != identity).any(axis=1)]
+
+    def least_moved(g: np.ndarray) -> int:
+        return int(np.argmax(g != identity))
+
+    def fixing(d: int) -> np.ndarray:
+        return strong[(strong[:, base[:d]] == base[:d]).all(axis=1)]
+
+    def level(d: int) -> ChainLevel:
+        found, queue, level_gens = {base[d]: identity}, [base[d]], fixing(d)
+        images = level_gens.tolist()
+        for p in queue:
+            for s, image in zip(level_gens, images):
+                if image[p] not in found:
+                    found[image[p]] = s[found[p]]
+                    queue.append(image[p])
+        points = sorted(found)
+        position = np.full(degree, -1, dtype=np.intp)
+        position[points] = np.arange(len(points))
+        transversal = np.array([found[p] for p in points])
+        inverse = np.argsort(transversal, axis=1).astype(np.uint8)
+        return ChainLevel(base[d], position, transversal, inverse)
+
+    base = [min(map(least_moved, strong))] if strong.size else []
+    for g in strong:
+        if np.array_equal(g[base], base):
+            base.append(least_moved(g))
+    levels = [level(d) for d in range(len(base))]
+    d = len(levels) - 1
+    while d >= 0:
+        top = levels[d]
+        moved = fixing(d)[:, top.transversal].reshape(-1, degree)  # s u_q
+        j = top.position[moved[:, top.point]]
+        residues = np.take_along_axis(top.inverse[j], moved, axis=1)
+        stop = np.full(residues.shape[0], len(levels))
+        for e in range(d + 1, len(levels)):  # sift: r -> u_q^-1 r at each level
+            live = np.flatnonzero(stop == len(levels))
+            j = levels[e].position[residues[live, levels[e].point]]
+            stop[live[j < 0]] = e
+            live, j = live[j >= 0], j[j >= 0]
+            residues[live] = np.take_along_axis(levels[e].inverse[j], residues[live], 1)
+        left = np.flatnonzero((residues != identity).any(axis=1))
+        if not left.size:
+            d -= 1
+            continue
+        h, stop = residues[left[0]], int(stop[left[0]])
+        strong = np.vstack([strong, h])
+        if stop == len(base):
+            base.append(least_moved(h))
+            levels.append(None)
+        for e in range(d + 1, stop + 1):
+            levels[e] = level(e)
+        d = stop
+    return levels
+
+
+def _products(levels: list[ChainLevel], degree: int) -> np.ndarray:
+    """Every product u_1 ... u_k of one transversal element per level, as rows;
+    built from the last level up with one np.take per transversal element."""
+    block = np.arange(degree, dtype=np.uint8)[None, :]
+    for level in reversed(levels):
+        n = block.shape[0]
+        out = np.empty((level.transversal.shape[0] * n, degree), dtype=np.uint8)
+        for lo in range(0, n, _TAKE_CHUNK):  # bounds the intp copy of the rows
+            rows = block[lo : lo + _TAKE_CHUNK].astype(np.intp)
+            for j, u in enumerate(level.transversal):
+                np.take(u, rows, out=out[j * n + lo : j * n + lo + rows.shape[0]])
+        block = out
+    return block
 
 
 def group_from_generators(
@@ -321,13 +402,15 @@ def group_from_generators(
     order_cap: int = DEFAULT_ORDER_CAP,
     labeler: Callable[[np.ndarray], str] | None = None,
 ) -> GroupTable:
-    """Breadth-first closure of the generators under right multiplication.
+    """The table of the group generated by `gens`, from a stabilizer chain.
 
-    The walk uses the generators closed under inverses, so the Cayley graph is
-    undirected and a product of level L lies in level L-1, L or L+1: each new
-    level is deduplicated against the two before it only.  Rows are matched by
-    a 64-bit hash, each level kept in hash order, and every hit is confirmed
-    by comparing the rows.
+    Every element is exactly one product u_1 ... u_k of one element of each
+    level's transversal, so the order is the product of the orbit lengths,
+    checked against `order_cap` before any row is allocated, and the products
+    are distinct: nothing is hashed or deduplicated.  b_1 is the least point
+    the group moves and the first transversal is sorted by image point, so the
+    rows come in blocks u_1 H, H the stabilizer of b_1, in order of u_1(b_1):
+    sorting each block by key sorts the table, without a second copy of it.
     """
     _check_degree(name, degree)
     gen_arrays = []
@@ -336,55 +419,27 @@ def group_from_generators(
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise ValueError(f"generator is not a permutation of 0..{degree - 1}: {g}")
         gen_arrays.append(arr)
-    walk = {}
-    for g in gen_arrays:
-        walk.setdefault(g.tobytes(), g)
-        inv = np.argsort(g).astype(np.uint8)
-        walk.setdefault(inv.tobytes(), inv)
-
-    steps = list(walk.values())
-    multipliers = _HASH_MULTIPLIERS[:degree]
-    # hash(x) = x @ multipliers, and hash(x * steps[j]) = x @ step_hashes[:, j]
-    step_hashes = np.array([multipliers[np.argsort(s)] for s in steps]).T
-    identity = np.arange(degree, dtype=np.uint8)[None, :]
-    levels = [identity]
-    previous = (identity[:0], np.empty(0, dtype=np.uint64))
-    current = (identity, identity @ multipliers)
-    count = 1
-    while steps and current[0].size:
-        rows = current[0]
-        columns = np.ascontiguousarray(rows.T)
-        products = np.concatenate([columns[s] for s in steps], axis=1).T
-        hashes = (rows @ step_hashes).T.ravel()
-        by_hash = np.argsort(hashes)
-        products, hashes = _take_rows(products, by_hash), hashes[by_hash]
-        repeat = np.flatnonzero(hashes[1:] == hashes[:-1])
-        _confirm(_take_rows(products, repeat + 1), _take_rows(products, repeat))
-        fresh = np.ones(hashes.size, dtype=bool)
-        fresh[repeat + 1] = False
-        for known, known_hashes in (previous, current):
-            if not known_hashes.size:
-                continue
-            pos = np.searchsorted(known_hashes, hashes)
-            pos[pos == known_hashes.size] = 0
-            seen = known_hashes[pos] == hashes
-            _confirm(_take_rows(products, seen), _take_rows(known, pos[seen]))
-            fresh &= ~seen
-        previous, current = current, (_take_rows(products, fresh), hashes[fresh])
-        count += current[0].shape[0]
-        if count > order_cap:
-            raise OrderCapExceeded(
-                f"{name}: enumeration passed {count} elements, beyond the cap "
-                f"{order_cap}; raise it with --allow-large"
-            )
-        levels.append(current[0])
-
-    perms = np.concatenate(levels)
-    base = _find_base(perms)
-    perms = _take_rows(perms, np.argsort(_keys(_key_code(perms, base), perms[:, base])))
-    table = GroupTable(perms, (), name, labeler)
+    levels = stabilizer_chain(np.array(gen_arrays, dtype=np.uint8).reshape(-1, degree))
+    order = math.prod(level.transversal.shape[0] for level in levels)
+    if order > order_cap:
+        raise order_cap_exceeded(name, order, order_cap)
+    perms = _products(levels, degree)
+    index = _table_index(perms)
+    keys, n = index[2], order // (levels[0].transversal.shape[0] if levels else 1)
+    for lo in range(0, order, n):  # sort each block u_1 H by key
+        by_key = np.argsort(keys[lo : lo + n])
+        keys[lo : lo + n] = keys[lo : lo + n][by_key]
+        perms[lo : lo + n] = perms[lo : lo + n][by_key]
+    table = GroupTable(perms, (), name, labeler, index=index)
     if gen_arrays:
         table.gen_rows = tuple(int(r) for r in table.row_index(np.array(gen_arrays)))
+    return table
+
+
+def checked_order(table: GroupTable, expected: int) -> GroupTable:
+    """`table`, if it has the order its family gives; otherwise a defect, raised."""
+    if table.order != expected:
+        raise AssertionError(f"{table.name}: {table.order} elements, not {expected}")
     return table
 
 
@@ -411,8 +466,9 @@ def build_symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """S_n on n points, generated by adjacent transpositions."""
     if n < 1:
         raise ValueError("n must be positive")
-    if math.factorial(n) > order_cap:
-        raise OrderCapExceeded(f"S{n} has order {math.factorial(n)} > cap {order_cap}")
+    expected = math.factorial(n)
+    if expected > order_cap:
+        raise order_cap_exceeded(f"S{n}", expected, order_cap)
     gens = []
     for i in range(n - 1):
         g = np.arange(n, dtype=np.uint8)
@@ -421,8 +477,7 @@ def build_symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     table = group_from_generators(
         gens, name=f"S{n}", degree=n, order_cap=order_cap, labeler=_cycle_type_label
     )
-    assert table.order == math.factorial(n)
-    return table
+    return checked_order(table, expected)
 
 
 def signed_perm_to_row(w: SignedPermutation) -> np.ndarray:
@@ -472,15 +527,14 @@ def build_wreath_bc(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise ValueError("n must be positive")
     expected = 2**n * math.factorial(n)
     if expected > order_cap:
-        raise OrderCapExceeded(f"B{n} has order {expected} > cap {order_cap}")
+        raise order_cap_exceeded(f"B{n}", expected, order_cap)
     gens = _bc_generators(n)
     if n == 1:
         gens = gens[-1:]
     table = group_from_generators(
         gens, name=f"B{n}", degree=2 * n, order_cap=order_cap, labeler=_signed_label
     )
-    assert table.order == expected
-    return table
+    return checked_order(table, expected)
 
 
 def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -489,7 +543,7 @@ def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
         raise ValueError("n must be at least 2")
     expected = 2 ** (n - 1) * math.factorial(n)
     if expected > order_cap:
-        raise OrderCapExceeded(f"D{n} has order {expected} > cap {order_cap}")
+        raise order_cap_exceeded(f"D{n}", expected, order_cap)
     gens = _bc_generators(n)[:-1]
     flip_swap = np.arange(2 * n, dtype=np.uint8)
     flip_swap[n - 2] = 2 * n - 1
@@ -500,8 +554,7 @@ def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     table = group_from_generators(
         gens, name=f"D{n}", degree=2 * n, order_cap=order_cap, labeler=_signed_label
     )
-    assert table.order == expected
-    return table
+    return checked_order(table, expected)
 
 
 def build_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -509,15 +562,14 @@ def build_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     if m < 3:
         raise ValueError("m must be at least 3")
     if 2 * m > order_cap:
-        raise OrderCapExceeded(f"I2({m}) has order {2 * m} > cap {order_cap}")
+        raise order_cap_exceeded(f"I2({m})", 2 * m, order_cap)
     _check_degree(f"I2({m})", m)
     rot = np.array([(i + 1) % m for i in range(m)], dtype=np.uint8)
     ref = np.array([(m - i) % m for i in range(m)], dtype=np.uint8)
     table = group_from_generators(
         [rot, ref], name=f"I2({m})", degree=m, order_cap=order_cap
     )
-    assert table.order == 2 * m
-    return table
+    return checked_order(table, 2 * m)
 
 
 def direct_product(
@@ -525,8 +577,8 @@ def direct_product(
 ) -> GroupTable:
     """G1 x G2 acting on the disjoint union of the two point sets."""
     if g1.order * g2.order > order_cap:
-        raise OrderCapExceeded(
-            f"{g1.name} x {g2.name} has order {g1.order * g2.order} > cap {order_cap}"
+        raise order_cap_exceeded(
+            f"{g1.name} x {g2.name}", g1.order * g2.order, order_cap
         )
     d1, d2 = g1.degree, g2.degree
     _check_degree(f"{g1.name} x {g2.name}", d1 + d2)
@@ -548,5 +600,4 @@ def direct_product(
         order_cap=order_cap,
         labeler=labeler,
     )
-    assert table.order == g1.order * g2.order
-    return table
+    return checked_order(table, g1.order * g2.order)

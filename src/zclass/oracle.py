@@ -46,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded
+from .errors import DEFAULT_ORDER_CAP, order_cap_exceeded
 from .groups import GroupTable
 
 log = logging.getLogger(__name__)
@@ -144,9 +144,7 @@ def conjugacy_classes(
 ) -> list[ConjugacyClass]:
     """Orbit partition under conjugation, ordered by minimal representative."""
     if g.order > order_cap:
-        raise OrderCapExceeded(
-            f"{g.name} has order {g.order} > cap {order_cap}; raise it with --allow-large"
-        )
+        raise order_cap_exceeded(g.name, g.order, order_cap)
     maps = g.conjugation_maps()
     parent, via = _new_schreier_vector(g)
     classes: list[ConjugacyClass] = []

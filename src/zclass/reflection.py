@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_CAP, OrderCapExceeded, UnsupportedGroupError
-from .groups import GroupTable, group_from_generators
+from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
+from .groups import GroupTable, checked_order, group_from_generators
 
 _CACHE_VERSION = 1
 _CHUNK = 1 << 17
@@ -285,10 +285,7 @@ def generate_group(
     """The reflection group as permutations of the root list."""
     expected = EXPECTED_GROUP_ORDER[rs.type_name]
     if expected > order_cap:
-        raise OrderCapExceeded(
-            f"{rs.type_name} has order {expected} > cap {order_cap}; "
-            "raise it with --allow-large"
-        )
+        raise order_cap_exceeded(rs.type_name, expected, order_cap)
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), rs.type_name)
         if path.exists():
@@ -299,7 +296,7 @@ def generate_group(
     table = group_from_generators(
         gens, name=rs.type_name, degree=len(rs.roots), order_cap=order_cap
     )
-    assert table.order == expected
+    table = checked_order(table, expected)
     if cache_dir is not None:
         path = _cache_path(Path(cache_dir), rs.type_name)
         path.parent.mkdir(parents=True, exist_ok=True)

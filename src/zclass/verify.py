@@ -19,8 +19,8 @@ from .closed_form import (
 from .errors import (
     DEFAULT_ORDER_CAP,
     MAX_LISTED_CLASSES,
-    OrderCapExceeded,
     UnsupportedGroupError,
+    order_cap_exceeded,
 )
 from .groups import (
     GroupTable,
@@ -68,9 +68,7 @@ def build_group(
     """The whole group of a product type, as one permutation group."""
     order = t.group_order()
     if order > order_cap:
-        raise OrderCapExceeded(
-            f"{t} has order {order} > cap {order_cap}; raise it with --allow-large"
-        )
+        raise order_cap_exceeded(str(t), order, order_cap)
     table = build_factor_group(t.factors[0], order_cap, cache_dir)
     for factor in t.factors[1:]:
         table = direct_product(

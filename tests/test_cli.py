@@ -13,7 +13,7 @@ import zclass.cli as cli
 from zclass import closed_form, verify
 from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
-from zclass.errors import OrderCapExceeded
+from zclass.errors import OrderCapExceeded, order_text
 from zclass.verify import build_group
 
 
@@ -63,7 +63,7 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "E8", "--method", "oracle")
         assert code == 3
         assert "E8" in err
-        with pytest.raises(OrderCapExceeded, match="raise it with --allow-large"):
+        with pytest.raises(OrderCapExceeded, match="no order cap serves it"):
             build_group(parse_coxeter_type("E8"))
 
     def test_d40_class_count(self, capsys):
@@ -101,6 +101,14 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "B3 + D4")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize(
+        "text", ["B²", "B١٢", "B" + "9" * 4400, "I2(" + "7" * 1001 + ")"]
+    )
+    def test_numbers_outside_the_grammar_exit_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "count", text)
+        assert (code, out) == (2, "")
+        assert "at position" in err and "internal error" not in err
 
     def test_rank_error_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "count", "D1")
@@ -281,6 +289,35 @@ class TestSizeCaps:
         assert proc.returncode == 3
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
+
+
+    @pytest.mark.parametrize(
+        "argv,digits",
+        [(("verify", "B2000"), 6338), (("count", "A100000"), 456579)],
+    )
+    def test_orders_past_4300_digits_refused(self, capsys, argv, digits):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"order of {digits} digits > cap 100000; no order cap serves it" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "cap_flag,cap", [((), 100000), (("--allow-large",), 5000000)]
+    )
+    def test_e8_refusal_names_no_cap(self, capsys, cap_flag, cap):
+        code, out, err = run_cli(capsys, "verify", "E8", *cap_flag)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"zclass: E8 has order 696729600 > cap {cap}; no order cap serves it "
+            "(--allow-large raises it to 5000000)\n"
+        )
+
+    def test_order_text(self):
+        assert order_text(10**30 - 1) == "9" * 30
+        assert order_text(10**30) == "of 31 digits"
+        assert order_text(10**5000 - 1) == "of 5000 digits"
+        assert order_text(10**5000) == "of 5001 digits"
 
 
 class TestDeterminism:

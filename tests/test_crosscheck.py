@@ -4,8 +4,12 @@ Every group of the `verify --all-small` sweep plus a mixed product is checked
 against definitions that do not use the table's base (full-row power loops,
 full-row commutation and full-row closure), against sympy's Schreier-Sims
 group orders, centralizers and conjugacy classes, and the center-test z-class
-grouping against the pairwise conjugator search `subgroups_conjugate`.
+grouping against the pairwise conjugator search `subgroups_conjugate`.  The
+tables enumerated from stabilizer chains are also compared, with E6, H4 and
+F4 added, against a closure that deduplicates on a Python set of row bytes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -13,9 +17,11 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from zclass import oracle
 from zclass.closed_form import parse_coxeter_type
+from zclass.groups import stabilizer_chain
 from zclass.verify import ALL_SMALL_SWEEP, build_group
 
 TYPES = list(ALL_SMALL_SWEEP) + ["B3 x I2(5)"]
+CHAIN_TYPES = TYPES + ["E6", "H4", "F4"]
 # sympy's conjugacy_classes() is slow beyond order 5000, so D6 (23040) is left out
 SYMPY_CLASS_TYPES = [
     t for t in TYPES if parse_coxeter_type(t).group_order() <= 5000
@@ -55,6 +61,23 @@ def full_row_closure(table, gens) -> list[int]:
         closed |= fresh
         frontier = sorted(fresh)
     return sorted(closed)
+
+
+def set_closure(gens: np.ndarray) -> np.ndarray:
+    """Sorted rows of the group generated by `gens`, closed over a set of row bytes."""
+    degree = gens.shape[1]
+    identity = bytes(range(degree))
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        rows = np.frombuffer(b"".join(frontier), dtype=np.uint8).reshape(-1, degree)
+        products = np.concatenate([rows[:, g] for g in gens]).tobytes()
+        frontier = []
+        for lo in range(0, len(products), degree):
+            row = products[lo : lo + degree]
+            if row not in seen:
+                seen.add(row)
+                frontier.append(row)
+    return np.frombuffer(b"".join(sorted(seen)), dtype=np.uint8).reshape(-1, degree)
 
 
 def first_absorbing_grouping(table) -> list[list[int]]:
@@ -141,3 +164,17 @@ def test_class_count_matches_sympy(text):
     table = build_group(parse_coxeter_type(text))
     group = sympy_group(table, table.gen_rows)
     assert len(group.conjugacy_classes()) == len(oracle.conjugacy_classes(table))
+
+
+@pytest.mark.parametrize("text", CHAIN_TYPES)
+def test_chain_enumeration_matches_set_closure(text):
+    t = parse_coxeter_type(text)
+    table = build_group(t)
+    gens = table.perms[list(table.gen_rows)]
+    perms = set_closure(gens)
+    assert np.array_equal(table.perms, perms)
+    row_of = {row.tobytes(): i for i, row in enumerate(perms)}
+    assert table.gen_rows == tuple(row_of[g.tobytes()] for g in gens)
+    orbit_lengths = [level.transversal.shape[0] for level in stabilizer_chain(gens)]
+    assert math.prod(orbit_lengths) == t.group_order()
+    assert sympy_group(table, table.gen_rows).order() == t.group_order()

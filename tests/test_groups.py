@@ -10,6 +10,7 @@ import pytest
 from conftest import assert_valid_permutation_table
 
 from zclass.errors import OrderCapExceeded, UnsupportedGroupError
+from zclass import groups
 from zclass.groups import (
     build_d,
     build_dihedral,
@@ -19,7 +20,9 @@ from zclass.groups import (
     group_from_generators,
     row_to_signed_perm,
     signed_perm_to_row,
+    stabilizer_chain,
 )
+from zclass.reflection import build_root_system
 from zclass.signed_perm import SignedPermutation
 
 
@@ -153,6 +156,56 @@ class TestGroupTableContract:
             group_from_generators(
                 [np.array([0, 0, 1], dtype=np.uint8)], name="bad", degree=3
             )
+
+
+class TestStabilizerChain:
+    def test_e6_orbit_lengths(self):
+        gens = np.array(build_root_system("E6").reflection_tables, dtype=np.uint8)
+        levels = stabilizer_chain(gens)
+        assert [level.transversal.shape[0] for level in levels] == [72, 30, 4, 3, 2]
+
+    def test_transversals_map_base_points_to_their_orbits(self):
+        levels = stabilizer_chain(build_d(5).perms[list(build_d(5).gen_rows)])
+        for d, level in enumerate(levels):
+            orbit = level.transversal[:, level.point]
+            assert np.array_equal(level.position[orbit], np.arange(orbit.size))
+            for earlier in levels[:d]:
+                assert np.all(level.transversal[:, earlier.point] == earlier.point)
+
+    def test_order_cap_refuses_before_enumeration(self, monkeypatch):
+        def enumerate_rows(levels, degree):
+            raise AssertionError("rows enumerated past the cap")
+
+        monkeypatch.setattr(groups, "_products", enumerate_rows)
+        transpositions = []
+        for i in range(11):
+            g = np.arange(12, dtype=np.uint8)
+            g[[i, i + 1]] = g[[i + 1, i]]
+            transpositions.append(g)
+        with pytest.raises(OrderCapExceeded, match="S12 has order 479001600 > cap"):
+            group_from_generators(transpositions, name="S12", degree=12)
+
+    def test_order_cross_check_raises_under_optimize(self):
+        script = (
+            "from zclass.groups import build_dihedral, checked_order\n"
+            "try:\n"
+            "    checked_order(build_dihedral(3), 7)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "I2(3): 6 elements, not 7\n"
+
+    def test_trivial_group_has_no_base(self):
+        table = build_symmetric(1)
+        assert table.perms.tolist() == [[0]]
+        assert table.base.size == 0 and table.keys.tolist() == [0]
+        assert table.gen_rows == ()
+        identity = group_from_generators([np.arange(3)], name="1", degree=3)
+        assert identity.order == 1 and identity.gen_rows == (0,)
 
 
 class TestDirectProduct:
