@@ -55,7 +55,7 @@ def _cmd_count(args) -> tuple[dict, int]:
     record = _record_base("count")
     record["group"] = str(t)
     if args.method == "oracle":
-        table = build_group(t, order_cap=_cap(args), cache_dir=args.cache_dir)
+        table = build_group(t, order_cap=_cap(args))
         zgroups = oracle.z_classes(table, order_cap=_cap(args))
         record["method"] = "oracle"
         record["conjugacy_class_count"] = sum(len(g) for g in zgroups)
@@ -100,7 +100,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
             raise UsageError(
                 f"structural listing unavailable for {t}; rerun with --method oracle"
             )
-        table = build_group(t, order_cap=_cap(args), cache_dir=args.cache_dir)
+        table = build_group(t, order_cap=_cap(args))
         groups = oracle_grouping_labels(table, family, order_cap=_cap(args))
         record["method"] = "oracle"
     record["conjugacy_class_count"] = sum(len(g) for g in groups)
@@ -111,7 +111,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
 
 def _verify_one(text: str, args) -> dict:
     t = parse_coxeter_type(text)
-    r = verify_type(t, order_cap=_cap(args), cache_dir=args.cache_dir)
+    r = verify_type(t, order_cap=_cap(args))
     rec = {
         "group": r.group,
         "formula_count": r.formula_count,
@@ -247,8 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--cache-dir",
-            default=None,
-            help="directory for cached reflection-group tables",
+            metavar="DIR",
+            help="has no effect, kept for compatibility: tables are rebuilt, "
+            "which is faster than reading them back from disk",
         )
 
     p_count = sub.add_parser("count", help="z-class count of a Coxeter type")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .combinatorics import product_series, zeta
 from .errors import (
@@ -70,17 +71,22 @@ class IrreducibleType:
             return self.family
         return f"{self.family}{self.rank}"
 
-    def group_order(self) -> int:
+    def order_parts(self) -> tuple[int, int, int]:
+        """(p, k, n) with group order p * 2**k * n!."""
         fam, rank = self.family, self.rank
         if fam == "A":
-            return math.factorial(rank + 1)
+            return 1, 0, rank + 1
         if fam in ("B", "C"):
-            return 2**rank * math.factorial(rank)
+            return 1, rank, rank
         if fam == "D":
-            return 2 ** (rank - 1) * math.factorial(rank)
+            return 1, rank - 1, rank
         if fam == "I2":
-            return 2 * rank
-        return _EXCEPTIONAL_ORDERS[fam]
+            return 2 * rank, 0, 0
+        return _EXCEPTIONAL_ORDERS[fam], 0, 0
+
+    def group_order(self) -> int:
+        p, k, n = self.order_parts()
+        return (p << k) * math.factorial(n)
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,59 @@ def parse_coxeter_type(text: str) -> CoxeterType:
         if i == n:
             raise CoxeterParseError("trailing 'x' without a factor", i)
     return CoxeterType(tuple(factors))
+
+
+_HALF_LN_2PI = "0.918938533204672741780329736405617639861397473637783412817"
+
+
+def _ln_factorial(n: int):
+    """ln n! as a Decimal, past n = 20 by Stirling's series (then within 1e-12)."""
+    from decimal import Decimal
+
+    if n <= 20:
+        return Decimal(math.factorial(n)).ln()
+    x = Decimal(n)
+    return (
+        (x + Decimal("0.5")) * x.ln()
+        - x
+        + Decimal(_HALF_LN_2PI)
+        + 1 / (12 * x)
+        - 1 / (360 * x**3)
+        + 1 / (1260 * x**5)
+    )
+
+
+def check_order(factors: tuple[IrreducibleType, ...], what: str, cap: int) -> None:
+    """Refuse the product of `factors` when its order passes `cap`.
+
+    The terms of the order are multiplied only until they pass the cap, and an
+    order of over 40 digits is named by a digit count from Stirling's series,
+    so a giant rank is refused without forming its order.  A logarithm within
+    1e-9 of an integer falls back to the exact order.
+    """
+    parts = [f.order_parts() for f in factors]
+    product = 1  # 2**cap.bit_length() passes the cap, so no more 2s are needed
+    for term in chain.from_iterable(
+        chain((p,), repeat(2, min(k, cap.bit_length())), range(2, n + 1))
+        for p, k, n in parts
+    ):
+        product *= term
+        if product > cap:
+            break
+    else:
+        return
+    from decimal import Decimal, localcontext  # refusals only: it costs start-up RSS
+
+    with localcontext() as ctx:
+        ctx.prec = 50 + sum(max(k, n).bit_length() for _, k, n in parts) // 3
+        ln2 = Decimal(2).ln()
+        log10 = sum(
+            Decimal(p).ln() + k * ln2 + _ln_factorial(n) for p, k, n in parts
+        ) / Decimal(10).ln()
+        if log10 > 40 and abs(log10 - round(log10)) > Decimal("1e-9"):
+            raise order_cap_exceeded(what, None, cap, digits=int(log10) + 1)
+    order = math.prod(f.group_order() for f in factors)
+    raise order_cap_exceeded(what, order, cap)
 
 
 def _part_series(n: int, odd, even) -> int:
@@ -298,9 +357,7 @@ def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
         cc, zc = EXCEPTIONAL_TABLE[fam]
         return FactorCount(factor, zc, cc, "table")
     # type A has no closed form here; delegate to the brute-force oracle
-    order = factor.group_order()
-    if order > order_cap:
-        raise order_cap_exceeded(f"A{rank}, counted by the oracle,", order, order_cap)
+    check_order((factor,), f"A{rank}, counted by the oracle,", order_cap)
     from . import oracle
     from .groups import build_symmetric
 

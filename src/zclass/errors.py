@@ -51,9 +51,15 @@ def order_text(order: int) -> str:
     return f"of {digits + (order >= 10**digits)} digits"
 
 
-def order_cap_exceeded(what: str, order: int, cap: int) -> OrderCapExceeded:
-    """The refusal of an order over `cap`, saying whether --allow-large helps."""
+def order_cap_exceeded(
+    what: str, order: int | None, cap: int, digits: int | None = None
+) -> OrderCapExceeded:
+    """The refusal of an order over `cap`, saying whether --allow-large helps.
+
+    An order too large to form comes as None with its digit count (over 30).
+    """
     hint = "raise it with --allow-large"
-    if order > LARGE_ORDER_CAP:
+    if digits is not None or order > LARGE_ORDER_CAP:
         hint = f"no order cap serves it (--allow-large raises it to {LARGE_ORDER_CAP})"
-    return OrderCapExceeded(f"{what} has order {order_text(order)} > cap {cap}; {hint}")
+    text = order_text(order) if digits is None else f"of {digits} digits"
+    return OrderCapExceeded(f"{what} has order {text} > cap {cap}; {hint}")

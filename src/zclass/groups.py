@@ -123,16 +123,16 @@ class GroupTable:
         perms: np.ndarray,
         gen_rows: tuple[int, ...],
         name: str,
-        labeler: Callable[[np.ndarray], str] | None = None,
-        index: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+        labeler: Callable[[np.ndarray], str] | None,
+        index: tuple[np.ndarray, np.ndarray, np.ndarray],
     ):
-        # index: the (base, key code, keys) the builder found, if it did
+        # index: the (base, key code, keys) the builder found
         self.perms = perms
         self.order, self.degree = perms.shape
         self.name = name
         self.gen_rows = gen_rows
         self.labeler = labeler
-        self.base, self._code, self.keys = index or _table_index(perms)
+        self.base, self._code, self.keys = index
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError(f"{name}: table rows are not sorted and distinct")
         self.identity_row = self.index_of(bytes(np.arange(self.degree, dtype=np.uint8)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -11,6 +10,7 @@ from . import oracle
 from .closed_form import (
     CoxeterType,
     IrreducibleType,
+    check_order,
     check_series_rank,
     conjugacy_count_bc,
     conjugacy_count_d,
@@ -20,7 +20,6 @@ from .errors import (
     DEFAULT_ORDER_CAP,
     MAX_LISTED_CLASSES,
     UnsupportedGroupError,
-    order_cap_exceeded,
 )
 from .groups import (
     GroupTable,
@@ -42,9 +41,7 @@ from .signed_perm import (
 
 
 def build_factor_group(
-    factor: IrreducibleType,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    cache_dir: str | Path | None = None,
+    factor: IrreducibleType, order_cap: int = DEFAULT_ORDER_CAP
 ) -> GroupTable:
     fam, rank = factor.family, factor.rank
     if fam == "A":
@@ -57,23 +54,15 @@ def build_factor_group(
         return build_dihedral(rank, order_cap=order_cap)
     from .reflection import build_reflection_group
 
-    return build_reflection_group(fam, order_cap=order_cap, cache_dir=cache_dir)
+    return build_reflection_group(fam, order_cap=order_cap)
 
 
-def build_group(
-    t: CoxeterType,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    cache_dir: str | Path | None = None,
-) -> GroupTable:
+def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """The whole group of a product type, as one permutation group."""
-    order = t.group_order()
-    if order > order_cap:
-        raise order_cap_exceeded(str(t), order, order_cap)
-    table = build_factor_group(t.factors[0], order_cap, cache_dir)
+    check_order(t.factors, str(t), order_cap)
+    table = build_factor_group(t.factors[0], order_cap)
     for factor in t.factors[1:]:
-        table = direct_product(
-            table, build_factor_group(factor, order_cap, cache_dir), order_cap
-        )
+        table = direct_product(table, build_factor_group(factor, order_cap), order_cap)
     return table
 
 
@@ -148,18 +137,14 @@ class VerifyResult:
     diff_lines: tuple[str, ...] = ()
 
 
-def verify_type(
-    t: CoxeterType,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    cache_dir: str | Path | None = None,
-) -> VerifyResult:
+def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyResult:
     """Compare the closed-form/table count against the brute-force oracle.
 
     For a single B/C/D factor the full grouping is compared, not just the
     count, and a grouping diff is reported on mismatch.
     """
     result = z_count(t, order_cap=order_cap)
-    table = build_group(t, order_cap=order_cap, cache_dir=cache_dir)
+    table = build_group(t, order_cap=order_cap)
     diff: list[str] = []
     if len(t.factors) == 1 and t.factors[0].family in ("B", "C", "D"):
         factor = t.factors[0]

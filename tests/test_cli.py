@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from sympy import partition as npartitions
@@ -253,16 +254,16 @@ class TestVerifyMismatchPath:
 
 class TestCacheDir:
     def test_cache_dir_round_trip(self, capsys, tmp_path):
-        code1, out1, _ = run_cli(
-            capsys, "verify", "H3", "--cache-dir", str(tmp_path)
-        )
-        assert code1 == 0
-        assert any(p.suffix == ".npz" for p in tmp_path.iterdir())
-        code2, out2, _ = run_cli(
-            capsys, "verify", "H3", "--cache-dir", str(tmp_path)
-        )
-        assert code2 == 0
-        assert out1 == out2
+        """--cache-dir DIR is accepted and has no effect."""
+        junk = tmp_path / "zclass-group-H3-0123456789abcdef.npz"
+        junk.write_bytes(b"not a table")
+        for argv in (("verify", "H3"), ("classes", "F4", "--method", "oracle")):
+            plain = run_cli(capsys, *argv)
+            assert plain[0] == 0
+            for _ in range(2):
+                assert run_cli(capsys, *argv, "--cache-dir", str(tmp_path)) == plain
+        assert list(tmp_path.iterdir()) == [junk]
+        assert junk.read_bytes() == b"not a table"
 
 
 class TestLargeDegree:
@@ -301,6 +302,24 @@ class TestSizeCaps:
         assert out == ""
         assert f"order of {digits} digits > cap 100000; no order cap serves it" in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["count", "verify"])
+    def test_giant_type_a_refused_at_once(self, capsys, command):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, "A1000000")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "has order of 5565715 digits > cap 100000" in err
+
+    @pytest.mark.parametrize(
+        "text", ["A45", "A1699", "B40", "B1234", "D41", "D999", "A30 x B30 x I2(7)"]
+    )
+    def test_digit_count_matches_the_exact_order(self, text):
+        """Stirling's series gives the digit count of the exact order."""
+        t = parse_coxeter_type(text)
+        with pytest.raises(OrderCapExceeded) as info:
+            closed_form.check_order(t.factors, text, 100000)
+        assert f"has order {order_text(t.group_order())} > cap" in str(info.value)
 
     @pytest.mark.parametrize(
         "cap_flag,cap", [((), 100000), (("--allow-large",), 5000000)]
