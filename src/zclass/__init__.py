@@ -1,10 +1,7 @@
 """z-classes (conjugacy classes of centralizers) in finite Coxeter groups."""
 
 from .closed_form import (
-    CoxeterType,
-    IrreducibleType,
     ZCountResult,
-    parse_coxeter_type,
     z_count,
     z_count_bc,
     z_count_d,
@@ -28,6 +25,7 @@ from .errors import (
     UnsupportedGroupError,
     ZClassError,
 )
+from .families import CoxeterType, IrreducibleType, parse_coxeter_type
 from .signed_perm import (
     SignedClassLabel,
     SignedPermutation,

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import oracle
-from .closed_form import parse_coxeter_type, z_count
+from .closed_form import z_count
 from .errors import (
     DEFAULT_ORDER_CAP,
     LARGE_ORDER_CAP,
@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedGroupError,
     UsageError,
 )
+from .families import FAMILIES, parse_coxeter_type
 from .verify import (
     ALL_SMALL_SWEEP,
     build_group,
@@ -96,7 +97,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
                 f"no structural class listing for {t}; rerun with --method oracle"
             )
         family = single.family if single is not None else ""
-        if args.method == "auto" and family in ("F4", "E6", "E7", "E8", "H3", "H4"):
+        if args.method == "auto" and family and FAMILIES[family].method == "table":
             raise UsageError(
                 f"structural listing unavailable for {t}; rerun with --method oracle"
             )

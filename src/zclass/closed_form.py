@@ -1,4 +1,4 @@
-"""Coxeter type descriptors and closed-form z-class counts."""
+"""Closed-form z-class counts, and the product dispatch over the family registry."""
 
 from __future__ import annotations
 
@@ -10,166 +10,18 @@ from .combinatorics import product_series, zeta
 from .errors import (
     DEFAULT_ORDER_CAP,
     MAX_FORMULA_RANK,
-    CoxeterParseError,
-    CoxeterRankError,
     UnsupportedGroupError,
     order_cap_exceeded,
 )
+from .families import FAMILIES, METHODS, CoxeterType, IrreducibleType
+from .families import parse_coxeter_type  # noqa: F401  (re-exported)
 
-# family -> (conjugacy class count, z-class count); computed externally once,
-# exposed here as lookup data
+# family -> (conjugacy class count, z-class count), the table route's data
 EXCEPTIONAL_TABLE: dict[str, tuple[int, int]] = {
-    "F4": (25, 16),
-    "E6": (25, 24),
-    "E7": (60, 28),
-    "E8": (112, 65),
-    "H3": (10, 4),
-    "H4": (34, 15),
+    name: (family.class_count(None), family.z_count(None))
+    for name, family in FAMILIES.items()
+    if family.method == "table"
 }
-
-# Python refuses to read an integer of more than 4300 digits
-MAX_NUMBER_DIGITS = 1000
-
-_EXCEPTIONAL_ORDERS = {
-    "F4": 1152,
-    "E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-    "H3": 120,
-    "H4": 14400,
-}
-
-
-@dataclass(frozen=True)
-class IrreducibleType:
-    """One irreducible factor: A/B/C/D with a rank, I2 with an edge label, or a named type."""
-
-    family: str
-    rank: int | None = None
-
-    def __post_init__(self):
-        fam, rank = self.family, self.rank
-        if fam in ("A", "B", "C", "D"):
-            if rank is None:
-                raise CoxeterRankError(f"{fam} needs a rank")
-            low = 2 if fam == "D" else 1
-            if rank < low:
-                raise CoxeterRankError(f"{fam}{rank}: rank must be at least {low}")
-        elif fam == "I2":
-            if rank is None or rank < 3:
-                raise CoxeterRankError(f"I2({rank}): label must be at least 3")
-        elif fam in EXCEPTIONAL_TABLE:
-            if rank is not None:
-                raise CoxeterRankError(f"{fam} takes no rank")
-        else:
-            raise CoxeterRankError(f"unknown family {fam!r}")
-
-    def __str__(self) -> str:
-        if self.family == "I2":
-            return f"I2({self.rank})"
-        if self.rank is None:
-            return self.family
-        return f"{self.family}{self.rank}"
-
-    def order_parts(self) -> tuple[int, int, int]:
-        """(p, k, n) with group order p * 2**k * n!."""
-        fam, rank = self.family, self.rank
-        if fam == "A":
-            return 1, 0, rank + 1
-        if fam in ("B", "C"):
-            return 1, rank, rank
-        if fam == "D":
-            return 1, rank - 1, rank
-        if fam == "I2":
-            return 2 * rank, 0, 0
-        return _EXCEPTIONAL_ORDERS[fam], 0, 0
-
-    def group_order(self) -> int:
-        p, k, n = self.order_parts()
-        return (p << k) * math.factorial(n)
-
-
-@dataclass(frozen=True)
-class CoxeterType:
-    """A finite Coxeter group: a product of irreducible factors."""
-
-    factors: tuple[IrreducibleType, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("a Coxeter type needs at least one factor")
-
-    def __str__(self) -> str:
-        return " x ".join(str(f) for f in self.factors)
-
-    def group_order(self) -> int:
-        return math.prod(f.group_order() for f in self.factors)
-
-
-def parse_coxeter_type(text: str) -> CoxeterType:
-    """Parse `factor ("x" factor)*`, case- and whitespace-insensitive.
-
-    Factors: A<k>, B<k>, C<k>, D<k>, I2(<m>), F4, E6, E7, E8, H3, H4.
-    """
-    factors: list[IrreducibleType] = []
-    i = 0
-    n = len(text)
-
-    def skip_ws(j: int) -> int:
-        while j < n and text[j].isspace():
-            j += 1
-        return j
-
-    def read_int(j: int) -> tuple[int, int]:
-        start = j
-        while j < n and text[j] in "0123456789":
-            j += 1
-        if j == start:
-            raise CoxeterParseError("expected a number", start)
-        if j - start > MAX_NUMBER_DIGITS:
-            raise CoxeterParseError(f"number of over {MAX_NUMBER_DIGITS} digits", start)
-        return int(text[start:j]), j
-
-    i = skip_ws(i)
-    if i == n:
-        raise CoxeterParseError("empty Coxeter type", 0)
-    while True:
-        letter = text[i].upper()
-        if letter in ("A", "B", "C", "D", "E", "F", "H"):
-            pos = i
-            rank, i = read_int(i + 1)
-            if letter in ("A", "B", "C", "D"):
-                fam, r = letter, rank
-            else:
-                fam, r = f"{letter}{rank}", None
-                if fam not in EXCEPTIONAL_TABLE:
-                    raise CoxeterParseError(f"unknown type {fam}", pos)
-            factors.append(IrreducibleType(fam, r))
-        elif letter == "I":
-            pos = i
-            if text[i + 1 : i + 2] != "2":
-                raise CoxeterParseError("expected I2(<m>)", pos)
-            j = skip_ws(i + 2)
-            if text[j : j + 1] != "(":
-                raise CoxeterParseError("expected '(' after I2", j)
-            m, j = read_int(skip_ws(j + 1))
-            j = skip_ws(j)
-            if text[j : j + 1] != ")":
-                raise CoxeterParseError("expected ')'", j)
-            factors.append(IrreducibleType("I2", m))
-            i = j + 1
-        else:
-            raise CoxeterParseError(f"unexpected character {text[i]!r}", i)
-        i = skip_ws(i)
-        if i == n:
-            break
-        if text[i].upper() != "X":
-            raise CoxeterParseError(f"expected 'x' between factors, got {text[i]!r}", i)
-        i = skip_ws(i + 1)
-        if i == n:
-            raise CoxeterParseError("trailing 'x' without a factor", i)
-    return CoxeterType(tuple(factors))
-
 
 _HALF_LN_2PI = "0.918938533204672741780329736405617639861397473637783412817"
 
@@ -333,48 +185,33 @@ class ZCountResult:
 
 
 def check_series_rank(factor: IrreducibleType) -> None:
-    """Refuse a B/C/D rank over MAX_FORMULA_RANK before any series is evaluated."""
-    if factor.family in ("B", "C", "D") and factor.rank > MAX_FORMULA_RANK:
+    """Refuse a rank over MAX_FORMULA_RANK, in a family whose series it caps,
+    before any series is evaluated."""
+    if FAMILIES[factor.family].series_capped and factor.rank > MAX_FORMULA_RANK:
+        capped = "/".join(n for n, f in FAMILIES.items() if f.series_capped)
         raise UnsupportedGroupError(
-            f"{factor}: the formula route serves B/C/D ranks up to {MAX_FORMULA_RANK}"
+            f"{factor}: the formula route serves {capped} ranks up to "
+            f"{MAX_FORMULA_RANK}"
         )
 
 
 def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
-    fam, rank = factor.family, factor.rank
+    family = FAMILIES[factor.family]
     check_series_rank(factor)
-    if fam in ("B", "C"):
-        return FactorCount(
-            factor, z_count_bc(rank), conjugacy_count_bc(rank), "formula"
-        )
-    if fam == "D":
-        return FactorCount(factor, z_count_d(rank), conjugacy_count_d(rank), "formula")
-    if fam == "I2":
-        return FactorCount(
-            factor, z_count_dihedral(rank), conjugacy_count_dihedral(rank), "formula"
-        )
-    if fam in EXCEPTIONAL_TABLE:
-        cc, zc = EXCEPTIONAL_TABLE[fam]
-        return FactorCount(factor, zc, cc, "table")
-    # type A has no closed form here; delegate to the brute-force oracle
-    check_order((factor,), f"A{rank}, counted by the oracle,", order_cap)
-    from . import oracle
-    from .groups import build_symmetric
+    if family.method == "oracle":  # no closed form or table: count by brute force
+        check_order((factor,), f"{factor}, counted by the oracle,", order_cap)
+        from . import oracle
 
-    g = build_symmetric(rank + 1, order_cap=order_cap)
-    groups = oracle.z_classes(g, order_cap=order_cap)
-    return FactorCount(factor, len(groups), partition_count(rank + 1), "oracle")
+        table = family.build(factor.rank, order_cap)
+        z = len(oracle.z_classes(table, order_cap=order_cap))
+    else:
+        z = family.z_count(factor.rank)
+    return FactorCount(factor, z, family.class_count(factor.rank), family.method)
 
 
 def z_count(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> ZCountResult:
     """z-class count of a product type: product of the per-factor counts."""
     per_factor = tuple(_count_factor(f, order_cap) for f in t.factors)
-    methods = {f.method for f in per_factor}
-    if "oracle" in methods:
-        method = "oracle"
-    elif "table" in methods:
-        method = "table"
-    else:
-        method = "formula"
+    method = max((f.method for f in per_factor), key=METHODS.index)
     total = math.prod(f.z_count for f in per_factor)
     return ZCountResult(total, per_factor, method)

@@ -3,7 +3,7 @@
 import math
 
 DEFAULT_ORDER_CAP = 100_000
-LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7 (order 2,903,040)
+LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7
 # `classes` lists B26 (177,087 classes) and D28, and refuses B27 and D29 up
 MAX_LISTED_CLASSES = 200_000
 # the B/C/D series take O(rank^2) big-int additions: about 4 s at rank 5000
@@ -37,7 +37,7 @@ class OrderCapExceeded(ZClassError):
 class UnsupportedGroupError(ZClassError):
     """The request is beyond what this engine serves.
 
-    For example E8 by policy, a B/C/D rank over MAX_FORMULA_RANK, or a class
+    For example E8's root system, a B/C/D rank over MAX_FORMULA_RANK, or a class
     listing over MAX_LISTED_CLASSES.
     """
 

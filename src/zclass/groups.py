@@ -30,6 +30,7 @@ import numpy as np
 
 from .combinatorics import Partition
 from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
+from .families import FAMILIES
 from .signed_perm import SignedPermutation, signed_cycle_type
 
 MAX_DEGREE = 256
@@ -436,6 +437,14 @@ def group_from_generators(
     return table
 
 
+def family_order(family: str, rank: int | None, name: str, order_cap: int) -> int:
+    """The order FAMILIES gives `family` at `rank`, refused over `order_cap`."""
+    order = FAMILIES[family].group_order(rank)
+    if order > order_cap:
+        raise order_cap_exceeded(name, order, order_cap)
+    return order
+
+
 def checked_order(table: GroupTable, expected: int) -> GroupTable:
     """`table`, if it has the order its family gives; otherwise a defect, raised."""
     if table.order != expected:
@@ -466,9 +475,7 @@ def build_symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """S_n on n points, generated by adjacent transpositions."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = math.factorial(n)
-    if expected > order_cap:
-        raise order_cap_exceeded(f"S{n}", expected, order_cap)
+    expected = family_order("A", n - 1, f"S{n}", order_cap)
     gens = []
     for i in range(n - 1):
         g = np.arange(n, dtype=np.uint8)
@@ -525,12 +532,8 @@ def build_wreath_bc(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """C2 wr S_n as signed permutations acting on 2n points."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = 2**n * math.factorial(n)
-    if expected > order_cap:
-        raise order_cap_exceeded(f"B{n}", expected, order_cap)
+    expected = family_order("B", n, f"B{n}", order_cap)
     gens = _bc_generators(n)
-    if n == 1:
-        gens = gens[-1:]
     table = group_from_generators(
         gens, name=f"B{n}", degree=2 * n, order_cap=order_cap, labeler=_signed_label
     )
@@ -541,9 +544,7 @@ def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """D_n: the index-2 subgroup of C2 wr S_n with positive sign product."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    expected = 2 ** (n - 1) * math.factorial(n)
-    if expected > order_cap:
-        raise order_cap_exceeded(f"D{n}", expected, order_cap)
+    expected = family_order("D", n, f"D{n}", order_cap)
     gens = _bc_generators(n)[:-1]
     flip_swap = np.arange(2 * n, dtype=np.uint8)
     flip_swap[n - 2] = 2 * n - 1
@@ -561,15 +562,14 @@ def build_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """Dihedral group of order 2m on the vertices of an m-gon."""
     if m < 3:
         raise ValueError("m must be at least 3")
-    if 2 * m > order_cap:
-        raise order_cap_exceeded(f"I2({m})", 2 * m, order_cap)
+    expected = family_order("I2", m, f"I2({m})", order_cap)
     _check_degree(f"I2({m})", m)
     rot = np.array([(i + 1) % m for i in range(m)], dtype=np.uint8)
     ref = np.array([(m - i) % m for i in range(m)], dtype=np.uint8)
     table = group_from_generators(
         [rot, ref], name=f"I2({m})", degree=m, order_cap=order_cap
     )
-    return checked_order(table, 2 * m)
+    return checked_order(table, expected)
 
 
 def direct_product(

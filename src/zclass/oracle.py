@@ -352,7 +352,3 @@ def z_classes(
         else:
             groups.append([ci])
     return [[classes[ci] for ci in grp] for grp in groups]
-
-
-def z_class_count(g: GroupTable, order_cap: int = DEFAULT_ORDER_CAP) -> int:
-    return len(z_classes(g, order_cap=order_cap))

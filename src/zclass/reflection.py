@@ -21,17 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
-from .groups import GroupTable, checked_order, group_from_generators
-
-EXPECTED_ROOT_COUNT = {"H3": 30, "F4": 48, "E6": 72, "H4": 120, "E7": 126}
-EXPECTED_GROUP_ORDER = {
-    "H3": 120,
-    "F4": 1152,
-    "E6": 51840,
-    "H4": 14400,
-    "E7": 2903040,
-}
+from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError
+from .groups import GroupTable, checked_order, family_order, group_from_generators
 
 Zphi = tuple[int, int]  # a + b*phi
 
@@ -55,28 +46,18 @@ def _edges(*pairs: tuple[int, int]) -> dict[tuple[int, int], Zphi]:
     return {e: (-1, 0) for i, j in pairs for e in ((i, j), (j, i))}
 
 
-def _type_data(name: str) -> tuple[list[list[Zphi]], list[int]]:
-    """Cartan-style matrix C[i][j] = 2(a_i,a_j)/(a_j,a_j) plus root norms."""
-    chain = [(i, i + 1) for i in range(7)]
-    if name == "F4":
-        return _cartan(4, _edges(*chain[:3]) | {(1, 2): (-2, 0)}), [2, 2, 1, 1]
-    if name in ("E6", "E7"):
-        # Bourbaki numbering: chain 1-3-4-5-...-n with node 2 attached to node 4
-        n = int(name[1])
-        return _cartan(n, _edges((0, 2), (1, 3), *chain[2 : n - 1])), [2] * n
-    if name in ("H3", "H4"):
-        n = int(name[1])
-        bonds = _edges(*chain[: n - 1]) | {(0, 1): (0, -1), (1, 0): (0, -1)}  # -phi
-        return _cartan(n, bonds), [1] * n
-    if name == "E8":
-        raise UnsupportedGroupError(
-            "E8 is refused by policy: its group order (696729600) is far beyond "
-            "brute-force verification; the z-class count is available by table"
-        )
-    raise UnsupportedGroupError(
-        f"{name!r} is not built from a root system here; supported: "
-        f"{sorted(EXPECTED_ROOT_COUNT)}"
-    )
+_CHAIN = [(i, i + 1) for i in range(7)]
+_PHI_BOND = {(0, 1): (0, -1), (1, 0): (0, -1)}  # C[0][1] = C[1][0] = -phi
+
+# name -> (Cartan-style matrix C[i][j] = 2(a_i,a_j)/(a_j,a_j), root norms, root
+# count).  E: Bourbaki numbering, chain 1-3-4-5-...-n with node 2 attached to node 4
+_ROOT_DATA = {
+    "H3": (_cartan(3, _edges(*_CHAIN[:2]) | _PHI_BOND), [1] * 3, 30),
+    "F4": (_cartan(4, _edges(*_CHAIN[:3]) | {(1, 2): (-2, 0)}), [2, 2, 1, 1], 48),
+    "E6": (_cartan(6, _edges((0, 2), (1, 3), *_CHAIN[2:5])), [2] * 6, 72),
+    "H4": (_cartan(4, _edges(*_CHAIN[:3]) | _PHI_BOND), [1] * 4, 120),
+    "E7": (_cartan(7, _edges((0, 2), (1, 3), *_CHAIN[2:6])), [2] * 7, 126),
+}
 
 
 @dataclass(frozen=True)
@@ -115,7 +96,12 @@ def _reflect(v: tuple[Zphi, ...], j: int, column) -> tuple[Zphi, ...]:
 def build_root_system(name: str) -> RootSystem:
     """Saturate the simple roots under simple reflections; exact deduplication."""
     name = name.upper()
-    cartan, norms = _type_data(name)
+    if name not in _ROOT_DATA:
+        raise UnsupportedGroupError(
+            f"{name!r} is not built from a root system here; supported: "
+            f"{sorted(_ROOT_DATA)}"
+        )
+    cartan, norms, expected = _ROOT_DATA[name]
     rank = len(cartan)
     columns = [
         [(i, cartan[i][j]) for i in range(rank) if cartan[i][j] != (0, 0)]
@@ -137,7 +123,6 @@ def build_root_system(name: str) -> RootSystem:
                     roots.append(w)
                     fresh.append(w)
         frontier = fresh
-    expected = EXPECTED_ROOT_COUNT[name]
     if len(roots) != expected:
         raise AssertionError(
             f"{name}: closure found {len(roots)} roots, expected {expected}"
@@ -157,9 +142,7 @@ def build_root_system(name: str) -> RootSystem:
 
 def generate_group(rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """The reflection group as permutations of the root list."""
-    expected = EXPECTED_GROUP_ORDER[rs.type_name]
-    if expected > order_cap:
-        raise order_cap_exceeded(rs.type_name, expected, order_cap)
+    expected = family_order(rs.type_name, None, rs.type_name, order_cap)
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
     table = group_from_generators(
         gens, name=rs.type_name, degree=len(rs.roots), order_cap=order_cap

@@ -7,62 +7,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .closed_form import (
-    CoxeterType,
-    IrreducibleType,
-    check_order,
-    check_series_rank,
-    conjugacy_count_bc,
-    conjugacy_count_d,
-    z_count,
-)
-from .errors import (
-    DEFAULT_ORDER_CAP,
-    MAX_LISTED_CLASSES,
-    UnsupportedGroupError,
-)
-from .groups import (
-    GroupTable,
-    build_d,
-    build_dihedral,
-    build_symmetric,
-    build_wreath_bc,
-    direct_product,
-    row_to_signed_perm,
-    signed_perm_to_row,
-)
+from .closed_form import check_order, check_series_rank, z_count
+from .errors import DEFAULT_ORDER_CAP, MAX_LISTED_CLASSES, UnsupportedGroupError
+from .families import FAMILIES, CoxeterType, IrreducibleType
+from .groups import GroupTable, direct_product, row_to_signed_perm, signed_perm_to_row
 from .oracle import ConjugacyClass
-from .signed_perm import (
-    class_representative,
-    signed_cycle_type,
-    z_classes_bc,
-    z_classes_dn,
-)
-
-
-def build_factor_group(
-    factor: IrreducibleType, order_cap: int = DEFAULT_ORDER_CAP
-) -> GroupTable:
-    fam, rank = factor.family, factor.rank
-    if fam == "A":
-        return build_symmetric(rank + 1, order_cap=order_cap)
-    if fam in ("B", "C"):
-        return build_wreath_bc(rank, order_cap=order_cap)
-    if fam == "D":
-        return build_d(rank, order_cap=order_cap)
-    if fam == "I2":
-        return build_dihedral(rank, order_cap=order_cap)
-    from .reflection import build_reflection_group
-
-    return build_reflection_group(fam, order_cap=order_cap)
+from .signed_perm import class_representative, signed_cycle_type
 
 
 def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     """The whole group of a product type, as one permutation group."""
     check_order(t.factors, str(t), order_cap)
-    table = build_factor_group(t.factors[0], order_cap)
-    for factor in t.factors[1:]:
-        table = direct_product(table, build_factor_group(factor, order_cap), order_cap)
+    tables = (FAMILIES[f.family].build(f.rank, order_cap) for f in t.factors)
+    table = next(tables)
+    for factor_table in tables:
+        table = direct_product(table, factor_table, order_cap)
     return table
 
 
@@ -86,12 +45,13 @@ def oracle_grouping_labels(
 ) -> list[list[str]]:
     """Oracle z-classes rendered as conjugacy-class labels.
 
-    B/C/D/A groups decode to signed-partition or cycle-type notation; anything
-    else falls back to positional labels c<k>.
+    The family's oracle labeler comes first, then the table's own row labels
+    (cycle types, signed partitions); anything else gets positional c<k>.
     """
     zgroups = oracle.z_classes(table, order_cap=order_cap)
-    if family == "D":
-        return [[dn_oracle_label(table, c) for c in grp] for grp in zgroups]
+    label = FAMILIES[family].oracle_label if family in FAMILIES else None
+    if label is not None:
+        return [[label(table, c) for c in grp] for grp in zgroups]
     if table.labeler is not None:
         return [[table.label(c.rep) for c in grp] for grp in zgroups]
     classes = [c for grp in zgroups for c in grp]
@@ -100,29 +60,22 @@ def oracle_grouping_labels(
 
 
 def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | None:
-    """Label grouping from the signed-partition structure theory (B/C/D only).
+    """Label grouping from the family's structure theory, or None without one.
 
     A listing of more than MAX_LISTED_CLASSES classes is refused before any
     class is enumerated.
     """
-    if factor.family not in ("B", "C", "D"):
+    family = FAMILIES[factor.family]
+    if family.structural is None:
         return None
     check_series_rank(factor)
-    count = (conjugacy_count_d if factor.family == "D" else conjugacy_count_bc)(
-        factor.rank
-    )
+    count = family.class_count(factor.rank)
     if count > MAX_LISTED_CLASSES:
         raise UnsupportedGroupError(
             f"{factor} has {count} conjugacy classes; a listing holds at most "
             f"{MAX_LISTED_CLASSES}"
         )
-    if factor.family == "D":
-        return [[str(lbl) for lbl in grp] for grp in z_classes_dn(factor.rank)]
-    return [[str(sp) for sp in grp] for grp in z_classes_bc(factor.rank)]
-
-
-def _as_partition(groups: list[list[str]]) -> set[frozenset[str]]:
-    return {frozenset(grp) for grp in groups}
+    return [[str(label) for label in grp] for grp in family.structural(factor.rank)]
 
 
 @dataclass(frozen=True)
@@ -140,19 +93,19 @@ class VerifyResult:
 def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyResult:
     """Compare the closed-form/table count against the brute-force oracle.
 
-    For a single B/C/D factor the full grouping is compared, not just the
-    count, and a grouping diff is reported on mismatch.
+    For a single factor with a structural grouping the full grouping is
+    compared, not just the count, and a grouping diff is reported on mismatch.
     """
     result = z_count(t, order_cap=order_cap)
     table = build_group(t, order_cap=order_cap)
     diff: list[str] = []
-    if len(t.factors) == 1 and t.factors[0].family in ("B", "C", "D"):
-        factor = t.factors[0]
-        structural = structural_grouping_labels(factor)
-        oracular = oracle_grouping_labels(table, factor.family, order_cap)
+    single = t.factors[0] if len(t.factors) == 1 else None
+    structural = structural_grouping_labels(single) if single is not None else None
+    if structural is not None:
+        oracular = oracle_grouping_labels(table, single.family, order_cap)
         oracle_count = len(oracular)
         conj_oracle = sum(len(g) for g in oracular)
-        if _as_partition(structural) != _as_partition(oracular):
+        if {frozenset(g) for g in structural} != {frozenset(g) for g in oracular}:
             diff.append("structural grouping:")
             diff.extend(
                 "  {" + ", ".join(grp) + "}" for grp in structural

@@ -1,5 +1,8 @@
 """Type parsing and the closed-form counts (frozen oracle values in comments)."""
 
+import subprocess
+import sys
+
 import pytest
 from sympy import partition as npartitions
 
@@ -25,6 +28,8 @@ from zclass.combinatorics import (
     zeta,
 )
 from zclass.errors import CoxeterParseError, CoxeterRankError, OrderCapExceeded
+from zclass.families import FAMILIES, METHODS
+from zclass.verify import build_group
 
 
 def paper_z(lam):
@@ -84,6 +89,21 @@ class TestParser:
         assert parse_coxeter_type("D4").group_order() == 192
         assert parse_coxeter_type("I2(8)").group_order() == 16
         assert parse_coxeter_type("A3 x A1").group_order() == 48
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_registry_entry(self, name):
+        """A family's text round-trips, its count method is known, and its
+        order is its enumerated table's at each of its first eight ranks
+        whose order is at most 1e5."""
+        family = FAMILIES[name]
+        assert family.method in METHODS
+        low = family.min_rank
+        for rank in [None] if low is None else range(low, low + 8):
+            t = CoxeterType((IrreducibleType(name, rank),))
+            assert parse_coxeter_type(str(t)) == t
+            assert parse_coxeter_type(str(t).lower()) == t
+            if t.group_order() <= 100_000:
+                assert build_group(t).order == t.group_order()
 
 
 class TestCountBC:
@@ -172,6 +192,29 @@ class TestExceptional:
             "H3": 10,
             "H4": 34,
         }
+
+
+class TestImportIndependence:
+    """The formula route loads no group machinery, and the CLI no root systems
+    or decimal arithmetic, until a command needs them."""
+
+    @pytest.mark.parametrize(
+        "module,absent",
+        [
+            (
+                "zclass.closed_form",
+                ["numpy", "zclass.groups", "zclass.oracle", "zclass.reflection"],
+            ),
+            ("zclass.cli", ["zclass.reflection", "decimal"]),
+        ],
+    )
+    def test_import_loads_nothing_heavy(self, module, absent):
+        script = f"import sys, {module}\nprint(set({absent}) & set(sys.modules))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "set()\n"
 
 
 class TestProductDispatch:
