@@ -202,8 +202,7 @@ def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
         check_order((factor,), f"{factor}, counted by the oracle,", order_cap)
         from . import oracle
 
-        table = family.build(factor.rank, order_cap)
-        z = len(oracle.z_classes(table, order_cap=order_cap))
+        z = len(oracle.z_classes(family.build(factor.rank)))
     else:
         z = family.z_count(factor.rank)
     return FactorCount(factor, z, family.class_count(factor.rank), family.method)

@@ -3,7 +3,8 @@
 import math
 
 DEFAULT_ORDER_CAP = 100_000
-LARGE_ORDER_CAP = 5_000_000  # --allow-large; enough for E7
+# --allow-large, enough for E7; also the most any table is built with
+LARGE_ORDER_CAP = 5_000_000
 # `classes` lists B26 (177,087 classes) and D28, and refuses B27 and D29 up
 MAX_LISTED_CLASSES = 200_000
 # the B/C/D series take O(rank^2) big-int additions: about 4 s at rank 5000

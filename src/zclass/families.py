@@ -33,9 +33,10 @@ class Family:
     """One family.  Slots take the rank first: the n of A_n, the m of I2(m),
     or None.  The group order is p * 2**k * n! for (p, k, n) = order_parts.
     `method` counts z-classes by `z_count` ('formula' or 'table') or with the
-    oracle on the table `build(rank, order_cap)` ('oracle').  `structural`
-    lists the z-classes as groups of class labels from structure theory, and
-    `oracle_label(table, class)` names a class the oracle found."""
+    oracle on the table `build(rank)` ('oracle'); the caller checks the order
+    cap first.  `structural` lists the z-classes as groups of class labels
+    from structure theory, and `oracle_label(table, class)` names a class the
+    oracle found."""
 
     min_rank: int | None  # None: the family takes no rank
     order_parts: Callable
@@ -62,7 +63,7 @@ def _exceptional(name: str, order: int, classes: int, z_classes: int) -> Family:
         method="table",
         class_count=lambda _: classes,
         z_count=lambda _: z_classes,
-        build=lambda _, cap: _module("reflection").build_reflection_group(name, cap),
+        build=lambda _: _module("reflection").build_reflection_group(name),
         notation="{family}",
     )
 
@@ -73,7 +74,7 @@ _BC = Family(
     method="formula",
     class_count=lambda n: _module("closed_form").conjugacy_count_bc(n),
     z_count=lambda n: _module("closed_form").z_count_bc(n),
-    build=lambda n, cap: _module("groups").build_wreath_bc(n, cap),
+    build=lambda n: _module("groups").build_wreath_bc(n),
     series_capped=True,
     structural=lambda n: _module("signed_perm").z_classes_bc(n),
 )
@@ -85,7 +86,7 @@ FAMILIES: dict[str, Family] = {
         method="oracle",
         class_count=lambda n: _module("closed_form").partition_count(n + 1),
         z_count=None,
-        build=lambda n, cap: _module("groups").build_symmetric(n + 1, cap),
+        build=lambda n: _module("groups").build_symmetric(n + 1),
     ),
     "B": _BC,
     "C": _BC,
@@ -95,7 +96,7 @@ FAMILIES: dict[str, Family] = {
         method="formula",
         class_count=lambda n: _module("closed_form").conjugacy_count_d(n),
         z_count=lambda n: _module("closed_form").z_count_d(n),
-        build=lambda n, cap: _module("groups").build_d(n, cap),
+        build=lambda n: _module("groups").build_d(n),
         series_capped=True,
         structural=lambda n: _module("signed_perm").z_classes_dn(n),
         oracle_label=lambda table, cl: _module("verify").dn_oracle_label(table, cl),
@@ -106,7 +107,7 @@ FAMILIES: dict[str, Family] = {
         method="formula",
         class_count=lambda m: _module("closed_form").conjugacy_count_dihedral(m),
         z_count=lambda m: _module("closed_form").z_count_dihedral(m),
-        build=lambda m, cap: _module("groups").build_dihedral(m, cap),
+        build=lambda m: _module("groups").build_dihedral(m),
         notation="I2({rank})",
         rank_name="label",
     ),

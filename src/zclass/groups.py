@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .combinatorics import Partition
-from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
+from .errors import LARGE_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES
 from .signed_perm import SignedPermutation, signed_cycle_type
 
@@ -38,19 +38,6 @@ MAX_DEGREE = 256
 _CHUNK = 1 << 17
 _CONJUGATE_CHUNK = 1 << 16
 _TAKE_CHUNK = 1 << 14
-
-
-def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise composition: result[r] = a[r] after b[r], i.e. a[r][b[r][i]]."""
-    return np.take_along_axis(a, b, axis=1)
-
-
-def _check_degree(name: str, degree: int) -> None:
-    if degree > MAX_DEGREE:
-        raise UnsupportedGroupError(
-            f"{name} acts on {degree} points; group tables hold at most "
-            f"{MAX_DEGREE} points"
-        )
 
 
 def _find_base(perms: np.ndarray) -> np.ndarray:
@@ -136,49 +123,12 @@ class GroupTable:
         self.base, self._code, self.keys = index
         if np.any(self.keys[1:] <= self.keys[:-1]):
             raise ValueError(f"{name}: table rows are not sorted and distinct")
-        self.identity_row = self.index_of(bytes(np.arange(self.degree, dtype=np.uint8)))
+        identity = np.arange(self.degree, dtype=np.uint8)[None, :]
+        self.identity_row = int(self.row_index(identity)[0])
         self._inverses: np.ndarray | None = None
         self._inverse_base: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conjugation_maps: np.ndarray | None = None
-
-    # --- canonical-encoding surface -------------------------------------
-
-    @property
-    def identity(self) -> bytes:
-        return self.encoding(self.identity_row)
-
-    def encoding(self, row: int) -> bytes:
-        return self.perms[row].tobytes()
-
-    def elements(self) -> list[bytes]:
-        return [self.perms[r].tobytes() for r in range(self.order)]
-
-    def multiply(self, a: bytes, b: bytes) -> bytes:
-        ra = np.frombuffer(a, dtype=np.uint8)
-        rb = np.frombuffer(b, dtype=np.uint8)
-        return ra[rb].tobytes()
-
-    def invert(self, a: bytes) -> bytes:
-        ra = np.frombuffer(a, dtype=np.uint8)
-        return np.argsort(ra).astype(np.uint8).tobytes()
-
-    def index_of(self, enc: bytes) -> int:
-        row = np.frombuffer(enc, dtype=np.uint8)
-        idx = self.row_index(row[None, :])
-        return int(idx[0])
-
-    def contains(self, enc: bytes) -> bool:
-        row = np.frombuffer(enc, dtype=np.uint8)
-        if row.shape[0] != self.degree or row.max(initial=0) >= self.degree:
-            return False
-        try:
-            self.row_index(row[None, :])
-        except LookupError:
-            return False
-        return True
-
-    # --- bulk internals ---------------------------------------------------
 
     def base_keys(self, images: np.ndarray) -> np.ndarray:
         """Keys of elements given by their base images, one (k,) row each."""
@@ -282,23 +232,6 @@ class GroupTable:
     def label(self, row: int) -> str | None:
         return self.labeler(self.perms[row]) if self.labeler else None
 
-    def validate(self, rng: np.random.Generator | None = None) -> None:
-        """Check the group axioms: exhaustively up to order 5000, else by probing."""
-        identity = np.arange(self.degree, dtype=np.uint8)
-        if not self.contains(identity.tobytes()):
-            raise AssertionError("identity missing")
-        if self.order <= 5000:
-            for r in range(self.order):
-                products = self.perms[r][self.perms]
-                self.row_index(products)
-            self.row_index(self.inverses())
-        else:
-            rng = rng or np.random.default_rng(0)
-            a = rng.integers(0, self.order, size=10_000)
-            b = rng.integers(0, self.order, size=10_000)
-            self.row_index(compose_rows(self.perms[a], self.perms[b]))
-            self.row_index(self.inverses()[a])
-
 
 class ChainLevel(NamedTuple):
     """A chain level: transversal[j] maps `point` to the j-th least point q of
@@ -400,30 +333,35 @@ def group_from_generators(
     *,
     name: str,
     degree: int,
-    order_cap: int = DEFAULT_ORDER_CAP,
     labeler: Callable[[np.ndarray], str] | None = None,
 ) -> GroupTable:
     """The table of the group generated by `gens`, from a stabilizer chain.
 
     Every element is exactly one product u_1 ... u_k of one element of each
     level's transversal, so the order is the product of the orbit lengths,
-    checked against `order_cap` before any row is allocated, and the products
+    refused over LARGE_ORDER_CAP before any row is allocated, and the products
     are distinct: nothing is hashed or deduplicated.  b_1 is the least point
     the group moves and the first transversal is sorted by image point, so the
     rows come in blocks u_1 H, H the stabilizer of b_1, in order of u_1(b_1):
     sorting each block by key sorts the table, without a second copy of it.
+    Generators may come in any integer dtype; they are stored as uint8 once
+    `degree` is known to fit.
     """
-    _check_degree(name, degree)
+    if degree > MAX_DEGREE:
+        raise UnsupportedGroupError(
+            f"{name} acts on {degree} points; group tables hold at most "
+            f"{MAX_DEGREE} points"
+        )
     gen_arrays = []
     for g in gens:
-        arr = np.asarray(g, dtype=np.uint8)
+        arr = np.asarray(g)
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise ValueError(f"generator is not a permutation of 0..{degree - 1}: {g}")
-        gen_arrays.append(arr)
+        gen_arrays.append(arr.astype(np.uint8))
     levels = stabilizer_chain(np.array(gen_arrays, dtype=np.uint8).reshape(-1, degree))
     order = math.prod(level.transversal.shape[0] for level in levels)
-    if order > order_cap:
-        raise order_cap_exceeded(name, order, order_cap)
+    if order > LARGE_ORDER_CAP:
+        raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
     perms = _products(levels, degree)
     index = _table_index(perms)
     keys, n = index[2], order // (levels[0].transversal.shape[0] if levels else 1)
@@ -437,11 +375,12 @@ def group_from_generators(
     return table
 
 
-def family_order(family: str, rank: int | None, name: str, order_cap: int) -> int:
-    """The order FAMILIES gives `family` at `rank`, refused over `order_cap`."""
+def family_order(family: str, rank: int | None, name: str) -> int:
+    """The order FAMILIES gives `family` at `rank`, refused over LARGE_ORDER_CAP,
+    the most memory a table may take, before any chain is built."""
     order = FAMILIES[family].group_order(rank)
-    if order > order_cap:
-        raise order_cap_exceeded(name, order, order_cap)
+    if order > LARGE_ORDER_CAP:
+        raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
     return order
 
 
@@ -471,18 +410,18 @@ def _cycle_type_label(row: np.ndarray) -> str:
     return str(Partition.from_parts(lengths))
 
 
-def build_symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_symmetric(n: int) -> GroupTable:
     """S_n on n points, generated by adjacent transpositions."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = family_order("A", n - 1, f"S{n}", order_cap)
+    expected = family_order("A", n - 1, f"S{n}")
     gens = []
     for i in range(n - 1):
         g = np.arange(n, dtype=np.uint8)
         g[[i, i + 1]] = g[[i + 1, i]]
         gens.append(g)
     table = group_from_generators(
-        gens, name=f"S{n}", degree=n, order_cap=order_cap, labeler=_cycle_type_label
+        gens, name=f"S{n}", degree=n, labeler=_cycle_type_label
     )
     return checked_order(table, expected)
 
@@ -528,23 +467,22 @@ def _bc_generators(n: int) -> list[np.ndarray]:
     return gens
 
 
-def build_wreath_bc(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_wreath_bc(n: int) -> GroupTable:
     """C2 wr S_n as signed permutations acting on 2n points."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = family_order("B", n, f"B{n}", order_cap)
-    gens = _bc_generators(n)
+    expected = family_order("B", n, f"B{n}")
     table = group_from_generators(
-        gens, name=f"B{n}", degree=2 * n, order_cap=order_cap, labeler=_signed_label
+        _bc_generators(n), name=f"B{n}", degree=2 * n, labeler=_signed_label
     )
     return checked_order(table, expected)
 
 
-def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_d(n: int) -> GroupTable:
     """D_n: the index-2 subgroup of C2 wr S_n with positive sign product."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    expected = family_order("D", n, f"D{n}", order_cap)
+    expected = family_order("D", n, f"D{n}")
     gens = _bc_generators(n)[:-1]
     flip_swap = np.arange(2 * n, dtype=np.uint8)
     flip_swap[n - 2] = 2 * n - 1
@@ -553,51 +491,35 @@ def build_d(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
     flip_swap[2 * n - 1] = n - 2
     gens.append(flip_swap)
     table = group_from_generators(
-        gens, name=f"D{n}", degree=2 * n, order_cap=order_cap, labeler=_signed_label
+        gens, name=f"D{n}", degree=2 * n, labeler=_signed_label
     )
     return checked_order(table, expected)
 
 
-def build_dihedral(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def build_dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m on the vertices of an m-gon."""
     if m < 3:
         raise ValueError("m must be at least 3")
-    expected = family_order("I2", m, f"I2({m})", order_cap)
-    _check_degree(f"I2({m})", m)
-    rot = np.array([(i + 1) % m for i in range(m)], dtype=np.uint8)
-    ref = np.array([(m - i) % m for i in range(m)], dtype=np.uint8)
-    table = group_from_generators(
-        [rot, ref], name=f"I2({m})", degree=m, order_cap=order_cap
-    )
+    expected = family_order("I2", m, f"I2({m})")
+    vertices = np.arange(m)
+    rot, ref = (vertices + 1) % m, -vertices % m
+    table = group_from_generators([rot, ref], name=f"I2({m})", degree=m)
     return checked_order(table, expected)
 
 
-def direct_product(
-    g1: GroupTable, g2: GroupTable, order_cap: int = DEFAULT_ORDER_CAP
-) -> GroupTable:
+def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """G1 x G2 acting on the disjoint union of the two point sets."""
-    if g1.order * g2.order > order_cap:
-        raise order_cap_exceeded(
-            f"{g1.name} x {g2.name}", g1.order * g2.order, order_cap
-        )
     d1, d2 = g1.degree, g2.degree
-    _check_degree(f"{g1.name} x {g2.name}", d1 + d2)
-    gens = []
+    gens = []  # in a wide dtype: d1 + d2 may pass 256 before it is refused
     for r in g1.gen_rows:
-        g = np.concatenate([g1.perms[r], np.arange(d2, dtype=np.uint8) + d1])
-        gens.append(g)
+        gens.append(np.concatenate([g1.perms[r], np.arange(d1, d1 + d2)]))
     for r in g2.gen_rows:
-        g = np.concatenate([np.arange(d1, dtype=np.uint8), g2.perms[r] + d1])
-        gens.append(g)
+        gens.append(np.concatenate([np.arange(d1), g2.perms[r].astype(np.intp) + d1]))
     labeler = None
     if g1.labeler and g2.labeler:
         l1, l2 = g1.labeler, g2.labeler
         labeler = lambda row: f"{l1(row[:d1])} | {l2(row[d1:] - d1)}"
     table = group_from_generators(
-        gens,
-        name=f"{g1.name} x {g2.name}",
-        degree=d1 + d2,
-        order_cap=order_cap,
-        labeler=labeler,
+        gens, name=f"{g1.name} x {g2.name}", degree=d1 + d2, labeler=labeler
     )
     return checked_order(table, g1.order * g2.order)

@@ -46,7 +46,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_CAP, order_cap_exceeded
 from .groups import GroupTable
 
 log = logging.getLogger(__name__)
@@ -139,12 +138,8 @@ def _new_schreier_vector(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     return parent, via
 
 
-def conjugacy_classes(
-    g: GroupTable, order_cap: int = DEFAULT_ORDER_CAP
-) -> list[ConjugacyClass]:
+def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     """Orbit partition under conjugation, ordered by minimal representative."""
-    if g.order > order_cap:
-        raise order_cap_exceeded(g.name, g.order, order_cap)
     maps = g.conjugation_maps()
     parent, via = _new_schreier_vector(g)
     classes: list[ConjugacyClass] = []
@@ -320,16 +315,14 @@ def subgroups_conjugate(
     return True, witness
 
 
-def z_classes(
-    g: GroupTable, order_cap: int = DEFAULT_ORDER_CAP
-) -> list[list[ConjugacyClass]]:
+def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
     """Group conjugacy classes whose centralizers are conjugate in g.
 
     The first existing group with a conjugate centralizer absorbs each class;
     otherwise the class opens a new group.  Conjugacy with a group's first
     class is decided by the center test (see the module docstring).
     """
-    classes = conjugacy_classes(g, order_cap=order_cap)
+    classes = conjugacy_classes(g)
     class_of = np.empty(g.order, dtype=np.int32)
     for ci, cl in enumerate(classes):
         class_of[cl.members] = ci

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DEFAULT_ORDER_CAP, UnsupportedGroupError
+from .errors import UnsupportedGroupError
 from .groups import GroupTable, checked_order, family_order, group_from_generators
 
 Zphi = tuple[int, int]  # a + b*phi
@@ -140,24 +140,20 @@ def build_root_system(name: str) -> RootSystem:
     )
 
 
-def generate_group(rs: RootSystem, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
+def generate_group(rs: RootSystem) -> GroupTable:
     """The reflection group as permutations of the root list."""
-    expected = family_order(rs.type_name, None, rs.type_name, order_cap)
+    expected = family_order(rs.type_name, None, rs.type_name)
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
-    table = group_from_generators(
-        gens, name=rs.type_name, degree=len(rs.roots), order_cap=order_cap
-    )
+    table = group_from_generators(gens, name=rs.type_name, degree=len(rs.roots))
     return checked_order(table, expected)
 
 
 def build_reflection_group(
-    name: str,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    cache_dir: str | Path | None = None,
+    name: str, cache_dir: str | Path | None = None
 ) -> GroupTable:
     """The group of `name`, rebuilt on every call.
 
     `cache_dir` is accepted and ignored: no table is stored on disk, because
     rebuilding is never slower than reading a stored table back.
     """
-    return generate_group(build_root_system(name), order_cap)
+    return generate_group(build_root_system(name))

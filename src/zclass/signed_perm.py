@@ -213,48 +213,21 @@ def _absorbs_split_pair(sp: SignedPartition) -> SignedPartition | None:
 def z_classes_dn(n: int) -> list[list[SignedClassLabel]]:
     """Partition of the D_n conjugacy classes into z-classes of D_n.
 
-    Non-split classes group by z-equivalence in C2 wr S_n; a split pair merges
-    with itself iff some part = 2 mod 4 has odd multiplicity; the split pair of
-    type 2^1 m_2^{x_2}... (all m_i >= 4) joins the group of 1^2 m... / 1b^2 m...
+    Non-split classes group by z-equivalence in C2 wr S_n; the split pair of
+    type 2^1 m_2^{x_2}... (all m_i >= 4) joins the group of 1^2 m... / 1b^2 m...;
+    any other split pair merges with itself iff some part = 2 mod 4 has odd
+    multiplicity.  Groups come in the order of their first class.
     """
-    groups: list[list[SignedClassLabel]] = []
-    group_of_key: dict[tuple, int] = {}
-    group_of_split: dict[SignedPartition, int] = {}
+    groups: dict[object, list[SignedClassLabel]] = {}
     for label in dn_conjugacy_classes(n):
         sp = label.signed_partition
         if label.split_half is None:
             key = _bc_z_key(sp)
-            if key in group_of_key:
-                groups[group_of_key[key]].append(label)
-            else:
-                group_of_key[key] = len(groups)
-                groups.append([label])
+        elif (target := _absorbs_split_pair(sp)) is not None:
+            key = _bc_z_key(target)
         elif _split_pair_merges(sp):
-            if sp in group_of_split:
-                groups[group_of_split[sp]].append(label)
-            else:
-                group_of_split[sp] = len(groups)
-                groups.append([label])
+            key = sp
         else:
-            groups.append([label])
-
-    # split pairs of type 2^1 m... join the 1^2 m... group
-    absorb_into: dict[int, int] = {}
-    for gi, group in enumerate(groups):
-        label = group[0]
-        if label.split_half is None:
-            continue
-        target = _absorbs_split_pair(label.signed_partition)
-        if target is None:
-            continue
-        absorb_into[gi] = group_of_key[_bc_z_key(target)]
-    merged: list[list[SignedClassLabel]] = []
-    new_index: dict[int, int] = {}
-    for gi, group in enumerate(groups):
-        if gi in absorb_into:
-            continue
-        new_index[gi] = len(merged)
-        merged.append(list(group))
-    for gi, ti in absorb_into.items():
-        merged[new_index[ti]].extend(groups[gi])
-    return merged
+            key = label
+        groups.setdefault(key, []).append(label)
+    return list(groups.values())

@@ -16,12 +16,16 @@ from .signed_perm import class_representative, signed_cycle_type
 
 
 def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """The whole group of a product type, as one permutation group."""
+    """The whole group of a product type, as one permutation group.
+
+    Its order is checked against `order_cap` here, before any table is built;
+    the builders refuse only past LARGE_ORDER_CAP.
+    """
     check_order(t.factors, str(t), order_cap)
-    tables = (FAMILIES[f.family].build(f.rank, order_cap) for f in t.factors)
+    tables = (FAMILIES[f.family].build(f.rank) for f in t.factors)
     table = next(tables)
     for factor_table in tables:
-        table = direct_product(table, factor_table, order_cap)
+        table = direct_product(table, factor_table)
     return table
 
 
@@ -40,15 +44,13 @@ def dn_oracle_label(table: GroupTable, cl: ConjugacyClass) -> str:
     return str(sp) + ("+" if in_class else "-")
 
 
-def oracle_grouping_labels(
-    table: GroupTable, family: str, order_cap: int = DEFAULT_ORDER_CAP
-) -> list[list[str]]:
+def oracle_grouping_labels(table: GroupTable, family: str) -> list[list[str]]:
     """Oracle z-classes rendered as conjugacy-class labels.
 
     The family's oracle labeler comes first, then the table's own row labels
     (cycle types, signed partitions); anything else gets positional c<k>.
     """
-    zgroups = oracle.z_classes(table, order_cap=order_cap)
+    zgroups = oracle.z_classes(table)
     label = FAMILIES[family].oracle_label if family in FAMILIES else None
     if label is not None:
         return [[label(table, c) for c in grp] for grp in zgroups]
@@ -102,7 +104,7 @@ def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyRes
     single = t.factors[0] if len(t.factors) == 1 else None
     structural = structural_grouping_labels(single) if single is not None else None
     if structural is not None:
-        oracular = oracle_grouping_labels(table, single.family, order_cap)
+        oracular = oracle_grouping_labels(table, single.family)
         oracle_count = len(oracular)
         conj_oracle = sum(len(g) for g in oracular)
         if {frozenset(g) for g in structural} != {frozenset(g) for g in oracular}:
@@ -113,7 +115,7 @@ def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyRes
             diff.append("oracle grouping:")
             diff.extend("  {" + ", ".join(grp) + "}" for grp in oracular)
     else:
-        zgroups = oracle.z_classes(table, order_cap=order_cap)
+        zgroups = oracle.z_classes(table)
         oracle_count = len(zgroups)
         conj_oracle = sum(len(grp) for grp in zgroups)
     match = (

@@ -1,36 +1,74 @@
-"""Shared helpers: a tiny dict-based z-class oracle, independent of the numpy engine."""
+"""Shared helpers: reference group arithmetic over `table.perms`, independent of
+the numpy engine, and a tiny dict-based z-class oracle built on it."""
 
 import numpy as np
 
 
+def elements(table) -> list[tuple[int, ...]]:
+    """The table's elements as tuples of images, in row order."""
+    return [tuple(row) for row in table.perms.tolist()]
+
+
+def multiply(a: tuple, b: tuple) -> tuple:
+    """a after b: the image of i is a[b[i]]."""
+    return tuple(a[i] for i in b)
+
+
+def invert(a: tuple) -> tuple:
+    inverse = [0] * len(a)
+    for i, image in enumerate(a):
+        inverse[image] = i
+    return tuple(inverse)
+
+
+def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise composition: result[r] = a[r] after b[r], i.e. a[r][b[r][i]]."""
+    return np.take_along_axis(a, b, axis=1)
+
+
+def validate(table, rng: np.random.Generator | None = None) -> None:
+    """Check the group axioms: exhaustively up to order 5000, else by probing.
+
+    `row_index` raises on a product or inverse that is not a member.
+    """
+    perms = table.perms
+    identity = np.arange(table.degree, dtype=np.uint8)
+    assert (perms == identity).all(axis=1).any(), "identity missing"
+    if table.order <= 5000:
+        for row in perms:
+            table.row_index(row[perms])
+        table.row_index(table.inverses())
+    else:
+        rng = rng or np.random.default_rng(0)
+        a = rng.integers(0, table.order, size=10_000)
+        b = rng.integers(0, table.order, size=10_000)
+        table.row_index(compose_rows(perms[a], perms[b]))
+        table.row_index(table.inverses()[a])
+
+
 def naive_z_class_count(table) -> int:
-    """Conjugacy classes and centralizer grouping by raw byte-encoding arithmetic.
+    """Conjugacy classes and centralizer grouping by raw image-tuple arithmetic.
 
     Deliberately avoids the package's orbit/fingerprint machinery: everything
-    runs on Python sets of encodings via the GroupTable multiply/invert
-    contract only.
+    runs on Python sets of image tuples via `multiply` and `invert` only.
     """
-    elements = table.elements()
-    inverse = {e: table.invert(e) for e in elements}
+    group = elements(table)
+    inverse = {e: invert(e) for e in group}
 
     def conjugate(w, x):
-        return table.multiply(table.multiply(w, x), inverse[w])
+        return multiply(multiply(w, x), inverse[w])
 
     seen = set()
     classes = []
-    for x in elements:
+    for x in group:
         if x in seen:
             continue
-        orbit = {conjugate(w, x) for w in elements}
+        orbit = {conjugate(w, x) for w in group}
         seen |= orbit
         classes.append(min(orbit))
 
     centralizers = [
-        frozenset(
-            h
-            for h in elements
-            if table.multiply(h, rep) == table.multiply(rep, h)
-        )
+        frozenset(h for h in group if multiply(h, rep) == multiply(rep, h))
         for rep in classes
     ]
     groups = []
@@ -41,7 +79,7 @@ def naive_z_class_count(table) -> int:
                 continue
             if any(
                 frozenset(conjugate(w, h) for h in existing) == cen
-                for w in elements
+                for w in group
             ):
                 placed = True
                 break

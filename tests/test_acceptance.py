@@ -135,8 +135,8 @@ def test_criterion_5_exceptional_table_reproduction(name, classes, z, budget):
 def test_criterion_5_e7_reproduction():
     with criterion(5, "E7 -> (60 classes, 28 z-classes) within 120s"):
         started = time.perf_counter()
-        table = build_reflection_group("E7", order_cap=5_000_000)
-        groups = oracle.z_classes(table, order_cap=5_000_000)
+        table = build_reflection_group("E7")
+        groups = oracle.z_classes(table)
         elapsed = time.perf_counter() - started
         assert sum(len(g) for g in groups) == 60
         assert len(groups) == 28

@@ -267,7 +267,9 @@ class TestCacheDir:
 
 
 class TestLargeDegree:
-    @pytest.mark.parametrize("text", ["I2(300)", "I2(200) x I2(100)"])
+    @pytest.mark.parametrize(
+        "text", ["I2(300)", "I2(200) x I2(100)", "I2(256) x I2(3)"]
+    )
     def test_point_sets_over_256_exit_3(self, text):
         proc = subprocess.run(
             [sys.executable, "-m", "zclass.cli", "verify", text],

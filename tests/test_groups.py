@@ -4,13 +4,21 @@ import math
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
-from conftest import assert_valid_permutation_table
+from conftest import (
+    assert_valid_permutation_table,
+    elements,
+    invert,
+    multiply,
+    validate,
+)
 
 from zclass.errors import OrderCapExceeded, UnsupportedGroupError
-from zclass import groups
+from zclass import groups, reflection
+from zclass.families import parse_coxeter_type
 from zclass.groups import (
     build_d,
     build_dihedral,
@@ -24,6 +32,7 @@ from zclass.groups import (
 )
 from zclass.reflection import build_root_system
 from zclass.signed_perm import SignedPermutation
+from zclass.verify import build_group
 
 
 def random_signed_perm(rng, n):
@@ -62,12 +71,25 @@ class TestBuilders:
     def test_axioms_validate(self):
         for table in (build_wreath_bc(3), build_d(3), build_dihedral(5),
                       build_symmetric(4)):
-            table.validate()
+            validate(table)
             assert_valid_permutation_table(table)
 
     def test_probabilistic_validation_path(self):
-        build_wreath_bc(5).validate()  # order 3840 exhaustive
-        build_d(6, order_cap=100_000).validate()  # order 23040 probabilistic
+        validate(build_wreath_bc(5))  # order 3840 exhaustive
+        validate(build_d(6))  # order 23040 probabilistic
+
+    @pytest.mark.parametrize(
+        "build,n", [(build_wreath_bc, 100), (build_d, 100), (build_symmetric, 80)]
+    )
+    def test_huge_orders_refused_before_any_chain(self, monkeypatch, build, n):
+        def no_chain(gens):
+            raise AssertionError("stabilizer chain built past the cap")
+
+        monkeypatch.setattr(groups, "stabilizer_chain", no_chain)
+        started = time.perf_counter()
+        with pytest.raises(OrderCapExceeded, match="no order cap serves it"):
+            build(n)
+        assert time.perf_counter() - started < 1
 
 
 class TestSignedPermEncoding:
@@ -95,19 +117,21 @@ class TestSignedPermEncoding:
 class TestGroupTableContract:
     def test_multiply_invert_encodings(self):
         table = build_dihedral(6)
-        elements = table.elements()
-        assert len(set(elements)) == table.order
-        e = table.identity
-        for a in elements:
-            assert table.multiply(a, table.invert(a)) == e
-            assert table.multiply(e, a) == a
+        rows = elements(table)
+        assert len(set(rows)) == table.order
+        e = tuple(range(table.degree))
+        assert rows[table.identity_row] == e
+        for a in rows:
+            assert multiply(a, invert(a)) == e
+            assert multiply(e, a) == a
+            assert invert(a) in rows
 
     def test_rows_sorted_and_stable(self):
         t1 = build_wreath_bc(3)
         t2 = build_wreath_bc(3)
         assert np.array_equal(t1.perms, t2.perms)
-        enc = t1.elements()
-        assert enc == sorted(enc)
+        rows = elements(t1)
+        assert rows == sorted(rows)
 
     def test_row_index_round_trip(self):
         table = build_d(4)
@@ -128,7 +152,7 @@ class TestGroupTableContract:
         for row in (key_miss, key_hit):
             with pytest.raises(LookupError):
                 table.row_index(row[None, :])
-            assert not table.contains(row.tobytes())
+            assert not (table.perms == row).all(axis=1).any()
 
     def test_membership_checked_under_optimize(self):
         # under python -O assertions vanish; row_index must still refuse
@@ -215,13 +239,15 @@ class TestDirectProduct:
 
     def test_cap_applies(self):
         with pytest.raises(OrderCapExceeded):
-            direct_product(build_wreath_bc(5), build_wreath_bc(5), order_cap=1000)
+            build_group(parse_coxeter_type("B5 x B5"), order_cap=1000)
 
     def test_point_sets_over_256_refused(self):
         with pytest.raises(UnsupportedGroupError):
             build_dihedral(257)
         with pytest.raises(UnsupportedGroupError):
             direct_product(build_dihedral(200), build_dihedral(100))
+        with pytest.raises(UnsupportedGroupError, match="acts on 259 points"):
+            direct_product(build_dihedral(256), build_dihedral(3))
         with pytest.raises(UnsupportedGroupError):
             group_from_generators([np.arange(257)], name="big", degree=257)
         assert build_dihedral(256).degree == 256
@@ -232,3 +258,26 @@ class TestDirectProduct:
         assert labels == {
             "1~3 | 1~2", "1~3 | 2", "2 1 | 1~2", "2 1 | 2", "3 | 1~2", "3 | 2",
         }
+
+
+class TestSingleCapCheck:
+    """The order cap is checked once, at the type, before any table is built."""
+
+    @pytest.mark.parametrize(
+        "text", ["A4", "B3", "D4", "I2(7)", "H3", "B3 x I2(7)", "A2 x H3"]
+    )
+    def test_refused_exactly_over_the_cap(self, monkeypatch, text):
+        class Built(Exception):
+            pass
+
+        def build(*args, **kwargs):
+            raise Built
+
+        monkeypatch.setattr(groups, "group_from_generators", build)
+        monkeypatch.setattr(reflection, "group_from_generators", build)
+        t = parse_coxeter_type(text)
+        order = t.group_order()
+        for cap in (order - 1, order, order + 1):
+            expected = OrderCapExceeded if order > cap else Built
+            with pytest.raises(expected):
+                build_group(t, order_cap=cap)

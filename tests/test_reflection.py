@@ -5,15 +5,13 @@ import random
 
 import pytest
 import sympy
+from conftest import validate
 
 from zclass import oracle
 from zclass.errors import OrderCapExceeded, UnsupportedGroupError
-from zclass.reflection import (
-    build_reflection_group,
-    build_root_system,
-    generate_group,
-    zphi_mul,
-)
+from zclass.families import parse_coxeter_type
+from zclass.reflection import build_reflection_group, build_root_system, zphi_mul
+from zclass.verify import build_group
 
 CRYSTALLOGRAPHIC = ("F4", "E6", "E7")
 PHI = (0, 1)
@@ -119,14 +117,12 @@ class TestGeneratedGroups:
         assert build_reflection_group(name).order == order
 
     def test_order_cap(self):
-        rs = build_root_system("H4")
         with pytest.raises(OrderCapExceeded):
-            generate_group(rs, order_cap=10_000)
+            build_group(parse_coxeter_type("H4"), order_cap=10_000)
 
     def test_e7_needs_large_cap(self):
-        rs = build_root_system("E7")
-        with pytest.raises(OrderCapExceeded):
-            generate_group(rs, order_cap=100_000)
+        with pytest.raises(OrderCapExceeded, match="raise it with --allow-large"):
+            build_group(parse_coxeter_type("E7"))
 
     @pytest.mark.parametrize("name,classes", [("H3", 10), ("F4", 25)])
     def test_conjugacy_class_counts(self, name, classes):
@@ -134,7 +130,7 @@ class TestGeneratedGroups:
         assert len(oracle.conjugacy_classes(table)) == classes
 
     def test_group_axioms(self):
-        build_reflection_group("H3").validate()
+        validate(build_reflection_group("H3"))
 
     def test_cache_dir_is_ignored(self, tmp_path):
         (tmp_path / "zclass-group-H3-junk.npz").write_bytes(b"not a table")
