@@ -1,10 +1,10 @@
 """Brute-force z-class engine for any enumerated finite group.
 
-Mirrors the classic computer-algebra recipe: list conjugacy classes, take the
+Mirrors the classic computer-algebra recipe: list conjugacy classes, find the
 centralizer of each representative, and group classes whose centralizers are
 conjugate subgroups, scanning existing groups in order and absorbing into the
-first match.  Everything is deterministic: classes are ordered by their
-minimal canonical encoding and witnesses are the smallest-index conjugators.
+first match.  Everything is deterministic: classes are ordered by their least
+row and witnesses are the smallest-index conjugators.
 
 Schreier vector.  `conjugacy_classes` walks each class breadth-first from its
 representative x with the generator conjugation maps r -> s r s^-1, and
@@ -13,23 +13,30 @@ of that generator (int32 and int8 arrays over the rows).  Following these
 steps up to x spells a short word t_y with t_y x t_y^-1 = y.
 
 Centralizers.  By Schreier's lemma, C(x) is generated by t_z^-1 s t_y over
-the edges y -> z = s y s^-1 of the orbit.  `centralizer` takes the edges of
-members spread over the walk (a stride near |class|/phi), in chunks that
-double, keeps a Schreier generator only when the subgroup closed so far
-misses it, and extends the closure incrementally: the new generator times the
-old members, then every generator times the fresh elements.  It stops at the
+the edges y -> z = s y s^-1 of the orbit.  `_centralizer_generators` takes
+the edges of members spread over the walk (a stride near |class|/phi), in
+chunks that double, and keeps every distinct non-identity generator.  After
+each chunk a stabilizer chain (`zclass.groups.stabilizer_chain`) of the
+generators so far gives the order of the subgroup they generate, as the
+product of its orbit lengths, without listing a member; it stops at the
 orbit-stabilizer order |G|/|class|.  Running out of edges below that order,
-passing it, or keeping a generator that does not commute with x raises, also
-under `python -O`.  Edges in breadth-first order give shorter words, but
-their generators often span a proper subgroup until deep into the walk.
+passing it, or a generator that does not commute with x raises, also under
+`python -O`.  Edges in breadth-first order give shorter words, but their
+generators often span a proper subgroup until deep into the walk.  A
+central x needs no chain: C(x) = G, generated by G's generators.
+`centralizer` lists the members as the products of a chain of the
+generators.
 
 Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
 the center Z(C(y)) meets the class of x.  If w C(x) w^-1 = C(y), then
 w x w^-1 is central in C(y).  Conversely, if z = u x u^-1 lies in Z(C(y)),
-then C(y) lies in C(z) = u C(x) u^-1, and the two orders are equal.  So
-`z_classes` needs each centralizer's center rows (the members commuting with
-its few generators) and a row-to-class array.  The conjugator search
-`subgroups_conjugate` and its fingerprint remain as general tools.
+then C(y) lies in C(z) = u C(x) u^-1, and the two orders are equal.  The
+center needs no member list either: an element commuting with all of C(y)
+commutes with y, so it lies in C(y), and Z(C(y)) = C_G(C(y)) is the set of
+elements commuting with the generators of C(y).  So `z_classes` tests the
+members of the first class of each group of equal class size against the
+certified generators, dropping those that fail each one.  The conjugator
+search `subgroups_conjugate` and its fingerprint remain as general tools.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -41,12 +48,13 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupTable
+from .groups import GroupTable, _products, stabilizer_chain
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +72,7 @@ class ConjugacyClass:
     shared by all classes of one walk.
     """
 
-    rep: int  # row index of the minimal-encoding member
+    rep: int  # the least row of the class
     members: np.ndarray = field(repr=False)  # sorted row indices
     walk: np.ndarray = field(repr=False)
     parent: np.ndarray = field(repr=False)
@@ -77,11 +85,13 @@ class ConjugacyClass:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """Subgroup as sorted member rows and a short generating list.
+    """Subgroup as sorted member rows and a generating list, as `centralizer`
+    returns it; `z_classes` uses neither.
 
-    The center and the fingerprint (order, element-order histogram, center
-    order) are computed on first use.  The fingerprint is invariant under
-    conjugation, so unequal fingerprints reject conjugacy outright.
+    The center (the members commuting with every generator) and the
+    fingerprint (order, element-order histogram, center order) are computed on
+    first use.  The fingerprint is invariant under conjugation, so unequal
+    fingerprints reject conjugacy outright.
     """
 
     group: GroupTable = field(repr=False)
@@ -95,10 +105,7 @@ class SubgroupHandle:
     @cached_property
     def center_rows(self) -> np.ndarray:
         """Members commuting with every generator."""
-        rows = self.member_rows
-        for gr in self.generator_rows:
-            rows = _commuting(self.group, rows, self.group.perms[gr])
-        return rows
+        return _commuting(self.group, self.member_rows, self.generator_rows)
 
     @cached_property
     def fingerprint(self) -> tuple:
@@ -151,11 +158,16 @@ def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     return classes
 
 
-def _commuting(g: GroupTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Those of `rows` whose elements w satisfy w x = x w, tested at the base."""
+def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray:
+    """Those of `rows` whose elements w satisfy w x = x w for every x at the
+    rows `xs`, tested at the base; stops once none is left."""
     perms = g.perms
-    for b in g.base:
-        rows = rows[perms[rows, x[b]] == x[perms[rows, b]]]
+    for xr in xs:
+        x = perms[xr]
+        for b in g.base:
+            rows = rows[perms[rows, x[b]] == x[perms[rows, b]]]
+        if not rows.size:
+            break
     return rows
 
 
@@ -197,45 +209,6 @@ def _schreier_generators(
     return g.base_index(images)
 
 
-class _Closure:
-    """A subgroup grown by right multiplication, its members flagged in a mask."""
-
-    def __init__(self, g: GroupTable, target: int):
-        self.g = g
-        self.target = target
-        self.inside = np.zeros(g.order, dtype=bool)
-        self.inside[g.identity_row] = True
-        self.members = np.empty(target, dtype=np.int32)
-        self.members[0] = g.identity_row
-        self.size = 1
-        self.gens: list[int] = []
-
-    def add(self, gen: int) -> None:
-        """Adjoin `gen`: old members times gen, then fresh elements times all."""
-        self.gens.append(gen)
-        frontier = self._fresh(self.members[: self.size], [gen])
-        while frontier.size and self.size < self.target:
-            frontier = self._fresh(frontier, self.gens)
-
-    def _fresh(self, rows: np.ndarray, gens: list[int]) -> np.ndarray:
-        """Products of rows by gens not yet inside; they are added."""
-        g = self.g
-        columns = g.perms[np.array(gens)[:, None], g.base].ravel()
-        step = max(1, _CHUNK // len(gens))
-        parts = []
-        for lo in range(0, rows.size, step):
-            images = g.perms[rows[lo : lo + step, None], columns]
-            products = g.base_index(images.reshape(-1, g.base.size))
-            parts.append(products[~self.inside[products]])
-        fresh = np.unique(np.concatenate(parts)).astype(np.int32)
-        if self.size + fresh.size > self.target:
-            raise AssertionError("centralizer closure passed |G|/|class|")
-        self.inside[fresh] = True
-        self.members[self.size : self.size + fresh.size] = fresh
-        self.size += fresh.size
-        return fresh
-
-
 def _spreading_stride(n: int) -> int:
     """A step near n/phi and coprime to n: i * step % n visits every position once."""
     step = max(1, round(n * 0.6180339887))
@@ -244,10 +217,40 @@ def _spreading_stride(n: int) -> int:
     return step
 
 
+def _centralizer_generators(g: GroupTable, cl: ConjugacyClass) -> np.ndarray:
+    """Rows of Schreier generators of C(x), x = cl.rep, certified by their order.
+
+    Edges leave members spread over the walk, in chunks that double; after
+    each chunk the distinct non-identity generators gathered so far get a
+    stabilizer chain, until its order reaches |G|/|class|.
+    """
+    if cl.size == 1:  # x is central
+        return np.array(g.gen_rows, dtype=np.intp)
+    target = g.order // cl.size
+    stride = _spreading_stride(cl.size)
+    gens = np.empty(0, dtype=np.intp)
+    chunk, lo, order = _FIRST_EDGE_CHUNK, 0, 1
+    while order < target:
+        if lo >= cl.size:
+            raise AssertionError("Schreier generators ran out below |G|/|class|")
+        positions = np.arange(lo, min(lo + chunk, cl.size)) * stride % cl.size
+        candidates = _schreier_generators(g, cl, cl.walk[positions])
+        lo, chunk = lo + chunk, 2 * chunk
+        gens = np.union1d(gens, candidates[candidates != g.identity_row])
+        chain = stabilizer_chain(g.perms[gens])
+        order = math.prod(level.transversal.shape[0] for level in chain)
+        if order > target:
+            raise AssertionError("centralizer closure passed |G|/|class|")
+    if _commuting(g, gens, [cl.rep]).size != gens.size:
+        raise AssertionError("a Schreier generator does not centralize")
+    return gens
+
+
 def centralizer(
     g: GroupTable, row: int, cl: ConjugacyClass | None = None
 ) -> SubgroupHandle:
-    """All elements commuting with the element at `row`, from Schreier generators.
+    """All elements commuting with the element at `row`, listed from the chain of
+    its certified Schreier generators.
 
     `cl` is the class of `row` as walked from it by `conjugacy_classes`;
     without it, the orbit of `row` is walked here.
@@ -256,25 +259,9 @@ def centralizer(
         cl = _walk(g.conjugation_maps(), row, *_new_schreier_vector(g))
     elif cl.rep != row:
         raise ValueError(f"class walked from row {cl.rep}, not {row}")
-    if cl.size == 1:
-        return SubgroupHandle(g, np.arange(g.order, dtype=np.int32), tuple(g.gen_rows))
-    closure = _Closure(g, g.order // cl.size)
-    stride = _spreading_stride(cl.size)
-    chunk, lo = _FIRST_EDGE_CHUNK, 0
-    while closure.size < closure.target:
-        if lo >= cl.size:
-            raise AssertionError("Schreier generators ran out below |G|/|class|")
-        positions = np.arange(lo, min(lo + chunk, cl.size)) * stride % cl.size
-        candidates = _schreier_generators(g, cl, cl.walk[positions])
-        lo, chunk = lo + chunk, 2 * chunk
-        candidates = candidates[~closure.inside[candidates]]
-        while candidates.size and closure.size < closure.target:
-            closure.add(int(candidates[0]))
-            candidates = candidates[~closure.inside[candidates]]
-    gens = np.array(closure.gens, dtype=np.intp)
-    if _commuting(g, gens, g.perms[row]).size != gens.size:
-        raise AssertionError("a Schreier generator does not centralize")
-    return SubgroupHandle(g, np.sort(closure.members), tuple(closure.gens))
+    gens = _centralizer_generators(g, cl)
+    members = g.row_index(_products(stabilizer_chain(g.perms[gens]), g.degree))
+    return SubgroupHandle(g, np.sort(members), tuple(gens.tolist()))
 
 
 def subgroups_conjugate(
@@ -323,23 +310,20 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
     class is decided by the center test (see the module docstring).
     """
     classes = conjugacy_classes(g)
-    class_of = np.empty(g.order, dtype=np.int32)
-    for ci, cl in enumerate(classes):
-        class_of[cl.members] = ci
     groups: list[list[int]] = []
     for ci, cl in enumerate(classes):
-        cen = centralizer(g, cl.rep, cl)
-        meets = set(class_of[cen.center_rows].tolist())
+        gens = _centralizer_generators(g, cl)
         log.debug(
             "class %d/%d: size %d, centralizer order %d, %d generators",
             ci + 1,
             len(classes),
             cl.size,
-            cen.order,
-            len(cen.generator_rows),
+            g.order // cl.size,
+            gens.size,
         )
         for grp in groups:
-            if classes[grp[0]].size == cl.size and grp[0] in meets:
+            head = classes[grp[0]]
+            if head.size == cl.size and _commuting(g, head.members, gens).size:
                 grp.append(ci)
                 break
         else:

@@ -65,17 +65,25 @@ def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | Non
     """Label grouping from the family's structure theory, or None without one.
 
     A listing of more than MAX_LISTED_CLASSES classes is refused before any
-    class is enumerated.
+    class is enumerated.  Class counts grow with the rank, so the ranks are
+    walked up from the least: a rank past the first one over the cap is
+    refused without evaluating its own count.
     """
     family = FAMILIES[factor.family]
     if family.structural is None:
         return None
     check_series_rank(factor)
-    count = family.class_count(factor.rank)
-    if count > MAX_LISTED_CLASSES:
+    for rank in range(family.min_rank, factor.rank + 1):
+        count = family.class_count(rank)
+        if count <= MAX_LISTED_CLASSES:
+            continue
+        if rank == factor.rank:
+            what = f"{count} conjugacy classes"
+        else:
+            first = IrreducibleType(factor.family, rank)
+            what = f"more conjugacy classes than {first} ({count})"
         raise UnsupportedGroupError(
-            f"{factor} has {count} conjugacy classes; a listing holds at most "
-            f"{MAX_LISTED_CLASSES}"
+            f"{factor} has {what}; a listing holds at most {MAX_LISTED_CLASSES}"
         )
     return [[str(label) for label in grp] for grp in family.structural(factor.rank)]
 

@@ -15,6 +15,7 @@ from zclass import closed_form, verify
 from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
 from zclass.errors import OrderCapExceeded, order_text
+from zclass.families import FAMILIES
 from zclass.verify import build_group
 
 
@@ -139,13 +140,28 @@ class TestClasses:
         "text,count", [("B28", 326015), ("C27", 240840), ("D30", 294828)]
     )
     def test_listing_over_cap_exits_3(self, capsys, text, count):
+        # the counts pass the cap first at B27/C27 (240840) and D29 (219595);
+        # a rank past that is refused without a count of its own
+        factor = parse_coxeter_type(text).factors[0]
+        assert FAMILIES[factor.family].class_count(factor.rank) == count
+        first = {"B28": "B27 (240840)", "D30": "D29 (219595)"}.get(text)
+        what = f"{count} conjugacy classes"
+        if first:
+            what = f"more conjugacy classes than {first}"
         code, out, err = run_cli(capsys, "classes", text)
         assert code == 3
         assert out == ""
-        assert err == (
-            f"zclass: {text} has {count} conjugacy classes; a listing holds at "
-            "most 200000\n"
-        )
+        assert err == f"zclass: {text} has {what}; a listing holds at most 200000\n"
+
+    @pytest.mark.parametrize(
+        "text,first", [("B5000", "B27"), ("C5000", "C27"), ("D5000", "D29")]
+    )
+    def test_largest_listing_refused_at_once(self, capsys, text, first):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "classes", text)
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (3, "")
+        assert err.startswith(f"zclass: {text} has more conjugacy classes than {first}")
 
     def test_listing_cap_boundary(self, capsys, monkeypatch):
         monkeypatch.setattr(verify, "MAX_LISTED_CLASSES", 20)

@@ -162,6 +162,14 @@ class TestCountD:
             z_count_d(1)
 
 
+def test_class_counts_increase_with_rank():
+    # `classes` refuses a listing by the first rank over the cap, relying on this
+    bc = [conjugacy_count_bc(n) for n in range(1, 61)]
+    d = [conjugacy_count_d(n) for n in range(2, 61)]
+    assert all(a < b for a, b in zip(bc, bc[1:]))
+    assert all(a < b for a, b in zip(d, d[1:]))
+
+
 class TestDihedral:
     @pytest.mark.parametrize(
         "m,expected",

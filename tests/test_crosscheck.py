@@ -5,6 +5,9 @@ against definitions that do not use the table's base (full-row power loops,
 full-row commutation and full-row closure), against sympy's Schreier-Sims
 group orders, centralizers and conjugacy classes, and the center-test z-class
 grouping against the pairwise conjugator search `subgroups_conjugate`.  The
+certified centralizer generators are checked on full rows and by sympy's
+group order, and the generator-only head scan of `z_classes` against the
+member-listed center `centralizer(...).center_rows`.  The
 tables enumerated from stabilizer chains are also compared, with E6, H4 and
 F4 added, against a closure that deduplicates on a Python set of row bytes.
 """
@@ -151,6 +154,30 @@ def test_centralizer_generators_close_to_members(table):
     for cl in oracle.conjugacy_classes(table):
         cen = oracle.centralizer(table, cl.rep, cl)
         assert full_row_closure(table, cen.generator_rows) == cen.member_rows.tolist()
+
+
+def test_certified_generators_commute_on_full_rows(table):
+    for cl in oracle.conjugacy_classes(table):
+        gens = oracle._centralizer_generators(table, cl)
+        rows, x = table.perms[gens], table.perms[cl.rep]
+        assert (rows[:, x] == x[rows]).all()
+
+
+def test_certified_generators_generate_the_centralizer_order(table):
+    for cl in oracle.conjugacy_classes(table):
+        gens = oracle._centralizer_generators(table, cl)
+        assert sympy_group(table, gens.tolist()).order() == table.order // cl.size
+
+
+def test_head_scan_matches_center_rows(table):
+    classes = oracle.conjugacy_classes(table)
+    for y in classes:
+        gens = oracle._centralizer_generators(table, y)
+        center = oracle.centralizer(table, y.rep, y).center_rows
+        for h in classes:
+            if h.size == y.size:
+                scan = oracle._commuting(table, h.members, gens).size > 0
+                assert scan == np.isin(h.members, center).any()
 
 
 def test_center_test_grouping_matches_conjugator_search(table):

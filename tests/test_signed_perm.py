@@ -37,6 +37,28 @@ def all_elements(n):
     ]
 
 
+def dn_coxeter_generators(n):
+    """s_i swaps i and i+1; the last swaps n-2 and n-1 and negates both."""
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = i + 1, i
+        gens.append(SignedPermutation((1,) * n, tuple(perm)))
+    signs = (1,) * (n - 2) + (-1, -1)
+    gens.append(SignedPermutation(signs, gens[n - 2].perm))
+    return gens
+
+
+def closure(gens, start, act=lambda g, y: g * y):
+    """Everything reached from `start` by repeatedly applying act(g, .) over gens."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        fresh = {act(g, y) for y in frontier for g in gens} - seen
+        seen |= fresh
+        frontier = list(fresh)
+    return seen
+
+
 def random_element(rng, n):
     perm = list(range(n))
     rng.shuffle(perm)
@@ -203,13 +225,15 @@ class TestDnClasses:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_count_matches_exhaustive_conjugacy(self, n):
         elements = [a for a in all_elements(n) if a.in_d_n()]
+        gens = dn_coxeter_generators(n)
+        # the generators close to exactly D_n, so their conjugates grow whole classes
+        assert closure(gens, SignedPermutation.identity(n)) == set(elements)
         seen = set()
         count = 0
         for a in elements:
             if a in seen:
                 continue
-            orbit = {g * a * g.inverse() for g in elements}
-            seen |= orbit
+            seen |= closure(gens, a, lambda g, y: g * y * g.inverse())
             count += 1
         assert count == len(dn_conjugacy_classes(n)) == conjugacy_count_d(n)
 
