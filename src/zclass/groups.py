@@ -244,8 +244,8 @@ class ChainLevel(NamedTuple):
     inverse: np.ndarray
 
 
-def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
-    """A complete stabilizer chain of <gens>, by deterministic Schreier-Sims.
+def stabilizer_chain(gens: np.ndarray, order: int | None = None) -> list[ChainLevel]:
+    """A stabilizer chain of <gens>, by deterministic Schreier-Sims.
 
     The first base point is the least point moved.  Level d is the orbit of
     base point d under the strong generators fixing the earlier ones.  From
@@ -254,6 +254,10 @@ def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
     strong generator (and, if it fixes every base point, adds the least point
     it moves) and the work resumes where it stopped.  When all sift to the
     identity, each level's group is the stabilizer of its point in the one above.
+    The chain is complete unless a known `order` stops it once its orbit
+    product reaches it, checked per level of the first build and per new
+    strong generator; that product never exceeds |<gens>|, as the products
+    u_1 ... u_k of one transversal element per level are distinct members.
     """
     degree = gens.shape[1]
     identity = np.arange(degree, dtype=np.uint8)
@@ -280,11 +284,19 @@ def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
         inverse = np.argsort(transversal, axis=1).astype(np.uint8)
         return ChainLevel(base[d], position, transversal, inverse)
 
+    def reached() -> bool:
+        orbits = (len(lv.transversal) for lv in levels)
+        return order is not None and math.prod(orbits) >= order
+
     base = [min(map(least_moved, strong))] if strong.size else []
     for g in strong:
         if np.array_equal(g[base], base):
             base.append(least_moved(g))
-    levels = [level(d) for d in range(len(base))]
+    levels = []
+    for d in range(len(base)):
+        levels.append(level(d))
+        if reached():
+            return levels
     d = len(levels) - 1
     while d >= 0:
         top = levels[d]
@@ -309,6 +321,8 @@ def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
             levels.append(None)
         for e in range(d + 1, stop + 1):
             levels[e] = level(e)
+        if reached():
+            return levels
         d = stop
     return levels
 

@@ -17,9 +17,10 @@ the edges y -> z = s y s^-1 of the orbit.  `_centralizer_generators` takes
 the edges of members spread over the walk (a stride near |class|/phi), in
 chunks that double, and keeps every distinct non-identity generator.  After
 each chunk a stabilizer chain (`zclass.groups.stabilizer_chain`) of the
-generators so far gives the order of the subgroup they generate, as the
-product of its orbit lengths, without listing a member; it stops at the
-orbit-stabilizer order |G|/|class|.  Running out of edges below that order,
+generators so far bounds the order of the subgroup they generate by the
+product of its orbit lengths, without listing a member, and stops once that
+reaches |G|/|class|: it never exceeds |<gens>|, and |<gens>| <= |C(x)| once
+every kept generator commutes with x.  Running out of edges below that order,
 passing it, or a generator that does not commute with x raises, also under
 `python -O`.  Edges in breadth-first order give shorter words, but their
 generators often span a proper subgroup until deep into the walk.  A
@@ -222,7 +223,9 @@ def _centralizer_generators(g: GroupTable, cl: ConjugacyClass) -> np.ndarray:
 
     Edges leave members spread over the walk, in chunks that double; after
     each chunk the distinct non-identity generators gathered so far get a
-    stabilizer chain, until its order reaches |G|/|class|.
+    stabilizer chain that stops at |G|/|class|.  Its orbit product is at most
+    |<gens>|, and |<gens>| <= |C(x)| = |G|/|class| once every generator is
+    checked to commute with x, so reaching that order certifies <gens> = C(x).
     """
     if cl.size == 1:  # x is central
         return np.array(g.gen_rows, dtype=np.intp)
@@ -237,7 +240,7 @@ def _centralizer_generators(g: GroupTable, cl: ConjugacyClass) -> np.ndarray:
         candidates = _schreier_generators(g, cl, cl.walk[positions])
         lo, chunk = lo + chunk, 2 * chunk
         gens = np.union1d(gens, candidates[candidates != g.identity_row])
-        chain = stabilizer_chain(g.perms[gens])
+        chain = stabilizer_chain(g.perms[gens], target)
         order = math.prod(level.transversal.shape[0] for level in chain)
         if order > target:
             raise AssertionError("centralizer closure passed |G|/|class|")

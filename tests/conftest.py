@@ -1,7 +1,17 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
-the numpy engine, and a tiny dict-based z-class oracle built on it."""
+the numpy engine, a tiny dict-based z-class oracle built on it, and the
+derandomized settings of the hypothesis property tests."""
 
 import numpy as np
+from hypothesis import HealthCheck, settings
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 def elements(table) -> list[tuple[int, ...]]:

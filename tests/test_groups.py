@@ -8,7 +8,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 from conftest import (
+    PROPERTY_SETTINGS,
     assert_valid_permutation_table,
     elements,
     invert,
@@ -33,6 +37,33 @@ from zclass.groups import (
 from zclass.reflection import build_root_system
 from zclass.signed_perm import SignedPermutation
 from zclass.verify import build_group
+
+
+FAMILY_GENERATORS = {
+    name: table.perms[list(table.gen_rows)]
+    for name, table in (
+        ("S6", build_symmetric(6)), ("B4", build_wreath_bc(4)), ("D4", build_d(4))
+    )
+}
+
+
+@st.composite
+def generator_sets(draw):
+    """A random subset of the generators of S6, B4 or D4, or random
+    permutations of degree 8 or less, as uint8 rows."""
+    source = draw(st.sampled_from([*FAMILY_GENERATORS, "random"]))
+    if source == "random":
+        degree = draw(st.integers(1, 8))
+        gens = draw(st.lists(st.permutations(range(degree)), max_size=4))
+    else:
+        family = FAMILY_GENERATORS[source]
+        degree = family.shape[1]
+        gens = [g.tolist() for g in family if draw(st.booleans())]
+    return np.array(gens, dtype=np.uint8).reshape(-1, degree)
+
+
+def orbit_product(levels) -> int:
+    return math.prod(level.transversal.shape[0] for level in levels)
 
 
 def random_signed_perm(rng, n):
@@ -187,6 +218,31 @@ class TestStabilizerChain:
         gens = np.array(build_root_system("E6").reflection_tables, dtype=np.uint8)
         levels = stabilizer_chain(gens)
         assert [level.transversal.shape[0] for level in levels] == [72, 30, 4, 3, 2]
+
+    @PROPERTY_SETTINGS
+    @given(gens=generator_sets(), data=st.data())
+    def test_stop_at_known_order_is_bounded_by_sympy_order(self, gens, data):
+        # a stopped chain's orbit product lies between min(order, |<gens>|)
+        # and |<gens>|; an order above |<gens>| never stops the chain
+        degree = gens.shape[1]
+        identity = Permutation(list(range(degree)))
+        group = PermutationGroup([identity, *(Permutation(g.tolist()) for g in gens)])
+        size = int(group.order())
+        full = stabilizer_chain(gens)
+        assert orbit_product(full) == size
+        order = data.draw(st.integers(1, 2 * size + 1), label="order")
+        stopped = stabilizer_chain(gens, order)
+        assert min(order, size) <= orbit_product(stopped) <= size
+        unstopped = [stabilizer_chain(gens, None)]
+        if order > size:
+            unstopped.append(stopped)
+        for chain in unstopped:
+            assert len(chain) == len(full)
+            for level, ref in zip(chain, full):
+                assert level.point == ref.point
+                assert np.array_equal(level.position, ref.position)
+                assert np.array_equal(level.transversal, ref.transversal)
+                assert np.array_equal(level.inverse, ref.inverse)
 
     def test_transversals_map_base_points_to_their_orbits(self):
         levels = stabilizer_chain(build_d(5).perms[list(build_d(5).gen_rows)])

@@ -1,6 +1,7 @@
 """Brute-force engine: conjugacy classes, centralizers, subgroup conjugacy, z-grouping."""
 
 import logging
+import math
 import random
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from zclass.groups import (
     build_wreath_bc,
     direct_product,
     signed_perm_to_row,
+    stabilizer_chain,
 )
 from zclass.signed_perm import SignedPartition, SignedPermutation, class_representative
 from zclass.verify import dn_oracle_label, oracle_grouping_labels
@@ -156,19 +158,49 @@ class TestCentralizer:
         with pytest.raises(AssertionError):
             oracle.centralizer(table, cl.rep, cl)
 
+    @staticmethod
+    def other_members_centralizer(table, cl):
+        """Certified generator rows of C(y), for the first y in x's class with
+        C(y) != C(x): they generate a subgroup of order |G|/|class| exactly."""
+        own = oracle.centralizer(table, cl.rep, cl).member_rows
+        for y in cl.members.tolist():
+            other = oracle.centralizer(table, y)
+            if not np.array_equal(other.member_rows, own):
+                return list(other.generator_rows)
+        raise AssertionError("every member of the class has the same centralizer")
+
+    def test_generators_of_another_centralizer_raise(self, monkeypatch):
+        # C(y) has the right order, so the chain stops at |G|/|class| exactly
+        # and only the commuting check can refuse
+        table = build_wreath_bc(3)
+        cl = oracle.conjugacy_classes(table)[1]
+        rows = self.other_members_centralizer(table, cl)
+        target = table.order // cl.size
+        chain = stabilizer_chain(table.perms[rows], target)
+        assert math.prod(len(level.transversal) for level in chain) == target
+        monkeypatch.setattr(
+            oracle, "_schreier_generators", lambda g, cl, ys: np.array(rows)
+        )
+        with pytest.raises(AssertionError) as exc:
+            oracle.centralizer(table, cl.rep, cl)
+        assert str(exc.value) == "a Schreier generator does not centralize"
+
     def test_centralizer_checks_survive_python_O(self):
+        table = build_wreath_bc(3)
+        rows = self.other_members_centralizer(table, oracle.conjugacy_classes(table)[1])
         script = textwrap.dedent(
-            """
+            f"""
             import numpy as np
             from zclass import oracle
             from zclass.groups import build_wreath_bc
 
             table = build_wreath_bc(3)
             cl = oracle.conjugacy_classes(table)[1]
-            fakes = {
+            fakes = {{
                 "ran out": lambda g, cl, ys: np.full(ys.size, g.identity_row),
                 "passed": lambda g, cl, ys: np.array(g.gen_rows),
-            }
+                "does not centralize": lambda g, cl, ys: np.array({rows}),
+            }}
             for name, fake in fakes.items():
                 oracle._schreier_generators = fake
                 try:
@@ -185,6 +217,7 @@ class TestCentralizer:
         assert proc.stdout.splitlines() == [
             "ran out refused True",
             "passed refused True",
+            "does not centralize refused True",
         ]
 
     def test_class_walked_from_another_row_is_refused(self):

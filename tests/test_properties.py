@@ -6,19 +6,12 @@ import io
 import json
 import math
 
-from hypothesis import HealthCheck, given, settings
+from conftest import PROPERTY_SETTINGS
+from hypothesis import given
 from hypothesis import strategies as st
 
 from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
-
-PROPERTY_SETTINGS = settings(
-    max_examples=150,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 
 # small factors: type A goes through the oracle, so its ranks stay low
 SMALL_FACTORS = st.one_of(
