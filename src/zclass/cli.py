@@ -62,7 +62,7 @@ def _cmd_count(args) -> tuple[dict, int]:
         record["conjugacy_class_count"] = sum(len(g) for g in zgroups)
         record["z_class_count"] = len(zgroups)
     else:
-        result = z_count(t, order_cap=_cap(args))
+        result = z_count(t)
         record["method"] = result.method
         record["conjugacy_class_count"] = result.conjugacy_total
         record["z_class_count"] = result.total
@@ -130,6 +130,8 @@ def _verify_one(text: str, args) -> dict:
 def _cmd_verify(args) -> tuple[dict, int]:
     record = _record_base("verify")
     if args.all_small:
+        if args.type:
+            raise UsageError("verify takes a type or --all-small, not both")
         results = [_verify_one(text, args) for text in ALL_SMALL_SWEEP]
         record["results"] = results
         record["all_match"] = all(r["status"] == "PASS" for r in results)

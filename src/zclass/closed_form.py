@@ -7,12 +7,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .combinatorics import product_series, zeta
-from .errors import (
-    DEFAULT_ORDER_CAP,
-    MAX_FORMULA_RANK,
-    UnsupportedGroupError,
-    order_cap_exceeded,
-)
+from .errors import MAX_FORMULA_RANK, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES, METHODS, CoxeterType, IrreducibleType
 from .families import parse_coxeter_type  # noqa: F401  (re-exported)
 
@@ -95,6 +90,17 @@ def partition_count(n: int) -> int:
     return _part_series(n, ((1, 1),), ((1, 1),))
 
 
+def z_count_a(n: int) -> int:
+    """z-classes of S_n: p(n) - p(n-2) + p(n-3) + p(n-4) - p(n-5), the q^n coefficient
+    of P(q)(1 - q^2 + q^3 + q^4 - q^5).  Only lam+{1,1} and lam+{2} merge, for each
+    lam of n-2 free of parts 1 and 2; P(q)(1-q)(1-q^2) counts those lam."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    p = product_series(((k, 1) for k in range(1, n + 1)), n)
+    terms = ((0, 1), (2, -1), (3, 1), (4, 1), (5, -1))  # (power of q, sign)
+    return sum(sign * p[n - k] for k, sign in terms if k <= n)
+
+
 def conjugacy_count_bc(n: int) -> int:
     """Signed partitions (bipartitions) of n: the conjugacy classes of C2 wr S_n."""
     return _part_series(n, ((1, 2),), ((1, 2),))
@@ -170,7 +176,7 @@ class FactorCount:
     factor: IrreducibleType
     z_count: int
     conjugacy_count: int
-    method: str  # 'formula' | 'table' | 'oracle'
+    method: str  # 'formula' | 'table'
 
 
 @dataclass(frozen=True)
@@ -195,22 +201,16 @@ def check_series_rank(factor: IrreducibleType) -> None:
         )
 
 
-def _count_factor(factor: IrreducibleType, order_cap: int) -> FactorCount:
+def _count_factor(factor: IrreducibleType) -> FactorCount:
     family = FAMILIES[factor.family]
     check_series_rank(factor)
-    if family.method == "oracle":  # no closed form or table: count by brute force
-        check_order((factor,), f"{factor}, counted by the oracle,", order_cap)
-        from . import oracle
-
-        z = len(oracle.z_classes(family.build(factor.rank)))
-    else:
-        z = family.z_count(factor.rank)
+    z = family.z_count(factor.rank)
     return FactorCount(factor, z, family.class_count(factor.rank), family.method)
 
 
-def z_count(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> ZCountResult:
+def z_count(t: CoxeterType) -> ZCountResult:
     """z-class count of a product type: product of the per-factor counts."""
-    per_factor = tuple(_count_factor(f, order_cap) for f in t.factors)
+    per_factor = tuple(_count_factor(f) for f in t.factors)
     method = max((f.method for f in per_factor), key=METHODS.index)
     total = math.prod(f.z_count for f in per_factor)
     return ZCountResult(total, per_factor, method)

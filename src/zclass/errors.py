@@ -5,9 +5,9 @@ import math
 DEFAULT_ORDER_CAP = 100_000
 # --allow-large, enough for E7; also the most any table is built with
 LARGE_ORDER_CAP = 5_000_000
-# `classes` lists B26 (177,087 classes) and D28, and refuses B27 and D29 up
+# `classes` lists B26 (177,087 classes), D28 and A48, and refuses B27, D29 and A49 up
 MAX_LISTED_CLASSES = 200_000
-# the B/C/D series take O(rank^2) big-int additions: about 4 s at rank 5000
+# the A/B/C/D series take O(rank^2) big-int additions: about 4 s at rank 5000
 MAX_FORMULA_RANK = 5000
 
 
@@ -38,7 +38,7 @@ class OrderCapExceeded(ZClassError):
 class UnsupportedGroupError(ZClassError):
     """The request is beyond what this engine serves.
 
-    For example E8's root system, a B/C/D rank over MAX_FORMULA_RANK, or a class
+    For example E8's root system, an A/B/C/D rank over MAX_FORMULA_RANK, or a class
     listing over MAX_LISTED_CLASSES.
     """
 

@@ -1,9 +1,9 @@
 """Coxeter types: one descriptor per family, the factors and products, and their text.
 
 `FAMILIES` describes each family of irreducible finite Coxeter groups once:
-the ranks it takes, its group order, how its counts are found (a formula, a
-table or the oracle), how its group is built, and how its classes are grouped
-and labelled.  The other modules read these descriptors, not family names.
+the ranks it takes, its group order, how its counts are found (a formula or
+a table), how its group is built, and how its classes are grouped and
+labelled.  The other modules read these descriptors, not family names.
 Slots import the module they call when called, so importing this module
 loads neither numpy nor the oracle, and they look the function up on its
 module, so a function rebound there is the one called.
@@ -21,7 +21,7 @@ from .errors import CoxeterParseError, CoxeterRankError
 # Python refuses to read an integer of more than 4300 digits
 MAX_NUMBER_DIGITS = 1000
 # how a family counts z-classes; a product's method is the latest here of its factors'
-METHODS = ("formula", "table", "oracle")
+METHODS = ("formula", "table")
 
 
 def _module(name: str):
@@ -32,17 +32,15 @@ def _module(name: str):
 class Family:
     """One family.  Slots take the rank first: the n of A_n, the m of I2(m),
     or None.  The group order is p * 2**k * n! for (p, k, n) = order_parts.
-    `method` counts z-classes by `z_count` ('formula' or 'table') or with the
-    oracle on the table `build(rank)` ('oracle'); the caller checks the order
-    cap first.  `structural` lists the z-classes as groups of class labels
-    from structure theory, and `oracle_label(table, class)` names a class the
-    oracle found."""
+    `method` says how `z_count` counts z-classes: 'formula' or 'table'.
+    `structural` lists the z-classes as groups of class labels from structure
+    theory, and `oracle_label(table, class)` names a class the oracle found."""
 
     min_rank: int | None  # None: the family takes no rank
     order_parts: Callable
     method: str
     class_count: Callable
-    z_count: Callable | None
+    z_count: Callable
     build: Callable
     notation: str = "{family}{rank}"  # str.format pattern over family and rank
     rank_name: str = "rank"
@@ -83,10 +81,12 @@ FAMILIES: dict[str, Family] = {
     "A": Family(
         min_rank=1,
         order_parts=lambda n: (1, 0, n + 1),
-        method="oracle",
+        method="formula",
         class_count=lambda n: _module("closed_form").partition_count(n + 1),
-        z_count=None,
+        z_count=lambda n: _module("closed_form").z_count_a(n + 1),
         build=lambda n: _module("groups").build_symmetric(n + 1),
+        series_capped=True,
+        structural=lambda n: _module("signed_perm").z_classes_a(n + 1),
     ),
     "B": _BC,
     "C": _BC,

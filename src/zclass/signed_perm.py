@@ -5,7 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .combinatorics import SignedPartition, signed_partitions_of
+from .combinatorics import Partition, SignedPartition
+from .combinatorics import partitions_of, signed_partitions_of
 
 
 def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -152,6 +153,22 @@ def z_classes_bc(n: int) -> list[list[SignedPartition]]:
     groups: dict[tuple, list[SignedPartition]] = {}
     for sp in signed_partitions_of(n):
         groups.setdefault(_bc_z_key(sp), []).append(sp)
+    return list(groups.values())
+
+
+def z_classes_a(n: int) -> list[list[Partition]]:
+    """Partition of the cycle types of S_n into z-classes of S_n.
+
+    lam+{1,1} and lam+{2} are one z-class when lam has no part 1 or 2: on
+    the same points both have the centralizer C(lam) x S_2.  Every other
+    class stands alone.  Classes run from 1^n up to n.
+    """
+    groups: dict[Partition, list[Partition]] = {}
+    for lam in reversed(partitions_of(n)):
+        key = lam
+        if lam.multiplicity(1) == 2 and lam.multiplicity(2) == 0:
+            key = Partition(lam.entries[:-1] + ((2, 1),))
+        groups.setdefault(key, []).append(lam)
     return list(groups.values())
 
 

@@ -106,7 +106,7 @@ def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyRes
     For a single factor with a structural grouping the full grouping is
     compared, not just the count, and a grouping diff is reported on mismatch.
     """
-    result = z_count(t, order_cap=order_cap)
+    result = z_count(t)
     table = build_group(t, order_cap=order_cap)
     diff: list[str] = []
     single = t.factors[0] if len(t.factors) == 1 else None

@@ -56,10 +56,25 @@ class TestCount:
         assert record["z_class_count"] == 10
         assert record["method"] == "oracle"
 
-    def test_a_type_over_cap_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "count", "A8")
-        assert code == 3
-        assert "--allow-large" in err
+    def test_a8_counts_past_the_order_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "count", "A8", "--format", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert (record["method"], record["z_class_count"]) == ("formula", 28)
+
+    def test_a5000_counts(self, capsys):
+        """The largest A rank the formula route serves, against sympy."""
+        code, out, _ = run_cli(capsys, "count", "A5000", "--format", "json")
+        assert code == 0
+        n, record = 5001, json.loads(out)
+        assert record["conjugacy_class_count"] == npartitions(n)
+        assert record["z_class_count"] == (
+            npartitions(n)
+            - npartitions(n - 2)
+            + npartitions(n - 3)
+            + npartitions(n - 4)
+            - npartitions(n - 5)
+        )
 
     def test_e8_oracle_refused(self, capsys):
         code, _, err = run_cli(capsys, "count", "E8", "--method", "oracle")
@@ -83,6 +98,8 @@ class TestCount:
             ("count", "C100000", "--format", "json"),
             ("classes", "D5001"),
             ("verify", "B5001"),
+            ("count", "A5001"),
+            ("classes", "A5001"),
         ],
     )
     def test_rank_over_formula_cap_exits_3(self, capsys, argv):
@@ -90,7 +107,7 @@ class TestCount:
         assert code == 3
         assert out == ""
         assert err.splitlines() == [
-            f"zclass: {argv[1].split()[-1]}: the formula route serves B/C/D "
+            f"zclass: {argv[1].split()[-1]}: the formula route serves A/B/C/D "
             "ranks up to 5000"
         ]
 
@@ -137,14 +154,25 @@ class TestClasses:
         assert len(out.splitlines()) == 1
 
     @pytest.mark.parametrize(
-        "text,count", [("B28", 326015), ("C27", 240840), ("D30", 294828)]
+        "text,count",
+        [
+            ("B28", 326015),
+            ("C27", 240840),
+            ("D30", 294828),
+            ("A49", 204226),
+            ("A50", 239943),
+        ],
     )
     def test_listing_over_cap_exits_3(self, capsys, text, count):
-        # the counts pass the cap first at B27/C27 (240840) and D29 (219595);
-        # a rank past that is refused without a count of its own
+        # the counts pass the cap first at B27/C27 (240840), D29 (219595) and
+        # A49 (204226); a rank past that is refused without a count of its own
         factor = parse_coxeter_type(text).factors[0]
         assert FAMILIES[factor.family].class_count(factor.rank) == count
-        first = {"B28": "B27 (240840)", "D30": "D29 (219595)"}.get(text)
+        first = {
+            "B28": "B27 (240840)",
+            "D30": "D29 (219595)",
+            "A50": "A49 (204226)",
+        }.get(text)
         what = f"{count} conjugacy classes"
         if first:
             what = f"more conjugacy classes than {first}"
@@ -154,7 +182,8 @@ class TestClasses:
         assert err == f"zclass: {text} has {what}; a listing holds at most 200000\n"
 
     @pytest.mark.parametrize(
-        "text,first", [("B5000", "B27"), ("C5000", "C27"), ("D5000", "D29")]
+        "text,first",
+        [("B5000", "B27"), ("C5000", "C27"), ("D5000", "D29"), ("A5000", "A49")],
     )
     def test_largest_listing_refused_at_once(self, capsys, text, first):
         start = time.perf_counter()
@@ -227,6 +256,11 @@ class TestVerify:
         assert code == 2
         assert "all-small" in err
 
+    def test_type_with_all_small_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "H3", "--all-small")
+        assert (code, out) == (2, "")
+        assert err == "zclass: verify takes a type or --all-small, not both\n"
+
     def test_json_round_trips(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "B3", "--format", "json")
         record = json.loads(out)
@@ -252,8 +286,8 @@ class TestVerifyMismatchPath:
 
         real = verify_mod.z_count
 
-        def broken(t, order_cap=100_000):
-            r = real(t, order_cap=order_cap)
+        def broken(t):
+            r = real(t)
             return ZCountResult(r.total + 1, r.per_factor, r.method)
 
         monkeypatch.setattr(verify_mod, "z_count", broken)
@@ -312,7 +346,10 @@ class TestSizeCaps:
 
     @pytest.mark.parametrize(
         "argv,digits",
-        [(("verify", "B2000"), 6338), (("count", "A100000"), 456579)],
+        [
+            (("verify", "B2000"), 6338),
+            (("count", "A100000", "--method", "oracle"), 456579),
+        ],
     )
     def test_orders_past_4300_digits_refused(self, capsys, argv, digits):
         code, out, err = run_cli(capsys, *argv)
@@ -323,8 +360,19 @@ class TestSizeCaps:
 
     @pytest.mark.parametrize("command", ["count", "verify"])
     def test_giant_type_a_refused_at_once(self, capsys, command):
+        """Refused by the rank cap before any series is evaluated."""
+        for text in ("A5001", "A1000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, command, text)
+            assert time.perf_counter() - start < 0.5
+            assert (code, out) == (3, "")
+            assert err == (
+                f"zclass: {text}: the formula route serves A/B/C/D ranks up to 5000\n"
+            )
+
+    def test_giant_type_a_by_oracle_refused_at_once(self, capsys):
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, command, "A1000000")
+        code, out, err = run_cli(capsys, "count", "A1000000", "--method", "oracle")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert "has order of 5565715 digits > cap 100000" in err

@@ -15,6 +15,7 @@ from zclass.closed_form import (
     parse_coxeter_type,
     partition_count,
     z_count,
+    z_count_a,
     z_count_bc,
     z_count_d,
     z_count_dihedral,
@@ -27,7 +28,7 @@ from zclass.combinatorics import (
     signed_partitions_of,
     zeta,
 )
-from zclass.errors import CoxeterParseError, CoxeterRankError, OrderCapExceeded
+from zclass.errors import CoxeterParseError, CoxeterRankError, UnsupportedGroupError
 from zclass.families import FAMILIES, METHODS
 from zclass.verify import build_group
 
@@ -104,6 +105,22 @@ class TestParser:
             assert parse_coxeter_type(str(t).lower()) == t
             if t.group_order() <= 100_000:
                 assert build_group(t).order == t.group_order()
+
+
+class TestCountA:
+    def test_series_equals_partition_numbers(self):
+        """The series coefficient against sympy's partition numbers."""
+
+        def p(k):
+            return npartitions(k) if k >= 0 else 0
+
+        for n in range(1, 301):
+            expected = p(n) - p(n - 2) + p(n - 3) + p(n - 4) - p(n - 5)
+            assert z_count_a(n) == expected
+
+    def test_rejects_zero(self):
+        with pytest.raises(ValueError):
+            z_count_a(0)
 
 
 class TestCountBC:
@@ -224,6 +241,21 @@ class TestImportIndependence:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "set()\n"
 
+    def test_product_count_loads_no_group_machinery(self):
+        """Every family counts by formula or table, with no group built."""
+        script = (
+            "import sys\n"
+            "from zclass.closed_form import parse_coxeter_type, z_count\n"
+            "r = z_count(parse_coxeter_type('A8 x B4 x I2(7) x E8'))\n"
+            "print(r.total, r.method)\n"
+            "print({'numpy', 'zclass.groups', 'zclass.oracle'} & set(sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{28 * 13 * 3 * 65} table\nset()\n"
+
 
 class TestProductDispatch:
     def test_b3_times_i2_8(self):
@@ -237,10 +269,10 @@ class TestProductDispatch:
         assert result.total == 4
         assert result.method == "table"
 
-    def test_a1_by_oracle(self):
+    def test_a1_by_formula(self):
         result = z_count(parse_coxeter_type("A1"))
         assert result.total == 1
-        assert result.method == "oracle"
+        assert result.method == "formula"
 
     def test_total_multiplies(self):
         for text in ("B2 x D4", "I2(5) x A2", "H3 x B2"):
@@ -262,8 +294,8 @@ class TestProductDispatch:
                 combined = z_count(parse_coxeter_type(f"{t1} x {t2}")).total
                 assert combined == singles[t1] * singles[t2]
 
-    def test_a_beyond_cap_is_distinct_error(self):
-        with pytest.raises(OrderCapExceeded):
-            z_count(parse_coxeter_type("A8"))
-        # A8 works once the cap is lifted far enough
-        assert z_count(parse_coxeter_type("A8"), order_cap=500_000).total >= 1
+    def test_a_counts_past_the_order_cap_up_to_the_rank_cap(self):
+        # S9 has order 362880, over the default order cap, which counts ignore
+        assert z_count(parse_coxeter_type("A8")).total == 28
+        with pytest.raises(UnsupportedGroupError, match="A/B/C/D ranks up to 5000"):
+            z_count(parse_coxeter_type("A5001"))

@@ -54,11 +54,11 @@ def run(argv) -> tuple[int, str]:
 GOLDEN = {
     "count A3 --format table": (
         0,
-        "42bb74789b7de4557e0ca16114c361c24e473d7ef8c5c838d387f02ae94102ca",
+        "7525353e7faca5690456b6ece8ab8a6a5e4427d53d738669ce475a69af66c460",
     ),
     "count A3 --format json": (
         0,
-        "ffd95adcea5791a96293afed75ae2cfda5ee1bac911aa83af65f437587aae21e",
+        "b1ba4856abf0d84196cc29aaa7859123f684094771e9e7479b4cb7460881be9d",
     ),
     "count A3 --method oracle --format table": (
         0,
@@ -70,11 +70,11 @@ GOLDEN = {
     ),
     "classes A3 --format table": (
         0,
-        "556793310cdb1fc4b03655680c2ceabefe871a9c5315acbf09f465373d836797",
+        "8423ee558d6e6106ef73f44736cdc3d91648216a72782d447879f78971462ddf",
     ),
     "classes A3 --format json": (
         0,
-        "ebdaa241431376113521a581293e0be811fbcbf8959501a2e8ce1de13864944c",
+        "744394a460bd6e0d3f48b3ba4d222996bd91429beeb2b31480fc45c2ef151955",
     ),
     "classes A3 --method oracle --format table": (
         0,
@@ -90,7 +90,7 @@ GOLDEN = {
     ),
     "verify A3 --format json": (
         0,
-        "43ab266019d4e89fcdfa926465ed51e4d19059f40f1ef4fa8b87d950bf3c4e14",
+        "e3ccd37bb1fadafb60d58b5e1e3ccacc92fd555d857cec32d27dcde6d86d9853",
     ),
     "count B4 --format table": (
         0,
@@ -614,11 +614,11 @@ GOLDEN = {
     ),
     "count A2 x D4 --format table": (
         0,
-        "acbc8d6eefae10c36c67ae51b8830cc672ec5dd62e2f793fb694a4dbf4b86a90",
+        "7df30e841396e33b7f33d55cffdbe35a760d6584a2fabf53ab5b516207a7849c",
     ),
     "count A2 x D4 --format json": (
         0,
-        "d18e3606ac233ad9ab91439065b0f8632256bab8b1c614013fde09568964ee4d",
+        "886c377f412aa4d33ec6f4ca2234e094e85219cc50e7c3e4e04ccc78c6b61f88",
     ),
     "count A2 x D4 --method oracle --format table": (
         0,
@@ -650,15 +650,15 @@ GOLDEN = {
     ),
     "verify A2 x D4 --format json": (
         0,
-        "f8fb6e0f46cb3856f7e7bacb80ab0dd59d31fccaf027b1b5d3523173a07dd30f",
+        "da13c9dd90514dc414829e83603f058a27f0f3a0d4c6fb21391dda1a60cd5be6",
     ),
     "verify --all-small --format json": (
         0,
-        "9ebd12eb56ca0e5a5efb75d99cae2564706ab67e9c90e631e44e86885c7ba8c8",
+        "2507183c522857fd12ddee56cbecdd2b6cc5a9164b172b2a7fff7702042ad288",
     ),
     "count B6000": (
         3,
-        "4daef2617c094572b615163adb2da5baac126a595b3a172d48fe144fd0f996bd",
+        "56e1b7876b8f89e2b821e454929003a9bca3c9469083fdf1d77f8b6975c230c0",
     ),
     "classes B27": (
         3,
@@ -666,7 +666,7 @@ GOLDEN = {
     ),
     "count A1000000": (
         3,
-        "daa1ea58846981d86d9c2dd3e2ffe55d3f15a3132a451a80af87258954a73c45",
+        "4d64ba89acc906aa16160c2efa48e3ed8f17506f0b1e5bfebc1ce6eb350cbce9",
     ),
     "count E9": (
         2,

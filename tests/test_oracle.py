@@ -21,8 +21,15 @@ from zclass.groups import (
     signed_perm_to_row,
     stabilizer_chain,
 )
-from zclass.signed_perm import SignedPartition, SignedPermutation, class_representative
-from zclass.verify import dn_oracle_label, oracle_grouping_labels
+from zclass.closed_form import parse_coxeter_type
+from zclass.errors import LARGE_ORDER_CAP
+from zclass.signed_perm import (
+    SignedPartition,
+    SignedPermutation,
+    class_representative,
+    z_classes_a,
+)
+from zclass.verify import build_group, dn_oracle_label, oracle_grouping_labels
 
 
 def class_of(table, classes, signed_partition_entries):
@@ -464,6 +471,18 @@ class TestOracleLabels:
             frozenset({"2b 1", "2b 1b"}),
             frozenset({"3", "3b"}),
         }
+
+    @pytest.mark.parametrize("rank", range(1, 9))
+    def test_type_a_grouping_matches_structure(self, rank):
+        """The oracle's z-classes of S_(rank+1), as sets of cycle types, are
+        the structural grouping `z_classes_a`."""
+        table = build_group(
+            parse_coxeter_type(f"A{rank}"), order_cap=LARGE_ORDER_CAP
+        )
+        oracular = oracle_grouping_labels(table, "A")
+        structural = [[str(lam) for lam in g] for g in z_classes_a(rank + 1)]
+        assert {frozenset(g) for g in oracular} == {frozenset(g) for g in structural}
+        assert sorted(sum(oracular, [])) == sorted(sum(structural, []))
 
     def test_generic_labels_are_positional(self):
         table = build_dihedral(5)

@@ -13,20 +13,19 @@ from hypothesis import strategies as st
 from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
 
-# small factors: type A goes through the oracle, so its ranks stay low
+# small factors: every family counts by formula or table
 SMALL_FACTORS = st.one_of(
-    st.builds("A{}".format, st.integers(1, 4)),
+    st.builds("A{}".format, st.integers(1, 30)),
     st.builds("B{}".format, st.integers(1, 30)),
     st.builds("C{}".format, st.integers(1, 30)),
     st.builds("D{}".format, st.integers(2, 30)),
     st.builds("I2({})".format, st.integers(3, 10**6)),
     st.sampled_from(["F4", "E6", "E7", "E8", "H3", "H4"]),
 )
-# factors of large orders, most refused: A1700 up has an order of over 4300 digits
+# factors of large orders, counted past the order cap or refused past the rank cap
 LARGE_FACTORS = st.one_of(
     st.builds("A{}".format, st.integers(5, 12)),
-    st.builds("A{}".format, st.integers(1700, 3000)),
-    st.builds("{}{}".format, st.sampled_from("BCD"), st.integers(5001, 10**9)),
+    st.builds("{}{}".format, st.sampled_from("ABCD"), st.integers(5001, 10**9)),
 )
 
 

@@ -13,10 +13,12 @@ import pytest
 from zclass.closed_form import (
     conjugacy_count_bc,
     conjugacy_count_d,
+    partition_count,
+    z_count_a,
     z_count_bc,
     z_count_d,
 )
-from zclass.combinatorics import SignedPartition, signed_partitions_of
+from zclass.combinatorics import SignedPartition, partitions_of, signed_partitions_of
 from zclass.signed_perm import (
     SignedClassLabel,
     SignedPermutation,
@@ -24,6 +26,7 @@ from zclass.signed_perm import (
     class_representative,
     dn_conjugacy_classes,
     signed_cycle_type,
+    z_classes_a,
     z_classes_bc,
     z_classes_dn,
 )
@@ -179,6 +182,23 @@ class TestCentralizerOrder:
             rep = class_representative(sp)
             count = sum(1 for g in elements if g * rep == rep * g)
             assert count == centralizer_order_bc(sp)
+
+
+class TestZClassesA:
+    def test_rank_six(self):
+        got = [[str(lam) for lam in g] for g in z_classes_a(6)]
+        assert got == [
+            ["1~6"], ["2 1~4"], ["2~2 1~2"], ["2~3"], ["3 1~3"], ["3 2 1"],
+            ["3~2"], ["4 1~2", "4 2"], ["5 1"], ["6"],
+        ]  # fmt: skip
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_group_count_matches_formula(self, n):
+        groups = z_classes_a(n)
+        assert len(groups) == z_count_a(n)
+        assert sum(len(g) for g in groups) == partition_count(n)
+        members = sorted(str(lam) for g in groups for lam in g)
+        assert members == sorted(str(lam) for lam in partitions_of(n))
 
 
 class TestZClassesBC:
