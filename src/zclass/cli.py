@@ -102,7 +102,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
                 f"structural listing unavailable for {t}; rerun with --method oracle"
             )
         table = build_group(t, order_cap=_cap(args))
-        groups = oracle_grouping_labels(table, family)
+        groups = oracle_grouping_labels(table)
         record["method"] = "oracle"
     record["conjugacy_class_count"] = sum(len(g) for g in groups)
     record["z_class_count"] = len(groups)

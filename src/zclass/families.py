@@ -2,8 +2,9 @@
 
 `FAMILIES` describes each family of irreducible finite Coxeter groups once:
 the ranks it takes, its group order, how its counts are found (a formula or
-a table), how its group is built, and how its classes are grouped and
-labelled.  The other modules read these descriptors, not family names.
+a table), how its group is built (the built table labels each class by
+its representative row), and how structure theory groups its classes.
+The other modules read these descriptors, not family names.
 Slots import the module they call when called, so importing this module
 loads neither numpy nor the oracle, and they look the function up on its
 module, so a function rebound there is the one called.
@@ -34,7 +35,7 @@ class Family:
     or None.  The group order is p * 2**k * n! for (p, k, n) = order_parts.
     `method` says how `z_count` counts z-classes: 'formula' or 'table'.
     `structural` lists the z-classes as groups of class labels from structure
-    theory, and `oracle_label(table, class)` names a class the oracle found."""
+    theory; the oracle's classes are labelled by the rows of `build`'s table."""
 
     min_rank: int | None  # None: the family takes no rank
     order_parts: Callable
@@ -46,7 +47,6 @@ class Family:
     rank_name: str = "rank"
     series_capped: bool = False  # ranks over MAX_FORMULA_RANK are refused
     structural: Callable | None = None
-    oracle_label: Callable | None = None
 
     def group_order(self, rank: int | None) -> int:
         p, k, n = self.order_parts(rank)
@@ -99,7 +99,6 @@ FAMILIES: dict[str, Family] = {
         build=lambda n: _module("groups").build_d(n),
         series_capped=True,
         structural=lambda n: _module("signed_perm").z_classes_dn(n),
-        oracle_label=lambda table, cl: _module("verify").dn_oracle_label(table, cl),
     ),
     "I2": Family(
         min_rank=3,

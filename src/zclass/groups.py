@@ -31,7 +31,7 @@ import numpy as np
 from .combinatorics import Partition
 from .errors import LARGE_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES
-from .signed_perm import SignedPermutation, signed_cycle_type
+from .signed_perm import SignedPermutation, dn_class_label, signed_cycle_type
 
 MAX_DEGREE = 256
 
@@ -409,19 +409,8 @@ def checked_order(table: GroupTable, expected: int) -> GroupTable:
 
 
 def _cycle_type_label(row: np.ndarray) -> str:
-    n = row.shape[0]
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        k, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = int(row[j])
-            k += 1
-        lengths.append(k)
-    return str(Partition.from_parts(lengths))
+    cycles = SignedPermutation((1,) * row.shape[0], tuple(row.tolist())).cycles()
+    return str(Partition.from_parts(len(c) for c in cycles))
 
 
 def build_symmetric(n: int) -> GroupTable:
@@ -468,6 +457,10 @@ def _signed_label(row: np.ndarray) -> str:
     return str(signed_cycle_type(row_to_signed_perm(row)))
 
 
+def _dn_label(row: np.ndarray) -> str:
+    return str(dn_class_label(row_to_signed_perm(row)))
+
+
 def _bc_generators(n: int) -> list[np.ndarray]:
     gens = []
     for i in range(n - 1):
@@ -504,9 +497,7 @@ def build_d(n: int) -> GroupTable:
     flip_swap[2 * n - 2] = n - 1
     flip_swap[2 * n - 1] = n - 2
     gens.append(flip_swap)
-    table = group_from_generators(
-        gens, name=f"D{n}", degree=2 * n, labeler=_signed_label
-    )
+    table = group_from_generators(gens, name=f"D{n}", degree=2 * n, labeler=_dn_label)
     return checked_order(table, expected)
 
 

@@ -189,25 +189,21 @@ def _steps_to_root(cl: ConjugacyClass, nodes: np.ndarray):
 def _schreier_generators(
     g: GroupTable, cl: ConjugacyClass, ys: np.ndarray
 ) -> np.ndarray:
-    """Rows of t_z^-1 s t_y for the non-tree edges y -> z = s y s^-1 leaving `ys`."""
+    """Rows of t_z^-1 s t_y for the edges y -> z = s y s^-1 leaving `ys`;
+    a tree edge gives the identity."""
     maps = g.conjugation_maps()
     n_gens = maps.shape[0]
     gen_perms = g.perms[list(g.gen_rows)]
-    inv_perms = np.argsort(gen_perms, axis=1).astype(np.uint8)
-    # t_y = s_y t_parent(y) ..., so multiply on the right going up the tree
-    t_y = np.tile(np.arange(g.degree, dtype=np.uint8), (ys.size, 1))
-    for pos, s in _steps_to_root(cl, ys):
-        t_y[pos] = np.take_along_axis(t_y[pos], gen_perms[s], axis=1)
     source = np.repeat(np.arange(ys.size), n_gens)
     s = np.tile(np.arange(n_gens), ys.size)
-    z = maps[s, ys[source]]
-    edge = (cl.parent[z] != ys[source]) | (cl.via[z] != s)
-    source, s, z = source[edge], s[edge], z[edge]
+    nodes = np.concatenate([ys, maps[s, ys[source]]])
+    # t_w = s_w t_parent(w) ..., so multiply on the right going up the tree
+    t = np.tile(np.arange(g.degree, dtype=np.uint8), (nodes.size, 1))
+    for pos, step in _steps_to_root(cl, nodes):
+        t[pos] = np.take_along_axis(t[pos], gen_perms[step], axis=1)
+    t_y, t_z = t[: ys.size], t[ys.size :]
     images = gen_perms[s[:, None], t_y[:, g.base][source]]  # s t_y at the base
-    # t_z^-1 = ... s_parent(z)^-1 s_z^-1: apply s_z^-1 first going up the tree
-    for pos, step in _steps_to_root(cl, z):
-        images[pos] = inv_perms[step[:, None], images[pos]]
-    return g.base_index(images)
+    return g.base_index(np.take_along_axis(np.argsort(t_z, axis=1), images, axis=1))
 
 
 def _spreading_stride(n: int) -> int:

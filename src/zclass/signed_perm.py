@@ -192,6 +192,30 @@ class SignedClassLabel:
         return str(self.signed_partition) + (self.split_half or "")
 
 
+def dn_class_label(w: SignedPermutation) -> SignedClassLabel:
+    """Conjugacy class in D_n of an element w of D_n.
+
+    Only an all-even positive type sp splits.  Its '+' half holds
+    class_representative(sp), and w is in it exactly when a B_n conjugator
+    from that representative to w lies in D_n; this does not depend on the
+    conjugator, since the centralizer of a split class lies in D_n.  Scaling
+    the points i_0, i_1, ... of each cycle by d_0 = 1, d_j = d_(j-1) *
+    signs[i_j] conjugates w to the sign-free permutation of its cycles, which
+    a sign-free permutation conjugates to the representative.  So w is in
+    the '+' half exactly when the product of all the d_j is 1.
+    """
+    sp = signed_cycle_type(w)
+    if not sp.is_all_even_positive():
+        return SignedClassLabel(sp)
+    parity = 1
+    for cyc in w.cycles():
+        d = 1
+        for i in cyc[1:]:
+            d *= w.signs[i]
+            parity *= d
+    return SignedClassLabel(sp, "+" if parity == 1 else "-")
+
+
 def dn_conjugacy_classes(n: int) -> list[SignedClassLabel]:
     """Conjugacy classes of D_n: even-bar signed partitions, split ones twice."""
     if n < 2:

@@ -4,15 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oracle
 from .closed_form import check_order, check_series_rank, z_count
 from .errors import DEFAULT_ORDER_CAP, MAX_LISTED_CLASSES, UnsupportedGroupError
 from .families import FAMILIES, CoxeterType, IrreducibleType
-from .groups import GroupTable, direct_product, row_to_signed_perm, signed_perm_to_row
-from .oracle import ConjugacyClass
-from .signed_perm import class_representative, signed_cycle_type
+from .groups import GroupTable, direct_product
 
 
 def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -29,31 +25,14 @@ def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTabl
     return table
 
 
-def dn_oracle_label(table: GroupTable, cl: ConjugacyClass) -> str:
-    """Signed-partition label of a D_n oracle class, with +/- for split halves.
-
-    The '+' half is the one containing the all-plus-signs representative.
-    """
-    sp = signed_cycle_type(row_to_signed_perm(table.perms[cl.rep]))
-    if not sp.is_all_even_positive():
-        return str(sp)
-    row = signed_perm_to_row(class_representative(sp))
-    rep_idx = int(table.row_index(row[None, :])[0])
-    pos = np.searchsorted(cl.members, rep_idx)
-    in_class = pos < cl.members.size and cl.members[pos] == rep_idx
-    return str(sp) + ("+" if in_class else "-")
-
-
-def oracle_grouping_labels(table: GroupTable, family: str) -> list[list[str]]:
+def oracle_grouping_labels(table: GroupTable) -> list[list[str]]:
     """Oracle z-classes rendered as conjugacy-class labels.
 
-    The family's oracle labeler comes first, then the table's own row labels
-    (cycle types, signed partitions); anything else gets positional c<k>.
+    Each class is named by the table's label of its representative row (a
+    cycle type, a signed partition with its D_n half, or a product's factor
+    labels joined by ' | '); a table without a labeler gives positional c<k>.
     """
     zgroups = oracle.z_classes(table)
-    label = FAMILIES[family].oracle_label if family in FAMILIES else None
-    if label is not None:
-        return [[label(table, c) for c in grp] for grp in zgroups]
     if table.labeler is not None:
         return [[table.label(c.rep) for c in grp] for grp in zgroups]
     classes = [c for grp in zgroups for c in grp]
@@ -112,7 +91,7 @@ def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyRes
     single = t.factors[0] if len(t.factors) == 1 else None
     structural = structural_grouping_labels(single) if single is not None else None
     if structural is not None:
-        oracular = oracle_grouping_labels(table, single.family)
+        oracular = oracle_grouping_labels(table)
         oracle_count = len(oracular)
         conj_oracle = sum(len(g) for g in oracular)
         if {frozenset(g) for g in structural} != {frozenset(g) for g in oracular}:

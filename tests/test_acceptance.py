@@ -146,7 +146,7 @@ def test_criterion_5_e7_reproduction():
 def test_criterion_6_dn_split_class_merging():
     with criterion(6, "split-pair separation/merging and absorption in D4/D6"):
         d4_groups = {
-            frozenset(g) for g in oracle_grouping_labels(build_d(4), "D")
+            frozenset(g) for g in oracle_grouping_labels(build_d(4))
         }
         # in D4 no part = 2 mod 4 has odd multiplicity: both split pairs stay apart
         assert {"4+"} in d4_groups and {"4-"} in d4_groups
@@ -155,7 +155,7 @@ def test_criterion_6_dn_split_class_merging():
         assert {"2 1~2", "2 1b~2"} in d4_groups
 
         d6_groups = {
-            frozenset(g) for g in oracle_grouping_labels(build_d(6), "D")
+            frozenset(g) for g in oracle_grouping_labels(build_d(6))
         }
         # part 6 = 2 mod 4 with multiplicity one: the halves merge
         assert {"6+", "6-"} in d6_groups

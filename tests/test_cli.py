@@ -223,6 +223,17 @@ class TestClasses:
 
         assert parting(structural) == parting(oracular)
 
+    @pytest.mark.parametrize("text", ["A1 x D4", "A2 x D4", "D4 x D4", "A1 x D6"])
+    def test_oracle_product_labels_are_distinct(self, capsys, text):
+        # a product class is named by its factors' classes, D halves included
+        code, out, _ = run_cli(
+            capsys, "classes", text, "--method", "oracle", "--format", "json"
+        )
+        assert code == 0
+        record = json.loads(out)
+        labels = [label for grp in record["z_classes"] for label in grp]
+        assert len(set(labels)) == len(labels) == record["conjugacy_class_count"]
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(capsys, "classes", "B2", "--format", "csv")
         assert code == 0

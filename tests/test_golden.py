@@ -630,19 +630,19 @@ GOLDEN = {
     ),
     "classes A2 x D4 --format table": (
         0,
-        "d42827ec77ab0426b24497bb012d64b4aecf3e65ebbd93d67ff129d51d9844bc",
+        "1cacdf6a4aca95fd97be1af7bd4c47dc58f545aee0f2c181917ff5cb7817913e",
     ),
     "classes A2 x D4 --format json": (
         0,
-        "89486399d3f73a804018109104f64b149401ee3db2295e6d8e7dd11fa02f0eb6",
+        "123f4f4960ac1b1e5cac416d7cc077cfcd2966d43eeb24541e9b123566472765",
     ),
     "classes A2 x D4 --method oracle --format table": (
         0,
-        "44e5dd9dc83ca7b380c0a3101985c6488c9f4300f2cb38f8ea844865ca420a60",
+        "24dfd931e7e56f42a937aefb47b6943a3463ea31afb319b943800c13a6d69226",
     ),
     "classes A2 x D4 --method oracle --format json": (
         0,
-        "cf0473e3459a8eb7836bdc2b8570d5b9d5106224a1a93af659f1fb474ef748c2",
+        "3545303ced5833650832fd9268c22b129707c37e2673c96c0c26d134a1e5489b",
     ),
     "verify A2 x D4 --format table": (
         0,

@@ -18,6 +18,7 @@ from zclass.groups import (
     build_symmetric,
     build_wreath_bc,
     direct_product,
+    row_to_signed_perm,
     signed_perm_to_row,
     stabilizer_chain,
 )
@@ -27,9 +28,24 @@ from zclass.signed_perm import (
     SignedPartition,
     SignedPermutation,
     class_representative,
+    signed_cycle_type,
     z_classes_a,
 )
-from zclass.verify import build_group, dn_oracle_label, oracle_grouping_labels
+from zclass.verify import build_group, oracle_grouping_labels
+
+
+def dn_membership_label(table, cl):
+    """Signed-partition label of a D_n oracle class, with +/- for split halves,
+    by membership: the '+' half is the class holding the representative
+    `class_representative` gives its signed partition."""
+    sp = signed_cycle_type(row_to_signed_perm(table.perms[cl.rep]))
+    if not sp.is_all_even_positive():
+        return str(sp)
+    row = signed_perm_to_row(class_representative(sp))
+    rep_idx = int(table.row_index(row[None, :])[0])
+    pos = np.searchsorted(cl.members, rep_idx)
+    in_class = pos < cl.members.size and cl.members[pos] == rep_idx
+    return str(sp) + ("+" if in_class else "-")
 
 
 def class_of(table, classes, signed_partition_entries):
@@ -385,7 +401,7 @@ class TestIndexTwoConsistency:
             raise AssertionError(label)
 
         labelled = [
-            [dn_oracle_label(dn, c) for c in grp] for grp in d_groups
+            [dn_membership_label(dn, c) for c in grp] for grp in d_groups
         ]
         # non-split labels carry no +/- suffix; the iff runs both ways:
         # same D-group => same B-group, and same B-group => same D-group
@@ -404,7 +420,7 @@ class TestIndexTwoConsistency:
         # (an element outside D_n) lands in the '-' half
         dn = build_d(4)
         classes = oracle.conjugacy_classes(dn)
-        by_label = {dn_oracle_label(dn, c): c for c in classes}
+        by_label = {dn_membership_label(dn, c): c for c in classes}
         for sp_entries in (((4, 1, 0),), ((2, 2, 0),)):
             rep = class_representative(SignedPartition(sp_entries))
             flip = SignedPermutation((-1,) + (1,) * 3, tuple(range(4)))
@@ -418,12 +434,21 @@ class TestIndexTwoConsistency:
                     break
             assert label is not None and label.endswith("-")
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_row_labels_are_the_membership_labels(self, n):
+        # the D_n table labels every row, not only class representatives,
+        # with the half its class holds by membership
+        dn = build_d(n)
+        for cl in oracle.conjugacy_classes(dn):
+            expected = dn_membership_label(dn, cl)
+            assert {dn.label(r) for r in cl.members.tolist()} == {expected}
+
     def test_split_class_centralizers_equal_in_both_groups(self):
         for n in (2, 4, 6):
             bn = build_wreath_bc(n)
             dn = build_d(n)
             for cl in oracle.conjugacy_classes(dn):
-                label = dn_oracle_label(dn, cl)
+                label = dn_membership_label(dn, cl)
                 row_in_b = int(bn.row_index(dn.perms[cl.rep][None, :])[0])
                 cen_b = oracle.centralizer(bn, row_in_b)
                 cen_d = oracle.centralizer(dn, cl.rep)
@@ -463,7 +488,7 @@ class TestDirectProductRule:
 class TestOracleLabels:
     def test_b3_grouping_labels(self):
         table = build_wreath_bc(3)
-        groups = oracle_grouping_labels(table, "B")
+        groups = oracle_grouping_labels(table)
         assert {frozenset(g) for g in groups} == {
             frozenset({"1~3", "1b~3"}),
             frozenset({"1~2 1b", "1 1b~2"}),
@@ -479,13 +504,13 @@ class TestOracleLabels:
         table = build_group(
             parse_coxeter_type(f"A{rank}"), order_cap=LARGE_ORDER_CAP
         )
-        oracular = oracle_grouping_labels(table, "A")
+        oracular = oracle_grouping_labels(table)
         structural = [[str(lam) for lam in g] for g in z_classes_a(rank + 1)]
         assert {frozenset(g) for g in oracular} == {frozenset(g) for g in structural}
         assert sorted(sum(oracular, [])) == sorted(sum(structural, []))
 
     def test_generic_labels_are_positional(self):
         table = build_dihedral(5)
-        groups = oracle_grouping_labels(table, "I2")
+        groups = oracle_grouping_labels(table)
         flat = sorted(lbl for grp in groups for lbl in grp)
         assert flat == [f"c{i}" for i in range(4)]
