@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .combinatorics import product_series, zeta
+from .combinatorics import partition_numbers, product_series, zeta
 from .errors import MAX_FORMULA_RANK, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES, METHODS, CoxeterType, IrreducibleType
 from .families import parse_coxeter_type  # noqa: F401  (re-exported)
@@ -87,7 +87,7 @@ def _part_series(n: int, odd, even) -> int:
 
 def partition_count(n: int) -> int:
     """p(n): the conjugacy classes of S_n."""
-    return _part_series(n, ((1, 1),), ((1, 1),))
+    return partition_numbers(n)[n]
 
 
 def z_count_a(n: int) -> int:
@@ -96,7 +96,7 @@ def z_count_a(n: int) -> int:
     lam of n-2 free of parts 1 and 2; P(q)(1-q)(1-q^2) counts those lam."""
     if n < 1:
         raise ValueError("n must be positive")
-    p = product_series(((k, 1) for k in range(1, n + 1)), n)
+    p = partition_numbers(n)
     terms = ((0, 1), (2, -1), (3, 1), (4, 1), (5, -1))  # (power of q, sign)
     return sum(sign * p[n - k] for k, sign in terms if k <= n)
 

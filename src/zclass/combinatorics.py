@@ -165,6 +165,27 @@ def product_series(factors, n: int) -> list[int]:
     return coeffs
 
 
+def partition_numbers(n: int) -> list[int]:
+    """p(0), ..., p(n) by Euler's pentagonal-number recurrence.
+
+    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
+    with O(sqrt k) terms for each k, so O(n^1.5) additions in all.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    p = [1] + [0] * n
+    for k in range(1, n + 1):
+        total, j = 0, 1
+        while (pent := j * (3 * j - 1) // 2) <= k:
+            term = p[k - pent]
+            if pent + j <= k:
+                term += p[k - pent - j]
+            total += term if j % 2 else -term
+            j += 1
+        p[k] = total
+    return p
+
+
 def zeta(n: int) -> int:
     """Number of partitions of n with every part even and at least 4.
 

@@ -34,10 +34,12 @@ w x w^-1 is central in C(y).  Conversely, if z = u x u^-1 lies in Z(C(y)),
 then C(y) lies in C(z) = u C(x) u^-1, and the two orders are equal.  The
 center needs no member list either: an element commuting with all of C(y)
 commutes with y, so it lies in C(y), and Z(C(y)) = C_G(C(y)) is the set of
-elements commuting with the generators of C(y).  So `z_classes` tests the
-members of the first class of each group of equal class size against the
-certified generators, dropping those that fail each one.  The conjugator
-search `subgroups_conjugate` and its fingerprint remain as general tools.
+elements commuting with the generators of C(y).  The test is symmetric, so
+`z_classes` tests the members of a class y against the certified generators
+of the first class h of each earlier group with |h| = |y|, dropping those
+that fail each one.  Only such heads need a certificate, and each is built
+the first time a later class reaches it.  The conjugator search
+`subgroups_conjugate` and its fingerprint remain as general tools.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -306,25 +308,32 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
 
     The first existing group with a conjugate centralizer absorbs each class;
     otherwise the class opens a new group.  Conjugacy with a group's first
-    class is decided by the center test (see the module docstring).
+    class is decided by the center test (see the module docstring), against
+    that first class's certificate, built when a later class first reaches it.
     """
     classes = conjugacy_classes(g)
     groups: list[list[int]] = []
+    certs: dict[int, np.ndarray] = {}
     for ci, cl in enumerate(classes):
-        gens = _centralizer_generators(g, cl)
-        log.debug(
-            "class %d/%d: size %d, centralizer order %d, %d generators",
-            ci + 1,
-            len(classes),
-            cl.size,
-            g.order // cl.size,
-            gens.size,
-        )
         for grp in groups:
-            head = classes[grp[0]]
-            if head.size == cl.size and _commuting(g, head.members, gens).size:
+            head = grp[0]
+            if classes[head].size != cl.size:
+                continue
+            if head not in certs:
+                certs[head] = _centralizer_generators(g, classes[head])
+            if _commuting(g, cl.members, certs[head]).size:
                 grp.append(ci)
                 break
         else:
             groups.append([ci])
+    for ci, cl in enumerate(classes):
+        gens = certs.get(ci)
+        log.debug(
+            "class %d/%d: size %d, centralizer order %d, %s",
+            ci + 1,
+            len(classes),
+            cl.size,
+            g.order // cl.size,
+            "no certificate" if gens is None else f"{gens.size} generators",
+        )
     return [[classes[ci] for ci in grp] for grp in groups]

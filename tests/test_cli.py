@@ -76,6 +76,13 @@ class TestCount:
             - npartitions(n - 5)
         )
 
+    def test_a5000_counts_in_process_quickly(self, capsys):
+        """p(0..5001) by the pentagonal recurrence, once for each of the two counts."""
+        start = time.perf_counter()
+        code, _, _ = run_cli(capsys, "count", "A5000")
+        assert code == 0
+        assert time.perf_counter() - start < 0.5
+
     def test_e8_oracle_refused(self, capsys):
         code, _, err = run_cli(capsys, "count", "E8", "--method", "oracle")
         assert code == 3

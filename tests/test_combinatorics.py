@@ -12,6 +12,7 @@ from zclass.combinatorics import (
     delta_prime_set,
     delta_set,
     even_sum_tuple_count,
+    partition_numbers,
     partitions_of,
     product_series,
     signed_partitions_of,
@@ -117,6 +118,15 @@ class TestRestrictedCounts:
         assert product_series([], 0) == [1]
         with pytest.raises(ValueError):
             product_series([(1, 1)], -1)
+
+    def test_partition_numbers_match_the_series(self):
+        assert partition_numbers(0) == [1]
+        assert partition_numbers(7) == [1, 1, 2, 3, 5, 7, 11, 15]
+        series = product_series(((k, 1) for k in range(1, 401)), 400)
+        assert partition_numbers(400) == series
+        assert [len(partitions_of(n)) for n in range(13)] == partition_numbers(12)
+        with pytest.raises(ValueError):
+            partition_numbers(-1)
 
     def test_zeta_paper_value(self):
         assert zeta(8) == 2  # 4+4 and 8

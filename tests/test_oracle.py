@@ -386,6 +386,99 @@ class TestZClasses:
         assert capsys.readouterr() == ("", "")
 
 
+EAGER_TYPES = (
+    [f"B{n}" for n in range(2, 6)]
+    + [f"D{n}" for n in range(2, 7)]
+    + [f"A{n}" for n in range(1, 7)]
+    + ["H3", "F4", "H4", "E6"]
+    + [f"I2({m})" for m in range(3, 17)]
+    + ["B3 x I2(7)", "D4 x I2(8)"]
+)
+
+
+def eager_grouping(table) -> tuple[list, list[list[int]]]:
+    """Classes and groups of class indices, certifying every class and testing
+    it from the class side: the members of each earlier head of its size
+    against the class's own certified generators."""
+    classes = oracle.conjugacy_classes(table)
+    groups: list[list[int]] = []
+    for ci, cl in enumerate(classes):
+        gens = oracle._centralizer_generators(table, cl)
+        for grp in groups:
+            head = classes[grp[0]]
+            if head.size == cl.size and oracle._commuting(table, head.members, gens).size:
+                grp.append(ci)
+                break
+        else:
+            groups.append([ci])
+    return classes, groups
+
+
+def reached_heads(groups) -> set[int]:
+    """Reps of the heads that the scan of some later class of the same size reaches.
+
+    A class is compared with the heads of every group up to its own, so a head
+    is reached by a class of its size in its own group or a later one.
+    """
+    reached = set()
+    for gi, grp in enumerate(groups):
+        head = grp[0]
+        later = (cl for g in groups[gi:] for cl in g if cl.rep != head.rep)
+        if any(cl.size == head.size for cl in later):
+            reached.add(head.rep)
+    return reached
+
+
+class TestLazyCertificates:
+    @pytest.mark.parametrize("text", EAGER_TYPES)
+    def test_matches_eager_grouping_class_by_class(self, text):
+        table = build_group(parse_coxeter_type(text))
+        classes, eager = eager_grouping(table)
+        eager_group_of = {classes[ci].rep: gi for gi, grp in enumerate(eager) for ci in grp}
+        got = oracle.z_classes(table)
+        got_group_of = {cl.rep: gi for gi, grp in enumerate(got) for cl in grp}
+        assert len(got_group_of) == len(classes)
+        for cl in classes:
+            assert got_group_of[cl.rep] == eager_group_of[cl.rep], table.label(cl.rep)
+        assert [[cl.rep for cl in grp] for grp in got] == [
+            [classes[ci].rep for ci in grp] for grp in eager
+        ]
+
+    @pytest.mark.parametrize("text,certified,n_classes", [("B6", 29, 65), ("E6", 8, 25)])
+    def test_certifies_only_reached_heads(self, monkeypatch, text, certified, n_classes):
+        table = build_group(parse_coxeter_type(text))
+        calls = []
+        certify = oracle._centralizer_generators
+
+        def counting(g, cl):
+            calls.append(cl.rep)
+            return certify(g, cl)
+
+        monkeypatch.setattr(oracle, "_centralizer_generators", counting)
+        groups = oracle.z_classes(table)
+        assert sum(len(grp) for grp in groups) == n_classes
+        assert len(calls) == len(set(calls)) == certified
+        assert set(calls) == reached_heads(groups)
+
+    def test_debug_log_marks_uncertified_classes(self, caplog):
+        table = build_group(parse_coxeter_type("E6"))
+        with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
+            groups = oracle.z_classes(table)
+        lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
+        classes = sorted((cl for grp in groups for cl in grp), key=lambda cl: cl.rep)
+        heads = reached_heads(groups)
+        assert len(lines) == len(classes) == 25
+        for i, (line, cl) in enumerate(zip(lines, classes), 1):
+            prefix = (
+                f"class {i}/25: size {cl.size}, centralizer order {table.order // cl.size}, "
+            )
+            assert line.startswith(prefix)
+            if cl.rep in heads:
+                assert line.endswith(" generators")
+            else:
+                assert line == prefix + "no certificate"
+
+
 class TestIndexTwoConsistency:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_nonsplit_z_grouping_agrees_between_d_and_b(self, n):
