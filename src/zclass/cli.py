@@ -14,7 +14,6 @@ import io
 import json
 import sys
 
-from . import oracle
 from .closed_form import z_count
 from .errors import (
     DEFAULT_ORDER_CAP,
@@ -56,11 +55,10 @@ def _cmd_count(args) -> tuple[dict, int]:
     record = _record_base("count")
     record["group"] = str(t)
     if args.method == "oracle":
-        table = build_group(t, order_cap=_cap(args))
-        zgroups = oracle.z_classes(table)
+        groups = oracle_grouping_labels(build_group(t, order_cap=_cap(args)))
         record["method"] = "oracle"
-        record["conjugacy_class_count"] = sum(len(g) for g in zgroups)
-        record["z_class_count"] = len(zgroups)
+        record["conjugacy_class_count"] = sum(len(g) for g in groups)
+        record["z_class_count"] = len(groups)
     else:
         result = z_count(t)
         record["method"] = result.method
@@ -101,8 +99,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
             raise UsageError(
                 f"structural listing unavailable for {t}; rerun with --method oracle"
             )
-        table = build_group(t, order_cap=_cap(args))
-        groups = oracle_grouping_labels(table)
+        groups = oracle_grouping_labels(build_group(t, order_cap=_cap(args)))
         record["method"] = "oracle"
     record["conjugacy_class_count"] = sum(len(g) for g in groups)
     record["z_class_count"] = len(groups)
@@ -111,20 +108,7 @@ def _cmd_classes(args) -> tuple[dict, int]:
 
 
 def _verify_one(text: str, args) -> dict:
-    t = parse_coxeter_type(text)
-    r = verify_type(t, order_cap=_cap(args))
-    rec = {
-        "group": r.group,
-        "formula_count": r.formula_count,
-        "formula_method": r.formula_method,
-        "oracle_count": r.oracle_count,
-        "conjugacy_class_count_formula": r.conjugacy_formula,
-        "conjugacy_class_count_oracle": r.conjugacy_oracle,
-        "status": "PASS" if r.match else "FAIL",
-    }
-    if r.diff_lines:
-        rec["diff"] = list(r.diff_lines)
-    return rec
+    return verify_type(parse_coxeter_type(text), order_cap=_cap(args))
 
 
 def _cmd_verify(args) -> tuple[dict, int]:

@@ -38,15 +38,15 @@ def _ln_factorial(n: int):
     )
 
 
-def check_order(factors: tuple[IrreducibleType, ...], what: str, cap: int) -> None:
-    """Refuse the product of `factors` when its order passes `cap`.
+def check_order(parts: list[tuple[int, int, int]], what: str, cap: int) -> int:
+    """The order of a product whose factors have the (p, k, n) order parts
+    `parts` (order p * 2**k * n!), refused when it passes `cap`.
 
     The terms of the order are multiplied only until they pass the cap, and an
     order of over 40 digits is named by a digit count from Stirling's series,
     so a giant rank is refused without forming its order.  A logarithm within
     1e-9 of an integer falls back to the exact order.
     """
-    parts = [f.order_parts() for f in factors]
     product = 1  # 2**cap.bit_length() passes the cap, so no more 2s are needed
     for term in chain.from_iterable(
         chain((p,), repeat(2, min(k, cap.bit_length())), range(2, n + 1))
@@ -56,7 +56,7 @@ def check_order(factors: tuple[IrreducibleType, ...], what: str, cap: int) -> No
         if product > cap:
             break
     else:
-        return
+        return product
     from decimal import Decimal, localcontext  # refusals only: it costs start-up RSS
 
     with localcontext() as ctx:
@@ -67,7 +67,7 @@ def check_order(factors: tuple[IrreducibleType, ...], what: str, cap: int) -> No
         ) / Decimal(10).ln()
         if log10 > 40 and abs(log10 - round(log10)) > Decimal("1e-9"):
             raise order_cap_exceeded(what, None, cap, digits=int(log10) + 1)
-    order = math.prod(f.group_order() for f in factors)
+    order = math.prod((p << k) * math.factorial(n) for p, k, n in parts)
     raise order_cap_exceeded(what, order, cap)
 
 

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .closed_form import check_order
 from .combinatorics import Partition
 from .errors import LARGE_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES
@@ -126,7 +127,6 @@ class GroupTable:
         identity = np.arange(self.degree, dtype=np.uint8)[None, :]
         self.identity_row = int(self.row_index(identity)[0])
         self._inverses: np.ndarray | None = None
-        self._inverse_base: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._conjugation_maps: np.ndarray | None = None
 
@@ -168,20 +168,6 @@ class GroupTable:
                 inv[lo:hi] = np.argsort(self.perms[lo:hi], axis=1).astype(np.uint8)
             self._inverses = inv
         return self._inverses
-
-    def inverse_base_images(self) -> np.ndarray:
-        """Row r holds the preimages of the base points under element r."""
-        if self._inverse_base is None:
-            out = np.empty((self.order, self.base.size), dtype=np.uint8)
-            points = np.arange(self.degree, dtype=np.uint8)
-            step = _CHUNK >> 3
-            for lo in range(0, self.order, step):
-                block = self.perms[lo : lo + step]
-                inv = np.empty_like(block)
-                np.put_along_axis(inv, block, np.broadcast_to(points, block.shape), 1)
-                out[lo : lo + block.shape[0]] = inv[:, self.base]
-            self._inverse_base = out
-        return self._inverse_base
 
     def _conjugate_block(self, t: int, select) -> np.ndarray:
         """Indices of t * e * t^-1 for the elements e = perms[select]."""
@@ -391,11 +377,9 @@ def group_from_generators(
 
 def family_order(family: str, rank: int | None, name: str) -> int:
     """The order FAMILIES gives `family` at `rank`, refused over LARGE_ORDER_CAP,
-    the most memory a table may take, before any chain is built."""
-    order = FAMILIES[family].group_order(rank)
-    if order > LARGE_ORDER_CAP:
-        raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
-    return order
+    the most memory a table may take, before any chain is built or a giant
+    order is formed."""
+    return check_order([FAMILIES[family].order_parts(rank)], name, LARGE_ORDER_CAP)
 
 
 def checked_order(table: GroupTable, expected: int) -> GroupTable:

@@ -279,7 +279,7 @@ def subgroups_conjugate(
     if np.array_equal(h.member_rows, k.member_rows):
         return True, g.identity_row
     k_keys = g.keys[k.member_rows]
-    inverse_base = g.inverse_base_images()
+    inverses = g.inverses()
     candidates = np.arange(g.order)
     for gr in h.generator_rows:
         if not candidates.size:
@@ -288,7 +288,7 @@ def subgroups_conjugate(
         keep_parts = []
         for lo in range(0, candidates.size, _CHUNK):
             cand = candidates[lo : lo + _CHUNK]
-            images = g.perms[cand[:, None], gen_arr[inverse_base[cand]]]
+            images = g.perms[cand[:, None], gen_arr[inverses[cand[:, None], g.base]]]
             query = g.base_keys(images)
             inside = np.searchsorted(k_keys, query)
             inside[inside == k_keys.size] = 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import oracle
 from .closed_form import check_order, check_series_rank, z_count
 from .errors import DEFAULT_ORDER_CAP, MAX_LISTED_CLASSES, UnsupportedGroupError
@@ -17,7 +15,7 @@ def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTabl
     Its order is checked against `order_cap` here, before any table is built;
     the builders refuse only past LARGE_ORDER_CAP.
     """
-    check_order(t.factors, str(t), order_cap)
+    check_order([f.order_parts() for f in t.factors], str(t), order_cap)
     tables = (FAMILIES[f.family].build(f.rank) for f in t.factors)
     table = next(tables)
     for factor_table in tables:
@@ -67,59 +65,39 @@ def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | Non
     return [[str(label) for label in grp] for grp in family.structural(factor.rank)]
 
 
-@dataclass(frozen=True)
-class VerifyResult:
-    group: str
-    formula_count: int
-    formula_method: str
-    oracle_count: int
-    conjugacy_formula: int
-    conjugacy_oracle: int
-    match: bool
-    diff_lines: tuple[str, ...] = ()
-
-
-def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> VerifyResult:
-    """Compare the closed-form/table count against the brute-force oracle.
+def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> dict:
+    """The verify record of `t`: its closed-form/table count against the oracle's.
 
     For a single factor with a structural grouping the full grouping is
     compared, not just the count, and a grouping diff is reported on mismatch.
     """
     result = z_count(t)
     table = build_group(t, order_cap=order_cap)
-    diff: list[str] = []
     single = t.factors[0] if len(t.factors) == 1 else None
     structural = structural_grouping_labels(single) if single is not None else None
-    if structural is not None:
-        oracular = oracle_grouping_labels(table)
-        oracle_count = len(oracular)
-        conj_oracle = sum(len(g) for g in oracular)
-        if {frozenset(g) for g in structural} != {frozenset(g) for g in oracular}:
-            diff.append("structural grouping:")
-            diff.extend(
-                "  {" + ", ".join(grp) + "}" for grp in structural
-            )
-            diff.append("oracle grouping:")
-            diff.extend("  {" + ", ".join(grp) + "}" for grp in oracular)
-    else:
-        zgroups = oracle.z_classes(table)
-        oracle_count = len(zgroups)
-        conj_oracle = sum(len(grp) for grp in zgroups)
-    match = (
-        result.total == oracle_count
-        and result.conjugacy_total == conj_oracle
-        and not diff
-    )
-    return VerifyResult(
-        str(t),
-        result.total,
-        result.method,
-        oracle_count,
-        result.conjugacy_total,
-        conj_oracle,
-        match,
-        tuple(diff),
-    )
+    oracular = oracle_grouping_labels(table)
+    oracle_count, conj_oracle = len(oracular), sum(len(g) for g in oracular)
+    match = (result.total, result.conjugacy_total) == (oracle_count, conj_oracle)
+    record = {
+        "group": str(t),
+        "formula_count": result.total,
+        "formula_method": result.method,
+        "oracle_count": oracle_count,
+        "conjugacy_class_count_formula": result.conjugacy_total,
+        "conjugacy_class_count_oracle": conj_oracle,
+    }
+    if structural is not None and (
+        {frozenset(g) for g in structural} != {frozenset(g) for g in oracular}
+    ):
+        match = False
+        record["diff"] = (
+            ["structural grouping:"]
+            + ["  {" + ", ".join(grp) + "}" for grp in structural]
+            + ["oracle grouping:"]
+            + ["  {" + ", ".join(grp) + "}" for grp in oracular]
+        )
+    record["status"] = "PASS" if match else "FAIL"
+    return record
 
 
 ALL_SMALL_SWEEP = (

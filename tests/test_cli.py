@@ -298,20 +298,61 @@ class TestInternalError:
 
 
 class TestVerifyMismatchPath:
-    def test_forced_mismatch_exits_1_with_diff(self, capsys, monkeypatch):
-        import zclass.verify as verify_mod
+    @pytest.fixture
+    def off_by_one(self, monkeypatch):
+        """The formula route counts one z-class too many."""
         from zclass.closed_form import ZCountResult
 
-        real = verify_mod.z_count
+        real = verify.z_count
 
         def broken(t):
             r = real(t)
             return ZCountResult(r.total + 1, r.per_factor, r.method)
 
-        monkeypatch.setattr(verify_mod, "z_count", broken)
+        monkeypatch.setattr(verify, "z_count", broken)
+
+    def test_forced_mismatch_exits_1_with_diff(self, capsys, off_by_one):
         code, out, _ = run_cli(capsys, "verify", "B2")
         assert code == 1
         assert "FAIL" in out
+
+    def test_grouping_mismatch_with_equal_counts_prints_both_groupings(
+        self, capsys, monkeypatch
+    ):
+        moved = [["1~2", "1 1b"], ["1b~2"], ["2"], ["2b"]]  # B2 with 1 1b moved
+        monkeypatch.setattr(verify, "structural_grouping_labels", lambda f: moved)
+        code, out, _ = run_cli(capsys, "verify", "B2")
+        assert code == 1
+        assert "FAIL" in out
+        lines = out.splitlines()
+        assert lines[2:] == [
+            "structural grouping:",
+            "  {1~2, 1 1b}",
+            "  {1b~2}",
+            "  {2}",
+            "  {2b}",
+            "oracle grouping:",
+            "  {1~2, 1b~2}",
+            "  {1 1b}",
+            "  {2}",
+            "  {2b}",
+        ]
+        code, out, _ = run_cli(capsys, "verify", "B2", "--format", "json")
+        record = json.loads(out)
+        assert code == 1
+        assert (record["formula_count"], record["oracle_count"]) == (4, 4)
+        assert record["status"] == "FAIL"
+        assert record["diff"] == lines[2:]
+
+    def test_count_mismatch_without_structural_grouping_has_no_diff(
+        self, capsys, off_by_one
+    ):
+        code, out, _ = run_cli(capsys, "verify", "B2 x I2(4)", "--format", "json")
+        record = json.loads(out)
+        assert code == 1
+        assert (record["formula_count"], record["oracle_count"]) == (17, 16)
+        assert record["status"] == "FAIL"
+        assert "diff" not in record
 
     def test_record_invariant_z_at_most_conjugacy(self, capsys):
         for text in ("B4", "D6", "I2(12)", "E7", "B2 x A2"):
@@ -402,7 +443,9 @@ class TestSizeCaps:
         """Stirling's series gives the digit count of the exact order."""
         t = parse_coxeter_type(text)
         with pytest.raises(OrderCapExceeded) as info:
-            closed_form.check_order(t.factors, text, 100000)
+            closed_form.check_order(
+                [f.order_parts() for f in t.factors], text, 100000
+            )
         assert f"has order {order_text(t.group_order())} > cap" in str(info.value)
 
     @pytest.mark.parametrize(

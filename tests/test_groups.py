@@ -110,7 +110,15 @@ class TestBuilders:
         validate(build_d(6))  # order 23040 probabilistic
 
     @pytest.mark.parametrize(
-        "build,n", [(build_wreath_bc, 100), (build_d, 100), (build_symmetric, 80)]
+        "build,n",
+        [
+            (build_wreath_bc, 100),
+            (build_d, 100),
+            (build_symmetric, 80),
+            (build_symmetric, 10**6),
+            (build_wreath_bc, 10**6),
+            (build_d, 10**6),
+        ],
     )
     def test_huge_orders_refused_before_any_chain(self, monkeypatch, build, n):
         def no_chain(gens):
