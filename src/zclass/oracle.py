@@ -6,40 +6,43 @@ conjugate subgroups, scanning existing groups in order and absorbing into the
 first match.  Everything is deterministic: classes are ordered by their least
 row and witnesses are the smallest-index conjugators.
 
-Schreier vector.  `conjugacy_classes` walks each class breadth-first from its
-representative x with the generator conjugation maps r -> s r s^-1, and
-records for every member y the member it was first reached from and the index
-of that generator (int32 and int8 arrays over the rows).  Following these
-steps up to x spells a short word t_y with t_y x t_y^-1 = y.
+Classes.  `conjugacy_classes` labels every row with itself, then repeats
+rounds of label[r] = min(label[r], label[s r s^-1]) for each generator s and
+label[r] = label[label[r]] until a round changes nothing.  A label always
+names a row of the same class and never grows, so the least row m of a class
+keeps label m, and a round that keeps the label sum changed none.  Then
+label[r] <= label[s r s^-1] for every generator s, and as s has finite
+order, the labels along r, s r s^-1, s^2 r s^-2, ... are equal.  Conjugation
+by the generators reaches the whole class, so every row is labelled m.
 
-Centralizers.  By Schreier's lemma, C(x) is generated by t_z^-1 s t_y over
-the edges y -> z = s y s^-1 of the orbit.  `_centralizer_generators` takes
-the edges of members spread over the walk (a stride near |class|/phi), in
-chunks that double, and keeps every distinct non-identity generator.  After
-each chunk a stabilizer chain (`zclass.groups.stabilizer_chain`) of the
-generators so far bounds the order of the subgroup they generate by the
-product of its orbit lengths, without listing a member, and stops once that
-reaches |G|/|class|: it never exceeds |<gens>|, and |<gens>| <= |C(x)| once
-every kept generator commutes with x.  Running out of edges below that order,
-passing it, or a generator that does not commute with x raises, also under
-`python -O`.  Edges in breadth-first order give shorter words, but their
-generators often span a proper subgroup until deep into the walk.  A
-central x needs no chain: C(x) = G, generated by G's generators.
-`centralizer` lists the members as the products of a chain of the
-generators.
+Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
+length, so w(b), b the first base point, lies in an x-cycle as long as b's.
+Rows are sorted by w(b) (see `zclass.groups`), so such rows form contiguous
+blocks, found by one searchsorted on that column; `centralizer` lists C(x)
+exactly by testing only them.  A probe of x is a member of C(x) found in a
+spread sample of those n rows (a stride near n/phi), sized to hold about
+`_FIRST_PROBES` probes, then twice as many each round.  The probes are
+certified once a stabilizer chain of them, told |C(x)| = |G|/|class|,
+reaches that order: the product of its orbit lengths never exceeds
+|<probes>|, and <probes> lies in C(x), so they generate C(x).  The chain
+takes the whole first sample; while it falls short it is complete, so a
+later probe that sifts through it adds nothing and is dropped, and the
+others are taken one at a time, each at least doubling the order.  Rows
+running out below |C(x)|, an order past it, or a probe that does not commute
+with x raises, also under `python -O`.  A central x takes G's generators.
 
 Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
-the center Z(C(y)) meets the class of x.  If w C(x) w^-1 = C(y), then
-w x w^-1 is central in C(y).  Conversely, if z = u x u^-1 lies in Z(C(y)),
-then C(y) lies in C(z) = u C(x) u^-1, and the two orders are equal.  The
-center needs no member list either: an element commuting with all of C(y)
-commutes with y, so it lies in C(y), and Z(C(y)) = C_G(C(y)) is the set of
-elements commuting with the generators of C(y).  The test is symmetric, so
-`z_classes` tests the members of a class y against the certified generators
-of the first class h of each earlier group with |h| = |y|, dropping those
-that fail each one.  Only such heads need a certificate, and each is built
-the first time a later class reaches it.  The conjugator search
-`subgroups_conjugate` and its fingerprint remain as general tools.
+the center Z(C(x)) meets the class of y.  If w C(y) w^-1 = C(x), then
+w y w^-1 is central in C(x).  Conversely, if z = u y u^-1 lies in Z(C(x)),
+then C(x) lies in C(z) = u C(y) u^-1, and the two orders are equal.  An
+element commuting with all of C(x) commutes with x, so Z(C(x)) = C_G(C(x)).
+`z_classes` keeps the members of a class y that commute with every probe of
+the first class h of each earlier group with |h| = |y|.  As the probes lie
+in C(h), C_G(probes) contains Z(C(h)): if none survives, the answer is
+exactly no.  A survivor counts only once the probes are certified, as then
+C_G(probes) = Z(C(h)); until then h draws more.  Only a head that a later
+class of its size reaches draws probes.  `subgroups_conjugate` and its
+fingerprint remain as general tools.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -57,29 +60,20 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import GroupTable, _products, stabilizer_chain
+from .groups import ChainLevel, GroupTable, stabilizer_chain
 
 log = logging.getLogger(__name__)
 
 _CHUNK = 1 << 16
-_FIRST_EDGE_CHUNK = 4  # orbit members in the first chunk of edges
+_FIRST_PROBES = 4  # probes the first sample of a head is sized to hold
 
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class with the breadth-first walk that found it.
-
-    `walk` lists the members in walk order from `rep`.  Member r was first
-    reached as s p s^-1 from p = parent[r] with s = gen_rows[via[r]]; the root
-    is its own parent, with via -1.  `parent` and `via` are indexed by row and
-    shared by all classes of one walk.
-    """
+    """A conjugacy class: its least row and its sorted member rows."""
 
     rep: int  # the least row of the class
-    members: np.ndarray = field(repr=False)  # sorted row indices
-    walk: np.ndarray = field(repr=False)
-    parent: np.ndarray = field(repr=False)
-    via: np.ndarray = field(repr=False)
+    members: np.ndarray = field(repr=False)  # sorted row indices, int32
 
     @property
     def size(self) -> int:
@@ -117,48 +111,25 @@ class SubgroupHandle:
         return (self.order, histogram, int(self.center_rows.size))
 
 
-def _walk(
-    maps: np.ndarray, root: int, parent: np.ndarray, via: np.ndarray
-) -> ConjugacyClass:
-    """Breadth-first orbit of `root` under the conjugation maps.
-
-    Rows with parent -1 are unvisited; the walk fills parent and via for the
-    rows it reaches.  Each level is kept in row order.
-    """
-    parent[root] = root
-    via[root] = -1
-    level = np.array([root], dtype=np.int32)
-    levels = [level]
-    while level.size and maps.size:
-        images = maps[:, level].ravel()  # generator-major
-        fresh = np.flatnonzero(parent[images] < 0)
-        rows, first = np.unique(images[fresh], return_index=True)
-        source = fresh[first]
-        parent[rows] = level[source % level.size]
-        via[rows] = source // level.size
-        level = rows
-        levels.append(level)
-    walk = np.concatenate(levels)
-    return ConjugacyClass(root, np.sort(walk), walk, parent, via)
-
-
-def _new_schreier_vector(g: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    parent = np.full(g.order, -1, dtype=np.int32)
-    via = np.empty(g.order, dtype=np.min_scalar_type(-1 - len(g.gen_rows)))
-    return parent, via
-
-
 def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
-    """Orbit partition under conjugation, ordered by minimal representative."""
-    maps = g.conjugation_maps()
-    parent, via = _new_schreier_vector(g)
-    classes: list[ConjugacyClass] = []
-    rep = 0
-    while parent[rep] < 0:
-        classes.append(_walk(maps, rep, parent, via))
-        rep = int(parent.argmin())  # the least unvisited row, or a visited one
-    assert sum(c.size for c in classes) == g.order
-    return classes
+    """Orbit partition under conjugation, ordered by minimal representative:
+    min-label propagation over the conjugation maps (see the module docstring)."""
+    label = np.arange(g.order, dtype=np.int32)
+    total = g.order * (g.order - 1) // 2
+    while True:
+        for m in g.conjugation_maps():
+            np.minimum(label, label[m], out=label)
+        label = label[label]
+        last, total = total, int(label.sum(dtype=np.int64))
+        if total == last:
+            break
+    reps = np.flatnonzero(label == np.arange(g.order))
+    sizes = np.bincount(label)[reps]
+    if sizes.sum() != g.order or np.any(g.order % sizes):
+        raise AssertionError("conjugacy classes break the class equation")
+    members = np.argsort(label, kind="stable").astype(np.int32)
+    parts = np.split(members, np.cumsum(sizes)[:-1])
+    return [ConjugacyClass(int(r), part) for r, part in zip(reps, parts)]
 
 
 def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray:
@@ -174,38 +145,31 @@ def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray
     return rows
 
 
-def _steps_to_root(cl: ConjugacyClass, nodes: np.ndarray):
-    """Yield (positions, generator indices), one step up the walk tree at a time.
+def _candidate_blocks(g: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows w with w(b) in an x-cycle as long as b's, b the first base
+    point, as blocks: (first row of each, running total of their lengths)."""
+    perm, points = g.perms[x], np.arange(g.degree)
+    b = g.base[0] if g.base.size else 0  # a trivial group has no base
+    cycle, power, k = np.zeros(g.degree, dtype=np.intp), perm, 1
+    while not cycle.all():  # the length of the x-cycle through each point
+        cycle[(power == points) & (cycle == 0)] = k
+        power, k = perm[power], k + 1
+    # rows are sorted by w(b): first[p] is the first row with w(b) >= p
+    first = np.append(np.searchsorted(g.perms[:, b], points.astype(np.uint8)), g.order)
+    same = np.flatnonzero(cycle == cycle[b])
+    return first[same], np.cumsum(np.append(0, first[same + 1] - first[same]))
 
-    Each step moves every node of `nodes` not yet at the root to its parent,
-    reporting the generator of the edge it left by.
-    """
-    w = nodes.copy()
-    active = np.flatnonzero(cl.via[w] >= 0)
-    while active.size:
-        yield active, cl.via[w[active]]
-        w[active] = cl.parent[w[active]]
-        active = active[cl.via[w[active]] >= 0]
+
+def _rows_at(blocks: tuple[np.ndarray, np.ndarray], at: np.ndarray) -> np.ndarray:
+    """The rows at positions `at` in the concatenated blocks."""
+    starts, totals = blocks
+    block = np.searchsorted(totals, at, side="right") - 1
+    return starts[block] + (at - totals[block])
 
 
-def _schreier_generators(
-    g: GroupTable, cl: ConjugacyClass, ys: np.ndarray
-) -> np.ndarray:
-    """Rows of t_z^-1 s t_y for the edges y -> z = s y s^-1 leaving `ys`;
-    a tree edge gives the identity."""
-    maps = g.conjugation_maps()
-    n_gens = maps.shape[0]
-    gen_perms = g.perms[list(g.gen_rows)]
-    source = np.repeat(np.arange(ys.size), n_gens)
-    s = np.tile(np.arange(n_gens), ys.size)
-    nodes = np.concatenate([ys, maps[s, ys[source]]])
-    # t_w = s_w t_parent(w) ..., so multiply on the right going up the tree
-    t = np.tile(np.arange(g.degree, dtype=np.uint8), (nodes.size, 1))
-    for pos, step in _steps_to_root(cl, nodes):
-        t[pos] = np.take_along_axis(t[pos], gen_perms[step], axis=1)
-    t_y, t_z = t[: ys.size], t[ys.size :]
-    images = gen_perms[s[:, None], t_y[:, g.base][source]]  # s t_y at the base
-    return g.base_index(np.take_along_axis(np.argsort(t_z, axis=1), images, axis=1))
+def _probes(g: GroupTable, x: int, rows: np.ndarray) -> np.ndarray:
+    """Those of `rows` in C(x)."""
+    return _commuting(g, rows, [x])
 
 
 def _spreading_stride(n: int) -> int:
@@ -216,53 +180,88 @@ def _spreading_stride(n: int) -> int:
     return step
 
 
-def _centralizer_generators(g: GroupTable, cl: ConjugacyClass) -> np.ndarray:
-    """Rows of Schreier generators of C(x), x = cl.rep, certified by their order.
+def _outside(levels: list[ChainLevel], perms: np.ndarray) -> np.ndarray:
+    """Mask of the rows of `perms` that do not sift to the identity through
+    the complete chain `levels`, that is, lie outside the group it describes."""
+    residues, inside = perms, np.ones(perms.shape[0], dtype=bool)
+    for level in levels:
+        j = level.position[residues[:, level.point]]
+        inside &= j >= 0
+        residues = np.take_along_axis(level.inverse[j], residues, axis=1)
+    return ~inside | (residues != np.arange(perms.shape[1])).any(axis=1)
 
-    Edges leave members spread over the walk, in chunks that double; after
-    each chunk the distinct non-identity generators gathered so far get a
-    stabilizer chain that stops at |G|/|class|.  Its orbit product is at most
-    |<gens>|, and |<gens>| <= |C(x)| = |G|/|class| once every generator is
-    checked to commute with x, so reaching that order certifies <gens> = C(x).
-    """
-    if cl.size == 1:  # x is central
-        return np.array(g.gen_rows, dtype=np.intp)
-    target = g.order // cl.size
-    stride = _spreading_stride(cl.size)
-    gens = np.empty(0, dtype=np.intp)
-    chunk, lo, order = _FIRST_EDGE_CHUNK, 0, 1
-    while order < target:
-        if lo >= cl.size:
-            raise AssertionError("Schreier generators ran out below |G|/|class|")
-        positions = np.arange(lo, min(lo + chunk, cl.size)) * stride % cl.size
-        candidates = _schreier_generators(g, cl, cl.walk[positions])
-        lo, chunk = lo + chunk, 2 * chunk
-        gens = np.union1d(gens, candidates[candidates != g.identity_row])
-        chain = stabilizer_chain(g.perms[gens], target)
-        order = math.prod(level.transversal.shape[0] for level in chain)
-        if order > target:
-            raise AssertionError("centralizer closure passed |G|/|class|")
-    if _commuting(g, gens, [cl.rep]).size != gens.size:
-        raise AssertionError("a Schreier generator does not centralize")
-    return gens
+
+class _Probes:
+    """Probes of C(x), |C(x)| = `order`, drawn until certified (see the
+    module docstring): `rows` are those the stabilizer chain `chain` was
+    built of, and `pending` those of the last sample outside its group."""
+
+    def __init__(self, g: GroupTable, x: int, order: int):
+        self.g, self.x, self.order = g, x, order
+        self.certified = order == g.order
+        self.rows = np.array(g.gen_rows if self.certified else (), dtype=np.intp)
+        self.chain: list[ChainLevel] = []
+        self.pending = self.rows[:0]
+        if not self.certified:
+            self.blocks = _candidate_blocks(g, x)
+            self.drawn, self.wanted = 0, _FIRST_PROBES
+
+    def draw(self) -> np.ndarray:
+        """The probes of the next, twice as large sample outside the chain's group."""
+        g, n = self.g, int(self.blocks[1][-1])
+        if self.drawn >= n:
+            raise AssertionError("probes ran out below |G|/|class|")
+        stop = min(n, self.drawn + math.ceil(self.wanted * n / self.order))
+        at = np.arange(self.drawn, stop) * _spreading_stride(n) % n
+        new = _probes(g, self.x, _rows_at(self.blocks, at))
+        self.drawn, self.wanted = stop, 2 * self.wanted
+        self.pending = new[_outside(self.chain, g.perms[new])]
+        return self.pending
+
+    def certify(self) -> bool:
+        """Whether a stabilizer chain of the probes, told |C(x)|, reaches it;
+        takes the whole first sample, then one pending probe at a time."""
+        perms = self.g.perms
+        while not self.certified and self.pending.size:
+            take = 1 if self.rows.size else self.pending.size
+            self.rows = np.concatenate([self.rows, self.pending[:take]])
+            self.chain = stabilizer_chain(perms[self.rows], self.order)
+            reached = math.prod(level.transversal.shape[0] for level in self.chain)
+            if reached > self.order:
+                raise AssertionError("probe closure passed |G|/|class|")
+            if reached == self.order:
+                if _commuting(self.g, self.rows, [self.x]).size != self.rows.size:
+                    raise AssertionError("a probe does not centralize")
+                self.certified = True
+            rest = self.pending[take:]
+            self.pending = rest[_outside(self.chain, perms[rest])]
+        return self.certified
+
+    def meet(self, rows: np.ndarray) -> bool:
+        """Whether some of `rows` lies in Z(C(x)); draws probes until it is sure."""
+        rows = _commuting(self.g, rows, [*self.rows, *self.pending])
+        while rows.size and not self.certify():
+            rows = _commuting(self.g, rows, self.draw())
+        return bool(rows.size)
 
 
 def centralizer(
     g: GroupTable, row: int, cl: ConjugacyClass | None = None
 ) -> SubgroupHandle:
-    """All elements commuting with the element at `row`, listed from the chain of
-    its certified Schreier generators.
-
-    `cl` is the class of `row` as walked from it by `conjugacy_classes`;
-    without it, the orbit of `row` is walked here.
-    """
-    if cl is None:
-        cl = _walk(g.conjugation_maps(), row, *_new_schreier_vector(g))
-    elif cl.rep != row:
-        raise ValueError(f"class walked from row {cl.rep}, not {row}")
-    gens = _centralizer_generators(g, cl)
-    members = g.row_index(_products(stabilizer_chain(g.perms[gens]), g.degree))
-    return SubgroupHandle(g, np.sort(members), tuple(gens.tolist()))
+    """All elements commuting with the element at `row`, listed from the rows
+    that may, and generated by its certified probes.  The class `cl` of `row`
+    fixes |C(x)| = |G|/|class|, which the listing must match."""
+    if cl is not None and cl.rep != row:
+        raise ValueError(f"class of row {cl.rep}, not {row}")
+    blocks = _candidate_blocks(g, row)
+    members = _commuting(g, _rows_at(blocks, np.arange(blocks[1][-1])), [row])
+    order = members.size if cl is None else g.order // cl.size
+    if members.size != order:
+        raise AssertionError("centralizer scan missed |G|/|class|")
+    probes = _Probes(g, row, order)
+    while not probes.certify():
+        probes.draw()
+    return SubgroupHandle(g, members, tuple(probes.rows.tolist()))
 
 
 def subgroups_conjugate(
@@ -308,32 +307,32 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
 
     The first existing group with a conjugate centralizer absorbs each class;
     otherwise the class opens a new group.  Conjugacy with a group's first
-    class is decided by the center test (see the module docstring), against
-    that first class's certificate, built when a later class first reaches it.
+    class is decided by the center test on that class's probes (see the
+    module docstring).
     """
     classes = conjugacy_classes(g)
     groups: list[list[int]] = []
-    certs: dict[int, np.ndarray] = {}
+    probes: dict[int, _Probes] = {}
     for ci, cl in enumerate(classes):
         for grp in groups:
             head = grp[0]
             if classes[head].size != cl.size:
                 continue
-            if head not in certs:
-                certs[head] = _centralizer_generators(g, classes[head])
-            if _commuting(g, cl.members, certs[head]).size:
+            if head not in probes:
+                probes[head] = _Probes(g, classes[head].rep, g.order // cl.size)
+            if probes[head].meet(cl.members):
                 grp.append(ci)
                 break
         else:
             groups.append([ci])
     for ci, cl in enumerate(classes):
-        gens = certs.get(ci)
+        p = probes.get(ci)
         log.debug(
             "class %d/%d: size %d, centralizer order %d, %s",
             ci + 1,
             len(classes),
             cl.size,
             g.order // cl.size,
-            "no certificate" if gens is None else f"{gens.size} generators",
+            f"{p.rows.size} generators" if p and p.certified else "no certificate",
         )
     return [[classes[ci] for ci in grp] for grp in groups]

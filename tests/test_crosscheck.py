@@ -5,8 +5,8 @@ against definitions that do not use the table's base (full-row power loops,
 full-row commutation and full-row closure), against sympy's Schreier-Sims
 group orders, centralizers and conjugacy classes, and the center-test z-class
 grouping against the pairwise conjugator search `subgroups_conjugate`.  The
-certified centralizer generators are checked on full rows and by sympy's
-group order, and the generator-only head scan of `z_classes` against the
+certified probes that generate each centralizer are checked on full rows and
+by sympy's group order, and the probe scan of `z_classes` against the
 member-listed center `centralizer(...).center_rows`.  The
 tables enumerated from stabilizer chains are also compared, with E6, H4 and
 F4 added, against a closure that deduplicates on a Python set of row bytes.
@@ -158,26 +158,27 @@ def test_centralizer_generators_close_to_members(table):
 
 def test_certified_generators_commute_on_full_rows(table):
     for cl in oracle.conjugacy_classes(table):
-        gens = oracle._centralizer_generators(table, cl)
+        gens = list(oracle.centralizer(table, cl.rep, cl).generator_rows)
         rows, x = table.perms[gens], table.perms[cl.rep]
         assert (rows[:, x] == x[rows]).all()
 
 
 def test_certified_generators_generate_the_centralizer_order(table):
     for cl in oracle.conjugacy_classes(table):
-        gens = oracle._centralizer_generators(table, cl)
-        assert sympy_group(table, gens.tolist()).order() == table.order // cl.size
+        gens = list(oracle.centralizer(table, cl.rep, cl).generator_rows)
+        assert sympy_group(table, gens).order() == table.order // cl.size
 
 
 def test_head_scan_matches_center_rows(table):
+    # one set of probes per head, drawn lazily across the classes it is tested
+    # against, as in z_classes
     classes = oracle.conjugacy_classes(table)
-    for y in classes:
-        gens = oracle._centralizer_generators(table, y)
-        center = oracle.centralizer(table, y.rep, y).center_rows
-        for h in classes:
-            if h.size == y.size:
-                scan = oracle._commuting(table, h.members, gens).size > 0
-                assert scan == np.isin(h.members, center).any()
+    for h in classes:
+        probes = oracle._Probes(table, h.rep, table.order // h.size)
+        center = oracle.centralizer(table, h.rep, h).center_rows
+        for y in classes:
+            if y.size == h.size:
+                assert probes.meet(y.members) == np.isin(y.members, center).any()
 
 
 def test_center_test_grouping_matches_conjugator_search(table):

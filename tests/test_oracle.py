@@ -9,7 +9,7 @@ import textwrap
 
 import numpy as np
 import pytest
-from conftest import naive_z_class_count
+from conftest import elements, invert, multiply, naive_z_class_count
 
 from zclass import oracle
 from zclass.groups import (
@@ -91,11 +91,50 @@ class TestConjugacyClasses:
         assert sizes == [1, 1, 2, 2, 3, 3]
 
 
+def full_row_classes(table) -> list[tuple[int, list[int]]]:
+    """(least row, sorted member rows) of each class, by a breadth-first search
+    of conjugation by the generators over full rows, from the rows in order."""
+    group = elements(table)
+    index = {e: i for i, e in enumerate(group)}
+    gens = [(group[r], invert(group[r])) for r in table.gen_rows]
+    seen, classes = set(), []
+    for x in group:
+        if x in seen:
+            continue
+        orbit, frontier = {x}, {x}
+        while frontier:
+            frontier = {
+                multiply(multiply(s, y), s_inv) for y in frontier for s, s_inv in gens
+            }
+            frontier -= orbit
+            orbit |= frontier
+        seen |= orbit
+        classes.append((index[x], sorted(index[y] for y in orbit)))
+    return classes
+
+
+class TestFullRowClasses:
+    # I2(255): its odd reflection class took 71 propagation rounds, the most seen
+    @pytest.mark.parametrize(
+        "text",
+        ["B3", "D4", "H3", "I2(8)", "B2 x I2(5)", " x ".join(["A1"] * 8), "I2(255)"],
+    )
+    def test_propagation_matches_breadth_first_search(self, text):
+        table = build_group(parse_coxeter_type(text))
+        got = [(cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)]
+        assert got == full_row_classes(table)
+
+
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
         table = build_dihedral(5)
         cen = oracle.centralizer(table, table.identity_row)
         assert cen.order == table.order
+
+    def test_trivial_group_centralizer(self):
+        # the trivial group has no base; its one row still lists itself
+        cen = oracle.centralizer(build_symmetric(1), 0)
+        assert cen.member_rows.tolist() == [0] and cen.generator_rows == ()
 
     def test_b2_table_sizes(self):
         table = build_wreath_bc(2)
@@ -142,30 +181,13 @@ class TestCentralizer:
             assert closed == members
 
 
-    def test_schreier_vector_spells_conjugators(self):
-        # following parent/via up to the root conjugates the root into each member
-        table = build_d(4)
-        for cl in oracle.conjugacy_classes(table):
-            assert cl.walk[0] == cl.rep
-            assert sorted(cl.walk.tolist()) == cl.members.tolist()
-            for y in cl.walk.tolist():
-                word, w = [], y
-                while cl.via[w] >= 0:
-                    word.append(table.gen_rows[cl.via[w]])
-                    w = int(cl.parent[w])
-                t = np.arange(table.degree)
-                for gen in word:  # t_y = s_y t_parent(y) ... s_1
-                    t = t[table.perms[gen]]
-                conj = t[table.perms[cl.rep]][np.argsort(t)]
-                assert table.row_index(conj.astype(np.uint8)[None, :])[0] == y
-
-    def test_running_out_of_schreier_generators_raises(self, monkeypatch):
+    def test_running_out_of_probes_raises(self, monkeypatch):
         table = build_wreath_bc(3)
         cl = oracle.conjugacy_classes(table)[1]
         monkeypatch.setattr(
             oracle,
-            "_schreier_generators",
-            lambda g, cl, ys: np.full(ys.size, g.identity_row),
+            "_probes",
+            lambda g, x, rows: np.full(rows.size, g.identity_row),
         )
         with pytest.raises(AssertionError, match="ran out"):
             oracle.centralizer(table, cl.rep, cl)
@@ -175,8 +197,8 @@ class TestCentralizer:
         cl = oracle.conjugacy_classes(table)[1]
         monkeypatch.setattr(
             oracle,
-            "_schreier_generators",
-            lambda g, cl, ys: np.array(g.gen_rows),
+            "_probes",
+            lambda g, x, rows: np.array(g.gen_rows),
         )
         with pytest.raises(AssertionError):
             oracle.centralizer(table, cl.rep, cl)
@@ -201,12 +223,10 @@ class TestCentralizer:
         target = table.order // cl.size
         chain = stabilizer_chain(table.perms[rows], target)
         assert math.prod(len(level.transversal) for level in chain) == target
-        monkeypatch.setattr(
-            oracle, "_schreier_generators", lambda g, cl, ys: np.array(rows)
-        )
+        monkeypatch.setattr(oracle, "_probes", lambda g, x, r: np.array(rows))
         with pytest.raises(AssertionError) as exc:
             oracle.centralizer(table, cl.rep, cl)
-        assert str(exc.value) == "a Schreier generator does not centralize"
+        assert str(exc.value) == "a probe does not centralize"
 
     def test_centralizer_checks_survive_python_O(self):
         table = build_wreath_bc(3)
@@ -220,12 +240,12 @@ class TestCentralizer:
             table = build_wreath_bc(3)
             cl = oracle.conjugacy_classes(table)[1]
             fakes = {{
-                "ran out": lambda g, cl, ys: np.full(ys.size, g.identity_row),
-                "passed": lambda g, cl, ys: np.array(g.gen_rows),
-                "does not centralize": lambda g, cl, ys: np.array({rows}),
+                "ran out": lambda g, x, rows: np.full(rows.size, g.identity_row),
+                "passed": lambda g, x, rows: np.array(g.gen_rows),
+                "does not centralize": lambda g, x, rows: np.array({rows}),
             }}
             for name, fake in fakes.items():
-                oracle._schreier_generators = fake
+                oracle._probes = fake
                 try:
                     oracle.centralizer(table, cl.rep, cl)
                     print(name, "accepted")
@@ -397,16 +417,16 @@ EAGER_TYPES = (
 
 
 def eager_grouping(table) -> tuple[list, list[list[int]]]:
-    """Classes and groups of class indices, certifying every class and testing
-    it from the class side: the members of each earlier head of its size
-    against the class's own certified generators."""
+    """Classes and groups of class indices, listing every centralizer and
+    testing each class from its own side: a class joins the first group whose
+    head's members meet the listed center of the class's centralizer."""
     classes = oracle.conjugacy_classes(table)
     groups: list[list[int]] = []
     for ci, cl in enumerate(classes):
-        gens = oracle._centralizer_generators(table, cl)
+        center = oracle.centralizer(table, cl.rep, cl).center_rows
         for grp in groups:
             head = classes[grp[0]]
-            if head.size == cl.size and oracle._commuting(table, head.members, gens).size:
+            if head.size == cl.size and np.isin(head.members, center).any():
                 grp.append(ci)
                 break
         else:
@@ -429,6 +449,17 @@ def reached_heads(groups) -> set[int]:
     return reached
 
 
+def absorbing_heads(groups) -> set[int]:
+    """Reps of the heads whose group holds another class: each needs certified
+    probes."""
+    return {grp[0].rep for grp in groups if len(grp) > 1}
+
+
+# heads whose probes get certified: every absorbing head, and those a class
+# survived the first probes of without joining
+CERTIFIED = {"B6": 18, "E6": 1}
+
+
 class TestLazyCertificates:
     @pytest.mark.parametrize("text", EAGER_TYPES)
     def test_matches_eager_grouping_class_by_class(self, text):
@@ -444,21 +475,25 @@ class TestLazyCertificates:
             [classes[ci].rep for ci in grp] for grp in eager
         ]
 
-    @pytest.mark.parametrize("text,certified,n_classes", [("B6", 29, 65), ("E6", 8, 25)])
-    def test_certifies_only_reached_heads(self, monkeypatch, text, certified, n_classes):
+    @pytest.mark.parametrize("text,probed,n_classes", [("B6", 29, 65), ("E6", 8, 25)])
+    def test_certifies_only_reached_heads(self, monkeypatch, text, probed, n_classes):
         table = build_group(parse_coxeter_type(text))
-        calls = []
-        certify = oracle._centralizer_generators
+        made = []
 
-        def counting(g, cl):
-            calls.append(cl.rep)
-            return certify(g, cl)
+        class Counting(oracle._Probes):
+            def __init__(self, g, x, order):
+                super().__init__(g, x, order)
+                made.append(self)
 
-        monkeypatch.setattr(oracle, "_centralizer_generators", counting)
+        monkeypatch.setattr(oracle, "_Probes", Counting)
         groups = oracle.z_classes(table)
         assert sum(len(grp) for grp in groups) == n_classes
-        assert len(calls) == len(set(calls)) == certified
-        assert set(calls) == reached_heads(groups)
+        heads = [p.x for p in made]
+        assert len(heads) == len(set(heads)) == probed
+        assert set(heads) == reached_heads(groups)
+        certified = {p.x for p in made if p.certified}
+        assert absorbing_heads(groups) <= certified
+        assert len(certified) == CERTIFIED[text]
 
     def test_debug_log_marks_uncertified_classes(self, caplog):
         table = build_group(parse_coxeter_type("E6"))
@@ -466,17 +501,19 @@ class TestLazyCertificates:
             groups = oracle.z_classes(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
         classes = sorted((cl for grp in groups for cl in grp), key=lambda cl: cl.rep)
-        heads = reached_heads(groups)
+        certified = set()
         assert len(lines) == len(classes) == 25
         for i, (line, cl) in enumerate(zip(lines, classes), 1):
             prefix = (
                 f"class {i}/25: size {cl.size}, centralizer order {table.order // cl.size}, "
             )
             assert line.startswith(prefix)
-            if cl.rep in heads:
-                assert line.endswith(" generators")
+            if line.endswith(" generators"):
+                certified.add(cl.rep)
             else:
                 assert line == prefix + "no certificate"
+        assert absorbing_heads(groups) <= certified <= reached_heads(groups)
+        assert len(certified) == CERTIFIED["E6"]
 
 
 class TestIndexTwoConsistency:
