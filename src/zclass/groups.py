@@ -16,15 +16,17 @@ moved by the pointwise stabilizer of the points before it, until only the
 identity fixes them all.  Two elements are then equal exactly when they agree
 on the base, and two rows compare lexicographically as their base images do.
 The mixed-radix integer key of the base images is therefore strictly
-increasing down the table: a lookup is one int64 searchsorted, and an equation
-between group elements (commutation, conjugation) is checked at the base
-points alone.
+increasing down the table: a lookup is one int64 searchsorted of the query
+keys in any order, and an equation between group elements (commutation,
+conjugation) is checked at the base points alone.  The key of a conjugate
+t e t^-1 is read off e at the points t^-1(b_i) through the code composed
+with t, so no product row is formed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,8 +105,8 @@ class GroupTable:
     """Enumerated permutation group on `degree` points.
 
     `perms` holds all elements as image arrays, rows sorted lexicographically;
-    `keys` holds their strictly increasing base keys.  Generator rows are
-    retained so orbit algorithms can walk the Cayley graph.
+    `keys` holds their strictly increasing base keys.  `gen_rows` index the
+    generators; conjugation by each gives one row of `conjugation_maps`.
     """
 
     def __init__(
@@ -134,20 +136,19 @@ class GroupTable:
         """Keys of elements given by their base images, one (k,) row each."""
         return _keys(self._code, images)
 
-    def base_index(self, images: np.ndarray) -> np.ndarray:
-        """Indices of members given by their base images, one (k,) row each.
-
-        Queries are sorted before the search; a key with no member raises.
-        """
-        query = self.base_keys(images)
-        order = np.argsort(query)
-        idx = np.empty(query.size, dtype=np.intp)
-        idx[order] = np.searchsorted(self.keys, query[order])
-        if idx.size and (
-            idx.max() >= self.order or np.any(self.keys[idx] != query)
-        ):
+    def _search(self, query: np.ndarray) -> np.ndarray:
+        """Indices of the member keys `query`, in any order; a key with no
+        member raises (an index past the table clips to the last key, which
+        is less than the query)."""
+        idx = np.searchsorted(self.keys, query)
+        if np.any(self.keys.take(idx, mode="clip") != query):
             raise LookupError(f"element not in group table {self.name}")
         return idx
+
+    def base_index(self, images: np.ndarray) -> np.ndarray:
+        """Indices of members given by their base images, one (k,) row each;
+        a key with no member raises."""
+        return self._search(self.base_keys(images))
 
     def row_index(self, rows: np.ndarray) -> np.ndarray:
         """Indices of query rows in the table; a row that is not a member raises.
@@ -169,19 +170,35 @@ class GroupTable:
             self._inverses = inv
         return self._inverses
 
-    def _conjugate_block(self, t: int, select) -> np.ndarray:
-        """Indices of t * e * t^-1 for the elements e = perms[select]."""
-        t_arr = self.perms[t]
-        columns = np.argsort(t_arr)[self.base]  # t^-1 of each base point
-        return self.base_index(t_arr[self.perms[select, columns]])
+    def _conjugates(
+        self, ts: Sequence[int], rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """out[s, j] is the index of t * e * t^-1 for t = ts[s] and e the j-th
+        of `rows` (every row if None), as int32.
+
+        t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its key is the
+        sum of code[i, t(e(c_i))]: one lookup per base point in the code
+        composed with t, code[:, t].  Each chunk of rows is read once, at the
+        union of the columns c_i of every t.
+        """
+        t_rows = self.perms[list(ts)]
+        columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
+        codes = self._code[:, t_rows]  # codes[:, s] is code[:, ts[s]]
+        read, at = np.unique(columns, return_inverse=True)
+        at = at.reshape(columns.shape)  # columns[s, i] is read[at[s, i]]
+        n = self.order if rows is None else rows.size
+        out = np.empty((len(ts), n), dtype=np.int32)
+        for lo in range(0, n, _CONJUGATE_CHUNK):
+            hi = min(lo + _CONJUGATE_CHUNK, n)
+            select = slice(lo, hi) if rows is None else rows[lo:hi, None]
+            block = self.perms[select, read]
+            for s in range(len(ts)):
+                out[s, lo:hi] = self._search(_keys(codes[:, s], block[:, at[s]]))
+        return out
 
     def conjugates(self, t: int, rows: np.ndarray) -> np.ndarray:
         """Indices of t * e * t^-1 for the elements at `rows`, as int32."""
-        out = np.empty(rows.size, dtype=np.int32)
-        for lo in range(0, rows.size, _CONJUGATE_CHUNK):
-            hi = min(lo + _CONJUGATE_CHUNK, rows.size)
-            out[lo:hi] = self._conjugate_block(t, rows[lo:hi, None])
-        return out
+        return self._conjugates([t], rows)[0]
 
     def conjugation_maps(self) -> np.ndarray:
         """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as int32.
@@ -189,12 +206,7 @@ class GroupTable:
         Computed once, into one preallocated array.
         """
         if self._conjugation_maps is None:
-            maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
-            for s, t in enumerate(self.gen_rows):
-                for lo in range(0, self.order, _CONJUGATE_CHUNK):
-                    hi = min(lo + _CONJUGATE_CHUNK, self.order)
-                    maps[s, lo:hi] = self._conjugate_block(t, slice(lo, hi))
-            self._conjugation_maps = maps
+            self._conjugation_maps = self._conjugates(self.gen_rows)
         return self._conjugation_maps
 
     def element_orders(self) -> np.ndarray:
@@ -411,19 +423,6 @@ def build_symmetric(n: int) -> GroupTable:
         gens, name=f"S{n}", degree=n, labeler=_cycle_type_label
     )
     return checked_order(table, expected)
-
-
-def signed_perm_to_row(w: SignedPermutation) -> np.ndarray:
-    """Faithful action on 2n signed points: point i is +e_i, point n+i is -e_i."""
-    n = w.n
-    row = np.empty(2 * n, dtype=np.uint8)
-    for i in range(n):
-        j = w.perm[i]
-        if w.signs[j] == 1:
-            row[i], row[n + i] = j, n + j
-        else:
-            row[i], row[n + i] = n + j, j
-    return row
 
 
 def row_to_signed_perm(row: np.ndarray) -> SignedPermutation:

@@ -1,9 +1,12 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
-the numpy engine, a tiny dict-based z-class oracle built on it, and the
-derandomized settings of the hypothesis property tests."""
+the numpy engine, a tiny dict-based z-class oracle built on it, the row of a
+signed permutation, and the derandomized settings of the hypothesis property
+tests."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
+
+from zclass.signed_perm import SignedPermutation
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -29,6 +32,19 @@ def invert(a: tuple) -> tuple:
     for i, image in enumerate(a):
         inverse[image] = i
     return tuple(inverse)
+
+
+def signed_perm_to_row(w: SignedPermutation) -> np.ndarray:
+    """Faithful action on 2n signed points: point i is +e_i, point n+i is -e_i."""
+    n = w.n
+    row = np.empty(2 * n, dtype=np.uint8)
+    for i in range(n):
+        j = w.perm[i]
+        if w.signs[j] == 1:
+            row[i], row[n + i] = j, n + j
+        else:
+            row[i], row[n + i] = n + j, j
+    return row
 
 
 def compose_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

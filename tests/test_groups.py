@@ -1,5 +1,6 @@
 """Group builders and the GroupTable encoding contract."""
 
+import copy
 import math
 import random
 import subprocess
@@ -17,6 +18,7 @@ from conftest import (
     elements,
     invert,
     multiply,
+    signed_perm_to_row,
     validate,
 )
 
@@ -31,7 +33,6 @@ from zclass.groups import (
     direct_product,
     group_from_generators,
     row_to_signed_perm,
-    signed_perm_to_row,
     stabilizer_chain,
 )
 from zclass.reflection import build_root_system
@@ -219,6 +220,82 @@ class TestGroupTableContract:
             group_from_generators(
                 [np.array([0, 0, 1], dtype=np.uint8)], name="bad", degree=3
             )
+
+
+MAP_GROUPS = {
+    text: (lambda text=text: build_group(parse_coxeter_type(text)))
+    for text in ["B3", "D4", "H3", " x ".join(["A1"] * 8), "I2(8)", "B2 x I2(5)"]
+}
+MAP_GROUPS["S1"] = lambda: build_symmetric(1)
+
+
+def with_last_key_moved(table, delta: int):
+    """A copy of `table` whose last key is moved by `delta`; the last row is
+    a conjugate of some row, and no lookup finds it any more."""
+    moved = copy.copy(table)
+    moved.keys = table.keys.copy()
+    moved.keys[-1] += delta
+    return moved
+
+
+class TestConjugationMaps:
+    # I2(8) and B2 x I2(5) have a rotation generator, which is no involution;
+    # S1 has no generator and an empty base
+    @pytest.mark.parametrize("text", list(MAP_GROUPS))
+    def test_maps_match_full_row_products(self, text):
+        table = MAP_GROUPS[text]()
+        group = elements(table)
+        index = {e: i for i, e in enumerate(group)}
+        maps = table.conjugation_maps()
+        assert maps.dtype == np.int32
+        assert maps.shape == (len(table.gen_rows), table.order)
+        for s, t in enumerate(table.gen_rows):
+            t_row, t_inv = group[t], invert(group[t])
+            expected = [index[multiply(multiply(t_row, e), t_inv)] for e in group]
+            assert maps[s].tolist() == expected
+            assert sorted(maps[s].tolist()) == list(range(table.order))
+        assert table.conjugation_maps() is maps
+
+    @pytest.mark.parametrize("text", list(MAP_GROUPS))
+    def test_lookups_agree_with_the_maps(self, text):
+        table = MAP_GROUPS[text]()
+        rows = np.random.default_rng(1).permutation(table.order).astype(np.int32)
+        assert table.base_index(table.perms[rows][:, table.base]).tolist() == (
+            rows.tolist()
+        )
+        for s, t in enumerate(table.gen_rows):
+            assert np.array_equal(
+                table.conjugates(t, rows), table.conjugation_maps()[s, rows]
+            )
+
+    @pytest.mark.parametrize("delta", [1, -1])  # a key between, or past the table
+    def test_missing_conjugate_raises(self, delta):
+        table = build_d(4)
+        with pytest.raises(LookupError):
+            with_last_key_moved(table, delta).conjugation_maps()
+        assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
+
+    def test_missing_conjugate_raises_under_optimize(self):
+        script = (
+            "import copy\n"
+            "from zclass.groups import build_d\n"
+            "table = build_d(4)\n"
+            "print(__debug__)\n"
+            "for delta in (1, -1):\n"
+            "    moved = copy.copy(table)\n"
+            "    moved.keys = table.keys.copy()\n"
+            "    moved.keys[-1] += delta\n"
+            "    try:\n"
+            "        moved.conjugation_maps()\n"
+            "        print('accepted')\n"
+            "    except LookupError:\n"
+            "        print('refused')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["False", "refused", "refused"]
 
 
 class TestStabilizerChain:

@@ -9,7 +9,13 @@ import textwrap
 
 import numpy as np
 import pytest
-from conftest import elements, invert, multiply, naive_z_class_count
+from conftest import (
+    elements,
+    invert,
+    multiply,
+    naive_z_class_count,
+    signed_perm_to_row,
+)
 
 from zclass import oracle
 from zclass.groups import (
@@ -18,8 +24,8 @@ from zclass.groups import (
     build_symmetric,
     build_wreath_bc,
     direct_product,
+    group_from_generators,
     row_to_signed_perm,
-    signed_perm_to_row,
     stabilizer_chain,
 )
 from zclass.closed_form import parse_coxeter_type
@@ -123,6 +129,32 @@ class TestFullRowClasses:
         table = build_group(parse_coxeter_type(text))
         got = [(cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)]
         assert got == full_row_classes(table)
+
+
+class TestGeneratorOrder:
+    @pytest.mark.parametrize("text", ["B4", "H3", "B2 x I2(5)"])
+    def test_classes_and_grouping_ignore_generator_order(self, text):
+        table = build_group(parse_coxeter_type(text))
+        gens, maps = table.gen_rows, table.conjugation_maps()
+
+        def answers(t):
+            classes = [(c.rep, c.members.tolist()) for c in oracle.conjugacy_classes(t)]
+            grouping = [[c.rep for c in grp] for grp in oracle.z_classes(t)]
+            return classes, grouping
+
+        expected = answers(table)
+        for order in (gens[::-1], gens[1:] + gens[:1], gens[2:] + gens[:2]):
+            other = group_from_generators(
+                [table.perms[r] for r in order],
+                name=table.name,
+                degree=table.degree,
+                labeler=table.labeler,
+            )
+            assert np.array_equal(other.perms, table.perms)
+            assert other.gen_rows == order
+            for s, t in enumerate(order):
+                assert np.array_equal(other.conjugation_maps()[s], maps[gens.index(t)])
+            assert answers(other) == expected
 
 
 class TestCentralizer:
