@@ -41,8 +41,17 @@ the first class h of each earlier group with |h| = |y|.  As the probes lie
 in C(h), C_G(probes) contains Z(C(h)): if none survives, the answer is
 exactly no.  A survivor counts only once the probes are certified, as then
 C_G(probes) = Z(C(h)); until then h draws more.  Only a head that a later
-class of its size reaches draws probes.  `subgroups_conjugate` and its
-fingerprint remain as general tools.
+class of its size from another sure component reaches draws probes.
+`subgroups_conjugate` and its fingerprint remain as general tools.
+
+Sure joins.  If C(x) lies in C(y) and the classes of x and y have the same
+size, then |C(x)| = |C(y)|, so C(x) = C(y).  C(x) lies in C(x^p), and in C(xc)
+for c central, which holds x = (xc)c^-1.  So `z_classes` first joins into sure
+components all central classes (C = G), each other rep x with the class of
+x^p, for p a prime dividing ord(x) (read off x's cycle lengths), when that
+class has x's size, and x with the class of xc for c in a generating set of
+Z(G).  A row's class is found among the classes of its size.  Only the first
+class of a component meets the center test; the others join its group.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -145,15 +154,92 @@ def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray
     return rows
 
 
+def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """cycle[r, p]: the length of the cycle of the r-th of `perms` through p,
+    counted by the least point of each cycle, found by pointer doubling."""
+    n, degree = perms.shape
+    least, jump = np.broadcast_to(np.arange(degree), perms.shape), perms
+    for _ in range((degree - 1).bit_length()):  # least of p, ..., x^(2^k - 1)(p)
+        least = np.minimum(least, np.take_along_axis(least, jump, axis=1))
+        jump = np.take_along_axis(jump, jump, axis=1)
+    flat = least + degree * np.arange(n)[:, None]
+    return np.bincount(flat.ravel(), minlength=n * degree)[flat]
+
+
+def _power(perms: np.ndarray, e: int) -> np.ndarray:
+    """Each of `perms` raised to e >= 1, by repeated squaring."""
+    out = None
+    while e:
+        if e & 1:
+            out = perms if out is None else np.take_along_axis(perms, out, axis=1)
+        perms, e = np.take_along_axis(perms, perms, axis=1), e >> 1
+    return out
+
+
+def _center_generators(g: GroupTable, central: np.ndarray) -> list[int]:
+    """The rows of Z(G), given sorted as `central`, that lie outside the
+    subgroup generated by the earlier ones."""
+    keys, spanned, kept = g.keys[central], central == g.identity_row, []
+    for i, c in enumerate(central.tolist()):
+        if spanned[i]:
+            continue
+        kept.append(c)
+        coset = np.flatnonzero(spanned)
+        while True:  # the cosets S c, S c^2, ... of the span S, until S again
+            images = g.perms[central[coset]][:, g.perms[c][g.base]]
+            coset = np.searchsorted(keys, g.base_keys(images))
+            if spanned[coset[0]]:
+                break
+            spanned[coset] = True
+    return kept
+
+
+def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
+    """The first class of each class's sure component (see the module docstring)."""
+    sizes = np.array([cl.size for cl in classes])
+    reps = np.array([cl.rep for cl in classes])
+    central, moving = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
+    xs = g.perms[reps[moving]]
+    cycle = _cycle_lengths(xs)
+    orders = np.lcm.reduce(cycle, axis=1)
+    src, images = [], []
+    for p in range(2, int(cycle.max(initial=1)) + 1):  # x^p for primes p | ord(x)
+        has = orders % p == 0
+        if has.any() and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            src.append(moving[has])
+            images.append(_power(xs[has], p)[:, g.base])
+    for c in _center_generators(g, reps[central]) if moving.size else ():
+        src.append(moving)
+        images.append(xs[:, g.perms[c][g.base]])  # x c
+    src = np.concatenate([moving[:0], *src])
+    rows = g.base_index(np.concatenate([xs[:0, g.base], *images]))
+    dst = np.full(src.size, -1)
+    for s in set(sizes[moving].tolist()):  # each row's class among those of its size
+        ask = np.flatnonzero(sizes[src] == s)
+        query = rows[ask]
+        for j in np.flatnonzero(sizes == s):
+            members = classes[j].members
+            at = members.take(np.searchsorted(members, query), mode="clip")
+            dst[ask[at == query]] = j
+    a, b = src[dst >= 0], dst[dst >= 0]
+    root = np.arange(len(classes))
+    root[central] = 0  # the identity's class
+    while True:  # min-label rounds, as in `conjugacy_classes`
+        low, new = np.minimum(root[a], root[b]), root.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, root):
+            return root.tolist()
+        root = new
+
+
 def _candidate_blocks(g: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows w with w(b) in an x-cycle as long as b's, b the first base
     point, as blocks: (first row of each, running total of their lengths)."""
-    perm, points = g.perms[x], np.arange(g.degree)
+    points = np.arange(g.degree)
     b = g.base[0] if g.base.size else 0  # a trivial group has no base
-    cycle, power, k = np.zeros(g.degree, dtype=np.intp), perm, 1
-    while not cycle.all():  # the length of the x-cycle through each point
-        cycle[(power == points) & (cycle == 0)] = k
-        power, k = perm[power], k + 1
+    cycle = _cycle_lengths(g.perms[x : x + 1])[0]
     # rows are sorted by w(b): first[p] is the first row with w(b) >= p
     first = np.append(np.searchsorted(g.perms[:, b], points.astype(np.uint8)), g.order)
     same = np.flatnonzero(cycle == cycle[b])
@@ -305,34 +391,47 @@ def subgroups_conjugate(
 def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
     """Group conjugacy classes whose centralizers are conjugate in g.
 
-    The first existing group with a conjugate centralizer absorbs each class;
-    otherwise the class opens a new group.  Conjugacy with a group's first
-    class is decided by the center test on that class's probes (see the
-    module docstring).
+    A class whose sure component (see the module docstring) holds an earlier
+    class joins that class's group.  Otherwise the first existing group with
+    a conjugate centralizer absorbs it, decided by the center test on the
+    probes of that group's first class, or the class opens a new group.
     """
     classes = conjugacy_classes(g)
+    root = _sure_components(g, classes)
     groups: list[list[int]] = []
+    group_of: list[int] = []
     probes: dict[int, _Probes] = {}
     for ci, cl in enumerate(classes):
-        for grp in groups:
+        gi = group_of[root[ci]] if root[ci] < ci else len(groups)
+        for k, grp in enumerate(groups if root[ci] == ci else ()):
             head = grp[0]
             if classes[head].size != cl.size:
                 continue
             if head not in probes:
                 probes[head] = _Probes(g, classes[head].rep, g.order // cl.size)
             if probes[head].meet(cl.members):
-                grp.append(ci)
+                gi = k
                 break
-        else:
-            groups.append([ci])
+        if gi == len(groups):
+            groups.append([])
+        groups[gi].append(ci)
+        group_of.append(gi)
     for ci, cl in enumerate(classes):
         p = probes.get(ci)
         log.debug(
-            "class %d/%d: size %d, centralizer order %d, %s",
+            "class %d/%d: size %d, centralizer order %d, %s%s",
             ci + 1,
             len(classes),
             cl.size,
             g.order // cl.size,
             f"{p.rows.size} generators" if p and p.certified else "no certificate",
+            f", sure join with class {root[ci] + 1}" if root[ci] < ci else "",
         )
+    log.debug(
+        "%d classes, %d sure components, %d heads probed, %d heads certified",
+        len(classes),
+        sum(r == ci for ci, r in enumerate(root)),
+        len(probes),
+        sum(p.certified for p in probes.values()),
+    )
     return [[classes[ci] for ci in grp] for grp in groups]

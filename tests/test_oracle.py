@@ -28,7 +28,7 @@ from zclass.groups import (
     row_to_signed_perm,
     stabilizer_chain,
 )
-from zclass.closed_form import parse_coxeter_type
+from zclass.closed_form import parse_coxeter_type, z_count
 from zclass.errors import LARGE_ORDER_CAP
 from zclass.signed_perm import (
     SignedPartition,
@@ -428,10 +428,19 @@ class TestZClasses:
         with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
             oracle.z_classes(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
-        assert len(lines) == 10
-        assert lines[0] == "class 1/10: size 1, centralizer order 48, 3 generators"
-        for i, line in enumerate(lines, 1):
+        assert len(lines) == 11
+        # the two central classes are one sure component, so nothing probes
+        # the identity's class
+        assert lines[0] == "class 1/10: size 1, centralizer order 48, no certificate"
+        assert lines[9] == (
+            "class 10/10: size 1, centralizer order 48, no certificate, "
+            "sure join with class 1"
+        )
+        for i, line in enumerate(lines[:10], 1):
             assert line.startswith(f"class {i}/10: ")
+        assert lines[10] == (
+            "10 classes, 5 sure components, 1 heads probed, 0 heads certified"
+        )
 
     def test_no_log_output_by_default(self, capsys):
         oracle.z_classes(build_wreath_bc(3))
@@ -466,30 +475,44 @@ def eager_grouping(table) -> tuple[list, list[list[int]]]:
     return classes, groups
 
 
-def reached_heads(groups) -> set[int]:
-    """Reps of the heads that the scan of some later class of the same size reaches.
+def sure_roots(table, classes) -> dict[int, int]:
+    """The rep of each class mapped to the rep of the first class of its sure
+    component."""
+    root = oracle._sure_components(table, classes)
+    return {cl.rep: classes[r].rep for cl, r in zip(classes, root)}
 
-    A class is compared with the heads of every group up to its own, so a head
-    is reached by a class of its size in its own group or a later one.
+
+def reached_heads(groups, root) -> set[int]:
+    """Reps of the heads that a later class of their size from another sure
+    component reaches.
+
+    Only the first class of a sure component is tested, against the heads of
+    every group up to its own, and the other classes of a component share its
+    group and size; so a head is reached by a class of its size in its own
+    group or a later one, outside its component.
     """
     reached = set()
     for gi, grp in enumerate(groups):
         head = grp[0]
-        later = (cl for g in groups[gi:] for cl in g if cl.rep != head.rep)
+        later = (cl for g in groups[gi:] for cl in g if root[cl.rep] != root[head.rep])
         if any(cl.size == head.size for cl in later):
             reached.add(head.rep)
     return reached
 
 
-def absorbing_heads(groups) -> set[int]:
-    """Reps of the heads whose group holds another class: each needs certified
-    probes."""
-    return {grp[0].rep for grp in groups if len(grp) > 1}
+def absorbing_heads(groups, root) -> set[int]:
+    """Reps of the heads whose group holds a class of another sure component:
+    each absorbed it through certified probes."""
+    return {
+        grp[0].rep
+        for grp in groups
+        if any(root[cl.rep] != root[grp[0].rep] for cl in grp)
+    }
 
 
-# heads whose probes get certified: every absorbing head, and those a class
-# survived the first probes of without joining
-CERTIFIED = {"B6": 18, "E6": 1}
+# heads whose probes get certified: every head that absorbs through probes,
+# and those a class survived the first probes of without joining
+CERTIFIED = {"B6": 3, "E6": 0}
 
 
 class TestLazyCertificates:
@@ -507,9 +530,10 @@ class TestLazyCertificates:
             [classes[ci].rep for ci in grp] for grp in eager
         ]
 
-    @pytest.mark.parametrize("text,probed,n_classes", [("B6", 29, 65), ("E6", 8, 25)])
+    @pytest.mark.parametrize("text,probed,n_classes", [("B6", 22, 65), ("E6", 7, 25)])
     def test_certifies_only_reached_heads(self, monkeypatch, text, probed, n_classes):
         table = build_group(parse_coxeter_type(text))
+        root = sure_roots(table, oracle.conjugacy_classes(table))
         made = []
 
         class Counting(oracle._Probes):
@@ -522,9 +546,9 @@ class TestLazyCertificates:
         assert sum(len(grp) for grp in groups) == n_classes
         heads = [p.x for p in made]
         assert len(heads) == len(set(heads)) == probed
-        assert set(heads) == reached_heads(groups)
+        assert set(heads) == reached_heads(groups, root)
         certified = {p.x for p in made if p.certified}
-        assert absorbing_heads(groups) <= certified
+        assert absorbing_heads(groups, root) <= certified
         assert len(certified) == CERTIFIED[text]
 
     def test_debug_log_marks_uncertified_classes(self, caplog):
@@ -533,8 +557,10 @@ class TestLazyCertificates:
             groups = oracle.z_classes(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
         classes = sorted((cl for grp in groups for cl in grp), key=lambda cl: cl.rep)
-        certified = set()
-        assert len(lines) == len(classes) == 25
+        root = sure_roots(table, classes)
+        index = {cl.rep: i for i, cl in enumerate(classes, 1)}
+        certified, joined = set(), []
+        assert len(lines) == len(classes) + 1 == 26
         for i, (line, cl) in enumerate(zip(lines, classes), 1):
             prefix = (
                 f"class {i}/25: size {cl.size}, centralizer order {table.order // cl.size}, "
@@ -542,10 +568,108 @@ class TestLazyCertificates:
             assert line.startswith(prefix)
             if line.endswith(" generators"):
                 certified.add(cl.rep)
+            elif root[cl.rep] != cl.rep:
+                joined.append(i)
+                first = index[root[cl.rep]]
+                assert line == prefix + f"no certificate, sure join with class {first}"
             else:
                 assert line == prefix + "no certificate"
-        assert absorbing_heads(groups) <= certified <= reached_heads(groups)
+        assert absorbing_heads(groups, root) <= certified <= reached_heads(groups, root)
         assert len(certified) == CERTIFIED["E6"]
+        assert len(joined) == 1
+        assert lines[25] == (
+            "25 classes, 24 sure components, 7 heads probed, 0 heads certified"
+        )
+
+
+A1_POWER = " x ".join(["A1"] * 8)
+
+
+def table_of(text: str):
+    """The group of a type, or the trivial group S1."""
+    if text == "S1":
+        return build_symmetric(1)
+    return build_group(parse_coxeter_type(text), LARGE_ORDER_CAP)
+
+
+class TestSureComponents:
+    @pytest.mark.parametrize("text", EAGER_TYPES + [A1_POWER, "I2(255)", "S1"])
+    def test_components_lie_in_one_eager_class(self, text):
+        table = table_of(text)
+        classes, eager = eager_grouping(table)
+        group_of = {ci: gi for gi, grp in enumerate(eager) for ci in grp}
+        root = oracle._sure_components(table, classes)
+        for ci, r in enumerate(root):
+            assert root[r] == r <= ci
+            assert group_of[r] == group_of[ci], table.label(classes[ci].rep)
+        assert {r for r, cl in zip(root, classes) if cl.size == 1} == {0}
+
+    def test_all_central_group_makes_no_probes(self, monkeypatch):
+        made = []
+
+        class Counting(oracle._Probes):
+            def __init__(self, g, x, order):
+                super().__init__(g, x, order)
+                made.append(self)
+
+        monkeypatch.setattr(oracle, "_Probes", Counting)
+        table = table_of(" x ".join(["A1"] * 10))
+        assert len(oracle.z_classes(table)) == 1
+        assert made == []
+
+    @pytest.mark.parametrize(
+        "text,n_generators", [(A1_POWER + " x B3", 9), ("D4 x I2(8)", 2)]
+    )
+    def test_rows_looked_up_are_bounded(self, monkeypatch, text, n_generators):
+        table = table_of(text)
+        classes = oracle.conjugacy_classes(table)
+        central = np.array([cl.rep for cl in classes if cl.size == 1])
+        assert len(oracle._center_generators(table, central)) == n_generators
+        looked_up = []
+        search = type(table)._search
+
+        def counting(g, query):
+            looked_up.append(query.size)
+            return search(g, query)
+
+        monkeypatch.setattr(type(table), "_search", counting)
+        oracle._sure_components(table, classes)
+        primes = sum(
+            table.order % p == 0 and all(p % q for q in range(2, p))
+            for p in range(2, table.degree + 1)
+        )
+        per_class = math.ceil(math.log2(central.size)) + primes
+        bound = (len(classes) - central.size) * per_class
+        assert 0 < sum(looked_up) <= bound
+
+    @pytest.mark.parametrize(
+        "text", ["S1", "A1", "A1 x A1 x A1", "A3", "A5", "E6", "D7"]
+    )
+    def test_trivial_group_all_central_and_trivial_centers(self, text):
+        table = table_of(text)
+        classes = oracle.conjugacy_classes(table)
+        central = np.array([cl.rep for cl in classes if cl.size == 1])
+        generators = oracle._center_generators(table, central)
+        assert len(generators) == math.ceil(math.log2(central.size))
+        assert len(oracle._sure_components(table, classes)) == len(classes)
+        expected = 1 if text == "S1" else z_count(parse_coxeter_type(text)).total
+        assert len(oracle.z_classes(table)) == expected
+
+
+def test_cycle_lengths_and_powers_match_a_naive_walk():
+    rng = random.Random(18)
+    perms = np.array([rng.sample(range(40), 40) for _ in range(30)], dtype=np.uint8)
+    cycle = oracle._cycle_lengths(perms)
+    for r, perm in enumerate(perms.tolist()):
+        for p in range(40):
+            q, length = perm[p], 1
+            while q != p:
+                q, length = perm[q], length + 1
+            assert cycle[r, p] == length
+        power = list(range(40))
+        for e in range(1, 13):
+            power = [perm[i] for i in power]
+            assert oracle._power(perms[r : r + 1], e)[0].tolist() == power
 
 
 class TestIndexTwoConsistency:
