@@ -11,13 +11,6 @@ from .errors import MAX_FORMULA_RANK, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES, METHODS, CoxeterType, IrreducibleType
 from .families import parse_coxeter_type  # noqa: F401  (re-exported)
 
-# family -> (conjugacy class count, z-class count), the table route's data
-EXCEPTIONAL_TABLE: dict[str, tuple[int, int]] = {
-    name: (family.class_count(None), family.z_count(None))
-    for name, family in FAMILIES.items()
-    if family.method == "table"
-}
-
 _HALF_LN_2PI = "0.918938533204672741780329736405617639861397473637783412817"
 
 
@@ -159,10 +152,10 @@ def z_count_dihedral(m: int) -> int:
 
 
 def z_count_exceptional(family: str) -> int:
-    """Table lookup for F4, E6, E7, E8, H3, H4."""
-    if family not in EXCEPTIONAL_TABLE:
+    """Table lookup for F4, E6, E7, E8, H3, H4, read from `FAMILIES`."""
+    if family not in FAMILIES or FAMILIES[family].method != "table":
         raise ValueError(f"not an exceptional family: {family!r}")
-    return EXCEPTIONAL_TABLE[family][1]
+    return FAMILIES[family].z_count(None)
 
 
 def conjugacy_count_dihedral(m: int) -> int:

@@ -7,9 +7,10 @@ their root sets, and direct products on disjoint unions.  Elements are stored
 as uint8 image arrays, so a point set holds at most 256 points; rows are kept
 lexicographically sorted so the order never depends on generation order.
 
-A group is enumerated from a stabilizer chain (`stabilizer_chain`, a
-deterministic Schreier-Sims): every element is exactly one product of one
-transversal element per level, so nothing is hashed or deduplicated.
+A group is enumerated from a complete stabilizer chain (`stabilizer_chain`,
+a deterministic Schreier-Sims over the one membership test `sift`): every
+element is exactly one product of one transversal element per level, so
+nothing is hashed or deduplicated, and their count must be the stated order.
 
 Each table carries a base: points b_1 < ... < b_k, each the smallest point
 moved by the pointwise stabilizer of the points before it, until only the
@@ -242,8 +243,26 @@ class ChainLevel(NamedTuple):
     inverse: np.ndarray
 
 
-def stabilizer_chain(gens: np.ndarray, order: int | None = None) -> list[ChainLevel]:
-    """A stabilizer chain of <gens>, by deterministic Schreier-Sims.
+def sift(levels: list[ChainLevel], perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each of `perms` sifted through `levels` (r -> u_q^-1 r, q = r(point)):
+    the residues, and per row the level whose orbit misses its image, where
+    it keeps its residue (which moves that point), or len(levels).  A row
+    lies in a complete chain's group exactly when its residue is the identity."""
+    residues, stop = np.empty_like(perms), np.full(perms.shape[0], len(levels))
+    live, res = np.arange(perms.shape[0]), perms  # rows still sifting, and theirs
+    for e, level in enumerate(levels):
+        j = level.position[res[:, level.point]]
+        off = j < 0
+        if off.any():
+            residues[live[off]], stop[live[off]] = res[off], e
+            live, res, j = live[~off], res[~off], j[~off]
+        res = np.take_along_axis(level.inverse[j], res, axis=1)
+    residues[live] = res
+    return residues, stop
+
+
+def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
+    """A complete stabilizer chain of <gens>, by deterministic Schreier-Sims.
 
     The first base point is the least point moved.  Level d is the orbit of
     base point d under the strong generators fixing the earlier ones.  From
@@ -251,11 +270,8 @@ def stabilizer_chain(gens: np.ndarray, order: int | None = None) -> list[ChainLe
     sifted through the levels below; the first non-identity residue becomes a
     strong generator (and, if it fixes every base point, adds the least point
     it moves) and the work resumes where it stopped.  When all sift to the
-    identity, each level's group is the stabilizer of its point in the one above.
-    The chain is complete unless a known `order` stops it once its orbit
-    product reaches it, checked per level of the first build and per new
-    strong generator; that product never exceeds |<gens>|, as the products
-    u_1 ... u_k of one transversal element per level are distinct members.
+    identity, each level's group is the stabilizer of its point in the one
+    above, so the product of the orbit lengths is |<gens>|.
     """
     degree = gens.shape[1]
     identity = np.arange(degree, dtype=np.uint8)
@@ -282,45 +298,26 @@ def stabilizer_chain(gens: np.ndarray, order: int | None = None) -> list[ChainLe
         inverse = np.argsort(transversal, axis=1).astype(np.uint8)
         return ChainLevel(base[d], position, transversal, inverse)
 
-    def reached() -> bool:
-        orbits = (len(lv.transversal) for lv in levels)
-        return order is not None and math.prod(orbits) >= order
-
     base = [min(map(least_moved, strong))] if strong.size else []
     for g in strong:
         if np.array_equal(g[base], base):
             base.append(least_moved(g))
-    levels = []
-    for d in range(len(base)):
-        levels.append(level(d))
-        if reached():
-            return levels
+    levels = [level(d) for d in range(len(base))]
     d = len(levels) - 1
     while d >= 0:
-        top = levels[d]
-        moved = fixing(d)[:, top.transversal].reshape(-1, degree)  # s u_q
-        j = top.position[moved[:, top.point]]
-        residues = np.take_along_axis(top.inverse[j], moved, axis=1)
-        stop = np.full(residues.shape[0], len(levels))
-        for e in range(d + 1, len(levels)):  # sift: r -> u_q^-1 r at each level
-            live = np.flatnonzero(stop == len(levels))
-            j = levels[e].position[residues[live, levels[e].point]]
-            stop[live[j < 0]] = e
-            live, j = live[j >= 0], j[j >= 0]
-            residues[live] = np.take_along_axis(levels[e].inverse[j], residues[live], 1)
+        moved = fixing(d)[:, levels[d].transversal].reshape(-1, degree)  # s u_q
+        residues, stop = sift(levels[d:], moved)
         left = np.flatnonzero((residues != identity).any(axis=1))
         if not left.size:
             d -= 1
             continue
-        h, stop = residues[left[0]], int(stop[left[0]])
+        h, stop = residues[left[0]], d + int(stop[left[0]])
         strong = np.vstack([strong, h])
         if stop == len(base):
             base.append(least_moved(h))
             levels.append(None)
         for e in range(d + 1, stop + 1):
             levels[e] = level(e)
-        if reached():
-            return levels
         d = stop
     return levels
 
@@ -345,17 +342,19 @@ def group_from_generators(
     *,
     name: str,
     degree: int,
+    order: int,
     labeler: Callable[[np.ndarray], str] | None = None,
 ) -> GroupTable:
-    """The table of the group generated by `gens`, from a stabilizer chain.
+    """The table of the group generated by `gens`, of the `order` the caller
+    knows: refused over LARGE_ORDER_CAP before any chain is built.
 
     Every element is exactly one product u_1 ... u_k of one element of each
     level's transversal, so the order is the product of the orbit lengths,
-    refused over LARGE_ORDER_CAP before any row is allocated, and the products
-    are distinct: nothing is hashed or deduplicated.  b_1 is the least point
-    the group moves and the first transversal is sorted by image point, so the
-    rows come in blocks u_1 H, H the stabilizer of b_1, in order of u_1(b_1):
-    sorting each block by key sorts the table, without a second copy of it.
+    which must equal `order` (a defect otherwise, raised also under -O), and
+    the products are distinct: nothing is hashed or deduplicated.  b_1 is the
+    least point the group moves and the first transversal is sorted by image
+    point, so the rows come in blocks u_1 H, H the stabilizer of b_1, in order
+    of u_1(b_1): sorting each block by key sorts the table, without a copy.
     Generators may come in any integer dtype; they are stored as uint8 once
     `degree` is known to fit.
     """
@@ -364,6 +363,8 @@ def group_from_generators(
             f"{name} acts on {degree} points; group tables hold at most "
             f"{MAX_DEGREE} points"
         )
+    if order > LARGE_ORDER_CAP:
+        raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
     gen_arrays = []
     for g in gens:
         arr = np.asarray(g)
@@ -371,9 +372,9 @@ def group_from_generators(
             raise ValueError(f"generator is not a permutation of 0..{degree - 1}: {g}")
         gen_arrays.append(arr.astype(np.uint8))
     levels = stabilizer_chain(np.array(gen_arrays, dtype=np.uint8).reshape(-1, degree))
-    order = math.prod(level.transversal.shape[0] for level in levels)
-    if order > LARGE_ORDER_CAP:
-        raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
+    found = math.prod(level.transversal.shape[0] for level in levels)
+    if found != order:
+        raise AssertionError(f"{name}: {found} elements, not {order}")
     perms = _products(levels, degree)
     index = _table_index(perms)
     keys, n = index[2], order // (levels[0].transversal.shape[0] if levels else 1)
@@ -394,13 +395,6 @@ def family_order(family: str, rank: int | None, name: str) -> int:
     return check_order([FAMILIES[family].order_parts(rank)], name, LARGE_ORDER_CAP)
 
 
-def checked_order(table: GroupTable, expected: int) -> GroupTable:
-    """`table`, if it has the order its family gives; otherwise a defect, raised."""
-    if table.order != expected:
-        raise AssertionError(f"{table.name}: {table.order} elements, not {expected}")
-    return table
-
-
 # --- concrete families ----------------------------------------------------
 
 
@@ -413,16 +407,15 @@ def build_symmetric(n: int) -> GroupTable:
     """S_n on n points, generated by adjacent transpositions."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = family_order("A", n - 1, f"S{n}")
+    order = family_order("A", n - 1, f"S{n}")
     gens = []
     for i in range(n - 1):
         g = np.arange(n, dtype=np.uint8)
         g[[i, i + 1]] = g[[i + 1, i]]
         gens.append(g)
-    table = group_from_generators(
-        gens, name=f"S{n}", degree=n, labeler=_cycle_type_label
+    return group_from_generators(
+        gens, name=f"S{n}", degree=n, order=order, labeler=_cycle_type_label
     )
-    return checked_order(table, expected)
 
 
 def row_to_signed_perm(row: np.ndarray) -> SignedPermutation:
@@ -461,18 +454,18 @@ def build_wreath_bc(n: int) -> GroupTable:
     """C2 wr S_n as signed permutations acting on 2n points."""
     if n < 1:
         raise ValueError("n must be positive")
-    expected = family_order("B", n, f"B{n}")
-    table = group_from_generators(
-        _bc_generators(n), name=f"B{n}", degree=2 * n, labeler=_signed_label
+    order = family_order("B", n, f"B{n}")
+    gens = _bc_generators(n)
+    return group_from_generators(
+        gens, name=f"B{n}", degree=2 * n, order=order, labeler=_signed_label
     )
-    return checked_order(table, expected)
 
 
 def build_d(n: int) -> GroupTable:
     """D_n: the index-2 subgroup of C2 wr S_n with positive sign product."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    expected = family_order("D", n, f"D{n}")
+    order = family_order("D", n, f"D{n}")
     gens = _bc_generators(n)[:-1]
     flip_swap = np.arange(2 * n, dtype=np.uint8)
     flip_swap[n - 2] = 2 * n - 1
@@ -480,19 +473,19 @@ def build_d(n: int) -> GroupTable:
     flip_swap[2 * n - 2] = n - 1
     flip_swap[2 * n - 1] = n - 2
     gens.append(flip_swap)
-    table = group_from_generators(gens, name=f"D{n}", degree=2 * n, labeler=_dn_label)
-    return checked_order(table, expected)
+    return group_from_generators(
+        gens, name=f"D{n}", degree=2 * n, order=order, labeler=_dn_label
+    )
 
 
 def build_dihedral(m: int) -> GroupTable:
     """Dihedral group of order 2m on the vertices of an m-gon."""
     if m < 3:
         raise ValueError("m must be at least 3")
-    expected = family_order("I2", m, f"I2({m})")
+    order = family_order("I2", m, f"I2({m})")
     vertices = np.arange(m)
     rot, ref = (vertices + 1) % m, -vertices % m
-    table = group_from_generators([rot, ref], name=f"I2({m})", degree=m)
-    return checked_order(table, expected)
+    return group_from_generators([rot, ref], name=f"I2({m})", degree=m, order=order)
 
 
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
@@ -507,7 +500,7 @@ def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     if g1.labeler and g2.labeler:
         l1, l2 = g1.labeler, g2.labeler
         labeler = lambda row: f"{l1(row[:d1])} | {l2(row[d1:] - d1)}"
-    table = group_from_generators(
-        gens, name=f"{g1.name} x {g2.name}", degree=d1 + d2, labeler=labeler
+    name, order = f"{g1.name} x {g2.name}", g1.order * g2.order
+    return group_from_generators(
+        gens, name=name, degree=d1 + d2, order=order, labeler=labeler
     )
-    return checked_order(table, g1.order * g2.order)

@@ -22,10 +22,9 @@ blocks, found by one searchsorted on that column; `centralizer` lists C(x)
 exactly by testing only them.  A probe of x is a member of C(x) found in a
 spread sample of those n rows (a stride near n/phi), sized to hold about
 `_FIRST_PROBES` probes, then twice as many each round.  The probes are
-certified once a stabilizer chain of them, told |C(x)| = |G|/|class|,
-reaches that order: the product of its orbit lengths never exceeds
-|<probes>|, and <probes> lies in C(x), so they generate C(x).  The chain
-takes the whole first sample; while it falls short it is complete, so a
+certified once the product of the orbit lengths of their complete
+stabilizer chain, |<probes>|, equals |C(x)| = |G|/|class|: <probes> lies in
+C(x), so they generate C(x).  The chain takes the whole first sample; a
 later probe that sifts through it adds nothing and is dropped, and the
 others are taken one at a time, each at least doubling the order.  Rows
 running out below |C(x)|, an order past it, or a probe that does not commute
@@ -69,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import ChainLevel, GroupTable, stabilizer_chain
+from .groups import ChainLevel, GroupTable, sift, stabilizer_chain
 
 log = logging.getLogger(__name__)
 
@@ -269,12 +268,7 @@ def _spreading_stride(n: int) -> int:
 def _outside(levels: list[ChainLevel], perms: np.ndarray) -> np.ndarray:
     """Mask of the rows of `perms` that do not sift to the identity through
     the complete chain `levels`, that is, lie outside the group it describes."""
-    residues, inside = perms, np.ones(perms.shape[0], dtype=bool)
-    for level in levels:
-        j = level.position[residues[:, level.point]]
-        inside &= j >= 0
-        residues = np.take_along_axis(level.inverse[j], residues, axis=1)
-    return ~inside | (residues != np.arange(perms.shape[1])).any(axis=1)
+    return (sift(levels, perms)[0] != np.arange(perms.shape[1])).any(axis=1)
 
 
 class _Probes:
@@ -305,13 +299,14 @@ class _Probes:
         return self.pending
 
     def certify(self) -> bool:
-        """Whether a stabilizer chain of the probes, told |C(x)|, reaches it;
-        takes the whole first sample, then one pending probe at a time."""
+        """Whether the probes generate a group of order |C(x)|, by their
+        complete stabilizer chain; takes the whole first sample, then one
+        pending probe at a time."""
         perms = self.g.perms
         while not self.certified and self.pending.size:
             take = 1 if self.rows.size else self.pending.size
             self.rows = np.concatenate([self.rows, self.pending[:take]])
-            self.chain = stabilizer_chain(perms[self.rows], self.order)
+            self.chain = stabilizer_chain(perms[self.rows])
             reached = math.prod(level.transversal.shape[0] for level in self.chain)
             if reached > self.order:
                 raise AssertionError("probe closure passed |G|/|class|")

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedGroupError
-from .groups import GroupTable, checked_order, family_order, group_from_generators
+from .groups import GroupTable, family_order, group_from_generators
 
 Zphi = tuple[int, int]  # a + b*phi
 
@@ -142,10 +142,11 @@ def build_root_system(name: str) -> RootSystem:
 
 def generate_group(rs: RootSystem) -> GroupTable:
     """The reflection group as permutations of the root list."""
-    expected = family_order(rs.type_name, None, rs.type_name)
+    order = family_order(rs.type_name, None, rs.type_name)
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
-    table = group_from_generators(gens, name=rs.type_name, degree=len(rs.roots))
-    return checked_order(table, expected)
+    return group_from_generators(
+        gens, name=rs.type_name, degree=len(rs.roots), order=order
+    )
 
 
 def build_reflection_group(

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-from . import oracle
 from .closed_form import check_order, check_series_rank, z_count
 from .errors import DEFAULT_ORDER_CAP, MAX_LISTED_CLASSES, UnsupportedGroupError
 from .families import FAMILIES, CoxeterType, IrreducibleType
-from .groups import GroupTable, direct_product
+
+try:  # the oracle needs numpy; the formula route runs without it
+    from . import oracle
+    from .groups import GroupTable, direct_product
+except ModuleNotFoundError as exc:
+    if exc.name != "numpy":
+        raise
+    oracle = None
 
 
 def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
@@ -15,6 +21,8 @@ def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTabl
     Its order is checked against `order_cap` here, before any table is built;
     the builders refuse only past LARGE_ORDER_CAP.
     """
+    if oracle is None:
+        raise UnsupportedGroupError("the oracle needs numpy, which is not installed")
     check_order([f.order_parts() for f in t.factors], str(t), order_cap)
     tables = (FAMILIES[f.family].build(f.rank) for f in t.factors)
     table = next(tables)

@@ -392,6 +392,43 @@ class TestLargeDegree:
         assert "Traceback" not in proc.stderr
 
 
+class TestWithoutNumpy:
+    """With numpy blocked, the formula route answers and an oracle request is
+    a typed refusal (exit 3), never a traceback with the mismatch code."""
+
+    @staticmethod
+    def run_without_numpy(*argv):
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from zclass.cli import main\n"
+            f"sys.exit(main({list(argv)!r}))\n"
+        )
+        return subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+
+    @pytest.mark.parametrize("argv", [("count", "B4"), ("classes", "B4")])
+    def test_formula_route_exits_0(self, capsys, argv):
+        proc = self.run_without_numpy(*argv)
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == (run_cli(capsys, *argv)[1], "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "B4", "--method", "oracle"),
+            ("classes", "H3", "--method", "oracle"),
+            ("verify", "B3"),
+        ],
+    )
+    def test_oracle_request_exits_3(self, argv):
+        proc = self.run_without_numpy(*argv)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "zclass: the oracle needs numpy, which is not installed\n"
+
+
 class TestSizeCaps:
     @pytest.mark.parametrize("argv", [("count", "B5001"), ("classes", "B28")])
     def test_exit_3_from_the_command_line(self, argv):

@@ -7,7 +7,6 @@ import pytest
 from sympy import partition as npartitions
 
 from zclass.closed_form import (
-    EXCEPTIONAL_TABLE,
     CoxeterType,
     IrreducibleType,
     conjugacy_count_bc,
@@ -208,8 +207,14 @@ class TestExceptional:
     def test_z_counts(self, family, expected):
         assert z_count_exceptional(family) == expected
 
+    @pytest.mark.parametrize("family", ["B", "I2", "E9"])
+    def test_rejects_other_families(self, family):
+        with pytest.raises(ValueError, match="not an exceptional family"):
+            z_count_exceptional(family)
+
     def test_conjugacy_metadata(self):
-        assert {f: cc for f, (cc, _) in EXCEPTIONAL_TABLE.items()} == {
+        table_families = [f for f, fam in FAMILIES.items() if fam.method == "table"]
+        assert {f: FAMILIES[f].class_count(None) for f in table_families} == {
             "F4": 25,
             "E6": 25,
             "E7": 60,

@@ -23,7 +23,7 @@ from conftest import (
 )
 
 from zclass.errors import OrderCapExceeded, UnsupportedGroupError
-from zclass import groups, reflection
+from zclass import groups, oracle, reflection
 from zclass.families import parse_coxeter_type
 from zclass.groups import (
     build_d,
@@ -33,6 +33,7 @@ from zclass.groups import (
     direct_product,
     group_from_generators,
     row_to_signed_perm,
+    sift,
     stabilizer_chain,
 )
 from zclass.reflection import build_root_system
@@ -131,6 +132,24 @@ class TestBuilders:
             build(n)
         assert time.perf_counter() - started < 1
 
+    def test_raw_generators_refused_by_their_order_before_any_chain(
+        self, monkeypatch
+    ):
+        # Schreier-Sims on B100's generators alone would run for minutes
+        def no_chain(gens):
+            raise AssertionError("stabilizer chain built past the cap")
+
+        monkeypatch.setattr(groups, "stabilizer_chain", no_chain)
+        started = time.perf_counter()
+        with pytest.raises(OrderCapExceeded, match="B100 has order of 189 digits"):
+            group_from_generators(
+                groups._bc_generators(100),
+                name="B100",
+                degree=200,
+                order=2**100 * math.factorial(100),
+            )
+        assert time.perf_counter() - started < 1
+
 
 class TestSignedPermEncoding:
     def test_round_trip(self):
@@ -218,7 +237,7 @@ class TestGroupTableContract:
     def test_rejects_non_permutation_generator(self):
         with pytest.raises(ValueError):
             group_from_generators(
-                [np.array([0, 0, 1], dtype=np.uint8)], name="bad", degree=3
+                [np.array([0, 0, 1], dtype=np.uint8)], name="bad", degree=3, order=2
             )
 
 
@@ -305,29 +324,36 @@ class TestStabilizerChain:
         assert [level.transversal.shape[0] for level in levels] == [72, 30, 4, 3, 2]
 
     @PROPERTY_SETTINGS
-    @given(gens=generator_sets(), data=st.data())
-    def test_stop_at_known_order_is_bounded_by_sympy_order(self, gens, data):
-        # a stopped chain's orbit product lies between min(order, |<gens>|)
-        # and |<gens>|; an order above |<gens>| never stops the chain
+    @given(gens=generator_sets())
+    def test_orbit_product_equals_sympy_order(self, gens):
         degree = gens.shape[1]
         identity = Permutation(list(range(degree)))
         group = PermutationGroup([identity, *(Permutation(g.tolist()) for g in gens)])
-        size = int(group.order())
-        full = stabilizer_chain(gens)
-        assert orbit_product(full) == size
-        order = data.draw(st.integers(1, 2 * size + 1), label="order")
-        stopped = stabilizer_chain(gens, order)
-        assert min(order, size) <= orbit_product(stopped) <= size
-        unstopped = [stabilizer_chain(gens, None)]
-        if order > size:
-            unstopped.append(stopped)
-        for chain in unstopped:
-            assert len(chain) == len(full)
-            for level, ref in zip(chain, full):
-                assert level.point == ref.point
-                assert np.array_equal(level.position, ref.position)
-                assert np.array_equal(level.transversal, ref.transversal)
-                assert np.array_equal(level.inverse, ref.inverse)
+        assert orbit_product(stabilizer_chain(gens)) == int(group.order())
+
+    @pytest.mark.parametrize("text", ["B3", "D4", "H3", "B2 x I2(5)"])
+    def test_sift_membership_matches_full_row_closure(self, text):
+        # chains of a few random rows: sift, and the oracle's `_outside`,
+        # accept exactly the rows of the group the rows close to
+        table = MAP_GROUPS[text]()
+        group = elements(table)
+        rng = np.random.default_rng(7)
+        for size in (1, 2, 3):
+            rows = rng.choice(table.order, size=size, replace=False)
+            gens = [group[r] for r in rows]
+            closed, frontier = {tuple(range(table.degree)), *gens}, gens
+            while frontier:
+                fresh = {multiply(a, g) for a in frontier for g in gens} - closed
+                closed |= fresh
+                frontier = list(fresh)
+            levels = stabilizer_chain(table.perms[rows])
+            assert orbit_product(levels) == len(closed)
+            inside = np.array([e in closed for e in group])
+            residues, stop = sift(levels, table.perms)
+            identity = np.arange(table.degree)
+            sifted = (stop == len(levels)) & (residues == identity).all(axis=1)
+            assert np.array_equal(sifted, inside)
+            assert np.array_equal(oracle._outside(levels, table.perms), ~inside)
 
     def test_transversals_map_base_points_to_their_orbits(self):
         levels = stabilizer_chain(build_d(5).perms[list(build_d(5).gen_rows)])
@@ -348,13 +374,19 @@ class TestStabilizerChain:
             g[[i, i + 1]] = g[[i + 1, i]]
             transpositions.append(g)
         with pytest.raises(OrderCapExceeded, match="S12 has order 479001600 > cap"):
-            group_from_generators(transpositions, name="S12", degree=12)
+            group_from_generators(
+                transpositions, name="S12", degree=12, order=math.factorial(12)
+            )
 
     def test_order_cross_check_raises_under_optimize(self):
         script = (
-            "from zclass.groups import build_dihedral, checked_order\n"
+            "import numpy as np\n"
+            "from zclass.groups import group_from_generators\n"
+            "m = np.arange(3)\n"
             "try:\n"
-            "    checked_order(build_dihedral(3), 7)\n"
+            "    group_from_generators(\n"
+            "        [(m + 1) % 3, -m % 3], name='I2(3)', degree=3, order=7\n"
+            "    )\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n"
         )
@@ -369,7 +401,7 @@ class TestStabilizerChain:
         assert table.perms.tolist() == [[0]]
         assert table.base.size == 0 and table.keys.tolist() == [0]
         assert table.gen_rows == ()
-        identity = group_from_generators([np.arange(3)], name="1", degree=3)
+        identity = group_from_generators([np.arange(3)], name="1", degree=3, order=1)
         assert identity.order == 1 and identity.gen_rows == (0,)
 
 
@@ -390,7 +422,7 @@ class TestDirectProduct:
         with pytest.raises(UnsupportedGroupError, match="acts on 259 points"):
             direct_product(build_dihedral(256), build_dihedral(3))
         with pytest.raises(UnsupportedGroupError):
-            group_from_generators([np.arange(257)], name="big", degree=257)
+            group_from_generators([np.arange(257)], name="big", degree=257, order=1)
         assert build_dihedral(256).degree == 256
 
     def test_component_labels(self):

@@ -148,6 +148,7 @@ class TestGeneratorOrder:
                 [table.perms[r] for r in order],
                 name=table.name,
                 degree=table.degree,
+                order=table.order,
                 labeler=table.labeler,
             )
             assert np.array_equal(other.perms, table.perms)
@@ -247,13 +248,13 @@ class TestCentralizer:
         raise AssertionError("every member of the class has the same centralizer")
 
     def test_generators_of_another_centralizer_raise(self, monkeypatch):
-        # C(y) has the right order, so the chain stops at |G|/|class| exactly
-        # and only the commuting check can refuse
+        # C(y) has the right order, so the complete chain reaches |G|/|class|
+        # exactly and only the commuting check can refuse
         table = build_wreath_bc(3)
         cl = oracle.conjugacy_classes(table)[1]
         rows = self.other_members_centralizer(table, cl)
         target = table.order // cl.size
-        chain = stabilizer_chain(table.perms[rows], target)
+        chain = stabilizer_chain(table.perms[rows])
         assert math.prod(len(level.transversal) for level in chain) == target
         monkeypatch.setattr(oracle, "_probes", lambda g, x, r: np.array(rows))
         with pytest.raises(AssertionError) as exc:
@@ -512,7 +513,9 @@ def absorbing_heads(groups, root) -> set[int]:
 
 # heads whose probes get certified: every head that absorbs through probes,
 # and those a class survived the first probes of without joining
-CERTIFIED = {"B6": 3, "E6": 0}
+CERTIFIED = {"B6": 3, "D7": 3, "E6": 0}
+# the sorted numbers of probes kept by the certified heads
+KEPT_PROBES = {"B6": [4, 6, 12], "D7": [4, 4, 6], "E6": []}
 
 
 class TestLazyCertificates:
@@ -530,9 +533,11 @@ class TestLazyCertificates:
             [classes[ci].rep for ci in grp] for grp in eager
         ]
 
-    @pytest.mark.parametrize("text,probed,n_classes", [("B6", 22, 65), ("E6", 7, 25)])
+    @pytest.mark.parametrize(
+        "text,probed,n_classes", [("B6", 22, 65), ("E6", 7, 25), ("D7", 26, 55)]
+    )
     def test_certifies_only_reached_heads(self, monkeypatch, text, probed, n_classes):
-        table = build_group(parse_coxeter_type(text))
+        table = build_group(parse_coxeter_type(text), LARGE_ORDER_CAP)
         root = sure_roots(table, oracle.conjugacy_classes(table))
         made = []
 
@@ -550,6 +555,8 @@ class TestLazyCertificates:
         certified = {p.x for p in made if p.certified}
         assert absorbing_heads(groups, root) <= certified
         assert len(certified) == CERTIFIED[text]
+        kept = sorted(p.rows.size for p in made if p.certified)
+        assert kept == KEPT_PROBES[text]
 
     def test_debug_log_marks_uncertified_classes(self, caplog):
         table = build_group(parse_coxeter_type("E6"))
