@@ -55,7 +55,10 @@ def _cmd_count(args) -> tuple[dict, int]:
     record = _record_base("count")
     record["group"] = str(t)
     if args.method == "oracle":
-        groups = oracle_grouping_labels(build_group(t, order_cap=_cap(args)))
+        table = build_group(t, order_cap=_cap(args))  # refused without numpy
+        from .oracle import z_classes
+
+        groups = z_classes(table)  # counted, so no class is labelled
         record["method"] = "oracle"
         record["conjugacy_class_count"] = sum(len(g) for g in groups)
         record["z_class_count"] = len(groups)

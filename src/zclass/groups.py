@@ -107,7 +107,9 @@ class GroupTable:
 
     `perms` holds all elements as image arrays, rows sorted lexicographically;
     `keys` holds their strictly increasing base keys.  `gen_rows` index the
-    generators; conjugation by each gives one row of `conjugation_maps`.
+    generators the table was built from (for a Coxeter group of rank 4 or
+    more, the three of `coxeter_generators`); conjugation by each gives one
+    row of `conjugation_maps`.
     """
 
     def __init__(
@@ -250,13 +252,14 @@ def sift(levels: list[ChainLevel], perms: np.ndarray) -> tuple[np.ndarray, np.nd
     lies in a complete chain's group exactly when its residue is the identity."""
     residues, stop = np.empty_like(perms), np.full(perms.shape[0], len(levels))
     live, res = np.arange(perms.shape[0]), perms  # rows still sifting, and theirs
+    degree = perms.shape[1]
     for e, level in enumerate(levels):
         j = level.position[res[:, level.point]]
         off = j < 0
         if off.any():
             residues[live[off]], stop[live[off]] = res[off], e
             live, res, j = live[~off], res[~off], j[~off]
-        res = np.take_along_axis(level.inverse[j], res, axis=1)
+        res = level.inverse.reshape(-1)[j[:, None] * degree + res]  # u_q^-1 r
     residues[live] = res
     return residues, stop
 
@@ -395,6 +398,24 @@ def family_order(family: str, rank: int | None, name: str) -> int:
     return check_order([FAMILIES[family].order_parts(rank)], name, LARGE_ORDER_CAP)
 
 
+def coxeter_generators(reflections: list[np.ndarray]) -> list[np.ndarray]:
+    """[c, s_1, s_n] for the simple reflections s_1, ..., s_n in list order,
+    where c is their product (the Coxeter element), when that list is shorter,
+    that is, for rank 4 or more; else the reflections themselves.
+
+    Conjugation by any generating set has the classes as orbits, so three
+    conjugation maps do the work of n.  The three generate every family at
+    every rank a table is built for, while no pair (c, s_k) generates D4, D6
+    or F4; `group_from_generators` proves it for each table by its order.
+    """
+    if len(reflections) <= 3:
+        return reflections
+    c = reflections[0]
+    for s in reflections[1:]:
+        c = s[c]
+    return [c, reflections[0], reflections[-1]]
+
+
 # --- concrete families ----------------------------------------------------
 
 
@@ -404,7 +425,8 @@ def _cycle_type_label(row: np.ndarray) -> str:
 
 
 def build_symmetric(n: int) -> GroupTable:
-    """S_n on n points, generated by adjacent transpositions."""
+    """S_n on n points, generated from the adjacent transpositions by
+    `coxeter_generators`."""
     if n < 1:
         raise ValueError("n must be positive")
     order = family_order("A", n - 1, f"S{n}")
@@ -414,7 +436,11 @@ def build_symmetric(n: int) -> GroupTable:
         g[[i, i + 1]] = g[[i + 1, i]]
         gens.append(g)
     return group_from_generators(
-        gens, name=f"S{n}", degree=n, order=order, labeler=_cycle_type_label
+        coxeter_generators(gens),
+        name=f"S{n}",
+        degree=n,
+        order=order,
+        labeler=_cycle_type_label,
     )
 
 
@@ -455,9 +481,12 @@ def build_wreath_bc(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("n must be positive")
     order = family_order("B", n, f"B{n}")
-    gens = _bc_generators(n)
     return group_from_generators(
-        gens, name=f"B{n}", degree=2 * n, order=order, labeler=_signed_label
+        coxeter_generators(_bc_generators(n)),
+        name=f"B{n}",
+        degree=2 * n,
+        order=order,
+        labeler=_signed_label,
     )
 
 
@@ -474,7 +503,11 @@ def build_d(n: int) -> GroupTable:
     flip_swap[2 * n - 1] = n - 2
     gens.append(flip_swap)
     return group_from_generators(
-        gens, name=f"D{n}", degree=2 * n, order=order, labeler=_dn_label
+        coxeter_generators(gens),
+        name=f"D{n}",
+        degree=2 * n,
+        order=order,
+        labeler=_dn_label,
     )
 
 

@@ -7,7 +7,9 @@ first match.  Everything is deterministic: classes are ordered by their least
 row and witnesses are the smallest-index conjugators.
 
 Classes.  `conjugacy_classes` labels every row with itself, then repeats
-rounds of label[r] = min(label[r], label[s r s^-1]) for each generator s and
+rounds of label[r] = min(label[r], label[s r s^-1]) for each generator s of
+the table (any generating set of G serves; a Coxeter group of rank 4 or
+more has three, see `zclass.groups.coxeter_generators`) and
 label[r] = label[label[r]] until a round changes nothing.  A label always
 names a row of the same class and never grows, so the least row m of a class
 keeps label m, and a round that keeps the label sum changed none.  Then
@@ -28,7 +30,8 @@ C(x), so they generate C(x).  The chain takes the whole first sample; a
 later probe that sifts through it adds nothing and is dropped, and the
 others are taken one at a time, each at least doubling the order.  Rows
 running out below |C(x)|, an order past it, or a probe that does not commute
-with x raises, also under `python -O`.  A central x takes G's generators.
+with x raises, also under `python -O`.  A central x takes the generators
+the table was built from, which generate G = C(x).
 
 Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
 the center Z(C(x)) meets the class of y.  If w C(y) w^-1 = C(x), then

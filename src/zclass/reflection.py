@@ -22,7 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedGroupError
-from .groups import GroupTable, family_order, group_from_generators
+from .groups import (
+    GroupTable,
+    coxeter_generators,
+    family_order,
+    group_from_generators,
+)
 
 Zphi = tuple[int, int]  # a + b*phi
 
@@ -141,11 +146,15 @@ def build_root_system(name: str) -> RootSystem:
 
 
 def generate_group(rs: RootSystem) -> GroupTable:
-    """The reflection group as permutations of the root list."""
+    """The reflection group as permutations of the root list, generated from
+    the simple reflections by `coxeter_generators`."""
     order = family_order(rs.type_name, None, rs.type_name)
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
     return group_from_generators(
-        gens, name=rs.type_name, degree=len(rs.roots), order=order
+        coxeter_generators(gens),
+        name=rs.type_name,
+        degree=len(rs.roots),
+        order=order,
     )
 
 

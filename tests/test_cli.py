@@ -16,6 +16,7 @@ from zclass.cli import main
 from zclass.closed_form import parse_coxeter_type
 from zclass.errors import OrderCapExceeded, order_text
 from zclass.families import FAMILIES
+from zclass.groups import GroupTable
 from zclass.verify import build_group
 
 
@@ -55,6 +56,17 @@ class TestCount:
         record = json.loads(out)
         assert record["z_class_count"] == 10
         assert record["method"] == "oracle"
+
+    def test_oracle_count_labels_no_class(self, capsys, monkeypatch):
+        def label(self, row):
+            raise AssertionError("count printed no label")
+
+        monkeypatch.setattr(GroupTable, "label", label)
+        code, out, err = run_cli(
+            capsys, "count", "A1 x A1 x B3", "--method", "oracle", "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "A1 x A1 x B3,oracle,40,5"
 
     def test_a8_counts_past_the_order_cap(self, capsys):
         code, out, _ = run_cli(capsys, "count", "A8", "--format", "json")

@@ -24,7 +24,7 @@ from conftest import (
 
 from zclass.errors import OrderCapExceeded, UnsupportedGroupError
 from zclass import groups, oracle, reflection
-from zclass.families import parse_coxeter_type
+from zclass.families import FAMILIES, parse_coxeter_type
 from zclass.groups import (
     build_d,
     build_dihedral,
@@ -403,6 +403,95 @@ class TestStabilizerChain:
         assert table.gen_rows == ()
         identity = group_from_generators([np.arange(3)], name="1", degree=3, order=1)
         assert identity.order == 1 and identity.gen_rows == (0,)
+
+
+# every irreducible type a table is built for, at every rank
+BUILDABLE = (
+    [f"A{n}" for n in range(1, 10)]
+    + [f"B{n}" for n in range(1, 8)]
+    + [f"D{n}" for n in range(2, 8)]
+    + ["E6", "E7", "F4", "H3", "H4"]
+)
+
+
+def builder_generators(monkeypatch, text):
+    """The simple reflections the builder of `text` starts from and the
+    generators it gives `group_from_generators`, caught before any chain."""
+
+    class Stop(Exception):
+        pass
+
+    seen, coxeter_generators = {}, groups.coxeter_generators
+
+    def record(reflections):
+        seen["simple"] = np.array(reflections)
+        return coxeter_generators(reflections)
+
+    def stop(gens, **kwargs):
+        seen["gens"] = np.array(gens)
+        raise Stop
+
+    for module in (groups, reflection):
+        monkeypatch.setattr(module, "coxeter_generators", record)
+        monkeypatch.setattr(module, "group_from_generators", stop)
+    factor = parse_coxeter_type(text).factors[0]
+    with pytest.raises(Stop):
+        FAMILIES[factor.family].build(factor.rank)
+    return seen["simple"], seen["gens"]
+
+
+class TestCoxeterGenerators:
+    @pytest.mark.parametrize("text", BUILDABLE)
+    def test_builders_generate_their_group_from_at_most_three(
+        self, monkeypatch, text
+    ):
+        simple, gens = builder_generators(monkeypatch, text)
+        rank = int(text[1:])
+        assert simple.shape[0] == rank
+        assert gens.shape[0] == min(rank, 3)
+        if rank > 3:
+            c = simple[0]
+            for s in simple[1:]:
+                c = s[c]
+            assert np.array_equal(gens, [c, simple[0], simple[-1]])
+        order = parse_coxeter_type(text).group_order()
+        assert orbit_product(stabilizer_chain(gens.astype(np.uint8))) == order
+
+    @pytest.mark.parametrize("text", ["D4", "D6", "F4"])
+    def test_no_pair_of_coxeter_element_and_reflection_generates(
+        self, monkeypatch, text
+    ):
+        # the third generator is needed: (c, s_k) falls short for every k
+        simple, gens = builder_generators(monkeypatch, text)
+        order = parse_coxeter_type(text).group_order()
+        for s in simple:
+            pair = np.array([gens[0], s], dtype=np.uint8)
+            assert orbit_product(stabilizer_chain(pair)) < order
+
+    def test_pair_refused_by_its_order_under_optimize(self):
+        script = (
+            "import numpy as np\n"
+            "from zclass.groups import coxeter_generators, group_from_generators\n"
+            "from zclass.reflection import build_root_system\n"
+            "tables = build_root_system('F4').reflection_tables\n"
+            "simple = [np.array(t, dtype=np.uint8) for t in tables]\n"
+            "pair = [coxeter_generators(simple)[0], simple[0]]\n"
+            "try:\n"
+            "    group_from_generators(pair, name='F4', degree=48, order=1152)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("F4: ")
+        assert proc.stdout.endswith(" elements, not 1152\n")
+
+    @pytest.mark.parametrize("text", ["A5", "D5", "E6", "H4"])
+    def test_tables_keep_three_generators(self, text):
+        table = build_group(parse_coxeter_type(text))
+        assert len(table.gen_rows) == 3
 
 
 class TestDirectProduct:

@@ -17,7 +17,7 @@ from conftest import (
     signed_perm_to_row,
 )
 
-from zclass import oracle
+from zclass import groups, oracle, reflection
 from zclass.groups import (
     build_d,
     build_dihedral,
@@ -131,18 +131,19 @@ class TestFullRowClasses:
         assert got == full_row_classes(table)
 
 
+def class_answers(table):
+    """Class reps and members, and the z_classes grouping by reps."""
+    classes = [(c.rep, c.members.tolist()) for c in oracle.conjugacy_classes(table)]
+    grouping = [[c.rep for c in grp] for grp in oracle.z_classes(table)]
+    return classes, grouping
+
+
 class TestGeneratorOrder:
     @pytest.mark.parametrize("text", ["B4", "H3", "B2 x I2(5)"])
     def test_classes_and_grouping_ignore_generator_order(self, text):
         table = build_group(parse_coxeter_type(text))
         gens, maps = table.gen_rows, table.conjugation_maps()
-
-        def answers(t):
-            classes = [(c.rep, c.members.tolist()) for c in oracle.conjugacy_classes(t)]
-            grouping = [[c.rep for c in grp] for grp in oracle.z_classes(t)]
-            return classes, grouping
-
-        expected = answers(table)
+        expected = class_answers(table)
         for order in (gens[::-1], gens[1:] + gens[:1], gens[2:] + gens[:2]):
             other = group_from_generators(
                 [table.perms[r] for r in order],
@@ -155,7 +156,23 @@ class TestGeneratorOrder:
             assert other.gen_rows == order
             for s, t in enumerate(order):
                 assert np.array_equal(other.conjugation_maps()[s], maps[gens.index(t)])
-            assert answers(other) == expected
+            assert class_answers(other) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["A5", "B4", "D4", "D6", "F4", "H4", "E6", "D4 x I2(8)"]
+    )
+    def test_classes_and_grouping_match_all_simple_reflections(
+        self, monkeypatch, text
+    ):
+        t = parse_coxeter_type(text)
+        table = build_group(t)
+        expected = class_answers(table)
+        for module in (groups, reflection):  # builders take every reflection
+            monkeypatch.setattr(module, "coxeter_generators", lambda gens: gens)
+        simple = build_group(t)
+        assert len(simple.gen_rows) > len(table.gen_rows)
+        assert np.array_equal(simple.perms, table.perms)
+        assert class_answers(simple) == expected
 
 
 class TestCentralizer:
