@@ -7,10 +7,13 @@ their root sets, and direct products on disjoint unions.  Elements are stored
 as uint8 image arrays, so a point set holds at most 256 points; rows are kept
 lexicographically sorted so the order never depends on generation order.
 
-A group is enumerated from a complete stabilizer chain (`stabilizer_chain`,
-a deterministic Schreier-Sims over the one membership test `sift`): every
-element is exactly one product of one transversal element per level, so
-nothing is hashed or deduplicated, and their count must be the stated order.
+A group is enumerated from a complete stabilizer chain, `extend([], gens)`.
+`extend` is the one Schreier-Sims step, over the one membership test `sift`:
+it adds generators to a complete chain and makes it complete again, so the
+oracle grows the chains of its probes and of the center as it takes them.
+Every element is exactly one product of one transversal element per level,
+so nothing is hashed or deduplicated, and their count must be the stated
+order.
 
 Each table carries a base: points b_1 < ... < b_k, each the smallest point
 moved by the pointwise stabilizer of the points before it, until only the
@@ -66,21 +69,24 @@ def _find_base(perms: np.ndarray) -> np.ndarray:
     return np.array(base, dtype=np.intp)
 
 
-def _key_code(perms: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """code[i, p] = weight of base point i times the rank of p in its orbit.
+def _key_code(gens: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """code[i, p] = weight of base point i times the rank of p in its orbit
+    under the group generated by `gens`.
 
     Weights are mixed-radix over the orbit sizes with the first base point most
     significant, so keys sort like the rows.  A point outside the orbit codes
-    as the key bound, which no member key reaches.
+    as the key bound, which no member key reaches.  The orbits come from
+    min-label rounds over the generators, as in `oracle.conjugacy_classes`.
     """
-    degree = perms.shape[1]
-    orbits = [
-        np.flatnonzero(np.bincount(perms[:, b], minlength=degree)) for b in base
-    ]
+    label, last = np.arange(gens.shape[1]), None  # ends as each orbit's least point
+    while not np.array_equal(label, last):
+        new = np.minimum(label, label[gens].min(axis=0, initial=label.size))
+        label, last = new[new], label
+    orbits = [np.flatnonzero(label == label[b]) for b in base]
     bound = math.prod(o.size for o in orbits)
     if bound * (len(base) + 1) >= 2**63:
         raise UnsupportedGroupError("base keys of this group do not fit in 63 bits")
-    code = np.full((len(base), degree), bound, dtype=np.int64)
+    code = np.full((len(base), gens.shape[1]), bound, dtype=np.int64)
     weight = bound
     for i, orbit in enumerate(orbits):
         weight //= orbit.size
@@ -93,13 +99,6 @@ def _keys(code: np.ndarray, images: np.ndarray) -> np.ndarray:
     for i, column in enumerate(code):
         keys += column[images[:, i]]
     return keys
-
-
-def _table_index(perms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base, key code and keys of a whole table, found from its rows."""
-    base = _find_base(perms)
-    code = _key_code(perms, base)
-    return base, code, _keys(code, perms[:, base])
 
 
 class GroupTable:
@@ -235,14 +234,38 @@ class GroupTable:
 
 
 class ChainLevel(NamedTuple):
-    """A chain level: transversal[j] maps `point` to the j-th least point q of
-    its orbit, position[q] = j (-1 off the orbit), inverse[j] = transversal[j]^-1.
+    """A chain level: `gens` are its strong generators, which fix the earlier
+    points; transversal[j] maps `point` to the j-th least point q of its orbit
+    under them, position[q] = j (-1 off the orbit), inverse[j] = transversal[j]^-1.
     """
 
     point: int
+    gens: np.ndarray
     position: np.ndarray
     transversal: np.ndarray
     inverse: np.ndarray
+
+
+def _level(point: int, gens: np.ndarray) -> ChainLevel:
+    """The level of `point` under `gens`, its orbit found breadth first."""
+    degree, images = gens.shape[1], gens.tolist()
+    found, queue = {point: np.arange(degree, dtype=np.uint8)}, [point]
+    for p in queue:
+        for s, image in zip(gens, images):
+            if image[p] not in found:
+                found[image[p]] = s[found[p]]
+                queue.append(image[p])
+    points = sorted(found)
+    position = np.full(degree, -1, dtype=np.intp)
+    position[points] = np.arange(len(points))
+    transversal = np.array([found[p] for p in points])
+    inverse = np.argsort(transversal, axis=1).astype(np.uint8)
+    return ChainLevel(point, gens, position, transversal, inverse)
+
+
+def chain_order(levels: list[ChainLevel]) -> int:
+    """The order of a complete chain's group: the product of its orbit lengths."""
+    return math.prod(level.transversal.shape[0] for level in levels)
 
 
 def sift(levels: list[ChainLevel], perms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,63 +287,46 @@ def sift(levels: list[ChainLevel], perms: np.ndarray) -> tuple[np.ndarray, np.nd
     return residues, stop
 
 
-def stabilizer_chain(gens: np.ndarray) -> list[ChainLevel]:
-    """A complete stabilizer chain of <gens>, by deterministic Schreier-Sims.
+def extend(levels: list[ChainLevel], gens: np.ndarray) -> list[ChainLevel]:
+    """A complete chain of the group generated by the complete chain `levels`
+    (`[]` for the trivial group) and the uint8 rows `gens`, by deterministic
+    Schreier-Sims.
 
-    The first base point is the least point moved.  Level d is the orbit of
-    base point d under the strong generators fixing the earlier ones.  From
-    the last level up, each Schreier generator u_{s(q)}^-1 s u_q of a level is
-    sifted through the levels below; the first non-identity residue becomes a
-    strong generator (and, if it fixes every base point, adds the least point
-    it moves) and the work resumes where it stopped.  When all sift to the
-    identity, each level's group is the stabilizer of its point in the one
-    above, so the product of the orbit lengths is |<gens>|.
+    `gens` join the first level's strong generators; on an empty chain its
+    point is the least point they move.  The Schreier generators
+    u_{s(q)}^-1 s u_q of a level, from the first on, are sifted through the
+    levels below it.  The first non-identity residue joins the strong
+    generators of the levels below, down to where it stopped (a new level at
+    the least point it moves, if it fixes every base point), and the work
+    resumes there; a level whose all sift to the identity passes on to the
+    one above.  Then each level's group is the stabilizer of its point in the
+    one above, so `chain_order` is the order.
     """
-    degree = gens.shape[1]
+    levels, degree = list(levels), gens.shape[1]
     identity = np.arange(degree, dtype=np.uint8)
-    strong = gens[(gens != identity).any(axis=1)]
 
-    def least_moved(g: np.ndarray) -> int:
-        return int(np.argmax(g != identity))
+    def grow(e: int, new: np.ndarray) -> None:
+        if e < len(levels):
+            point, new = levels[e].point, np.vstack([levels[e].gens, new])
+        else:
+            point = int((new != identity).argmax(axis=1).min())
+        levels[e : e + 1] = [_level(point, new)]
 
-    def fixing(d: int) -> np.ndarray:
-        return strong[(strong[:, base[:d]] == base[:d]).all(axis=1)]
-
-    def level(d: int) -> ChainLevel:
-        found, queue, level_gens = {base[d]: identity}, [base[d]], fixing(d)
-        images = level_gens.tolist()
-        for p in queue:
-            for s, image in zip(level_gens, images):
-                if image[p] not in found:
-                    found[image[p]] = s[found[p]]
-                    queue.append(image[p])
-        points = sorted(found)
-        position = np.full(degree, -1, dtype=np.intp)
-        position[points] = np.arange(len(points))
-        transversal = np.array([found[p] for p in points])
-        inverse = np.argsort(transversal, axis=1).astype(np.uint8)
-        return ChainLevel(base[d], position, transversal, inverse)
-
-    base = [min(map(least_moved, strong))] if strong.size else []
-    for g in strong:
-        if np.array_equal(g[base], base):
-            base.append(least_moved(g))
-    levels = [level(d) for d in range(len(base))]
-    d = len(levels) - 1
+    gens = gens[(gens != identity).any(axis=1)]
+    if not gens.size:
+        return levels
+    grow(0, gens)
+    d = 0
     while d >= 0:
-        moved = fixing(d)[:, levels[d].transversal].reshape(-1, degree)  # s u_q
+        moved = levels[d].gens[:, levels[d].transversal].reshape(-1, degree)  # s u_q
         residues, stop = sift(levels[d:], moved)
         left = np.flatnonzero((residues != identity).any(axis=1))
         if not left.size:
             d -= 1
             continue
-        h, stop = residues[left[0]], d + int(stop[left[0]])
-        strong = np.vstack([strong, h])
-        if stop == len(base):
-            base.append(least_moved(h))
-            levels.append(None)
+        h, stop = residues[left[:1]], d + int(stop[left[0]])
         for e in range(d + 1, stop + 1):
-            levels[e] = level(e)
+            grow(e, h)
         d = stop
     return levels
 
@@ -368,26 +374,25 @@ def group_from_generators(
         )
     if order > LARGE_ORDER_CAP:
         raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
-    gen_arrays = []
     for g in gens:
         arr = np.asarray(g)
         if arr.shape != (degree,) or sorted(arr.tolist()) != list(range(degree)):
             raise ValueError(f"generator is not a permutation of 0..{degree - 1}: {g}")
-        gen_arrays.append(arr.astype(np.uint8))
-    levels = stabilizer_chain(np.array(gen_arrays, dtype=np.uint8).reshape(-1, degree))
-    found = math.prod(level.transversal.shape[0] for level in levels)
+    generators = np.array(gens, dtype=np.uint8).reshape(-1, degree)
+    levels = extend([], generators)
+    found = chain_order(levels)
     if found != order:
         raise AssertionError(f"{name}: {found} elements, not {order}")
     perms = _products(levels, degree)
-    index = _table_index(perms)
-    keys, n = index[2], order // (levels[0].transversal.shape[0] if levels else 1)
+    base = _find_base(perms)
+    code = _key_code(generators, base)
+    keys, n = _keys(code, perms[:, base]), order // chain_order(levels[:1])
     for lo in range(0, order, n):  # sort each block u_1 H by key
         by_key = np.argsort(keys[lo : lo + n])
         keys[lo : lo + n] = keys[lo : lo + n][by_key]
         perms[lo : lo + n] = perms[lo : lo + n][by_key]
-    table = GroupTable(perms, (), name, labeler, index=index)
-    if gen_arrays:
-        table.gen_rows = tuple(int(r) for r in table.row_index(np.array(gen_arrays)))
+    table = GroupTable(perms, (), name, labeler, index=(base, code, keys))
+    table.gen_rows = tuple(int(r) for r in table.row_index(generators))
     return table
 
 

@@ -26,12 +26,13 @@ spread sample of those n rows (a stride near n/phi), sized to hold about
 `_FIRST_PROBES` probes, then twice as many each round.  The probes are
 certified once the product of the orbit lengths of their complete
 stabilizer chain, |<probes>|, equals |C(x)| = |G|/|class|: <probes> lies in
-C(x), so they generate C(x).  The chain takes the whole first sample; a
-later probe that sifts through it adds nothing and is dropped, and the
-others are taken one at a time, each at least doubling the order.  Rows
-running out below |C(x)|, an order past it, or a probe that does not commute
-with x raises, also under `python -O`.  A central x takes the generators
-the table was built from, which generate G = C(x).
+C(x), so they generate C(x).  The chain is extended by each probe taken
+(`zclass.groups.extend`), first by the whole first sample; a later probe
+that sifts through it adds nothing and is dropped, and the others are taken
+one at a time, each at least doubling the order.  Rows running out below
+|C(x)|, an order past it, or a probe that does not commute with x raises,
+also under `python -O`.  A central x takes the generators the table was
+built from, which generate G = C(x).
 
 Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
 the center Z(C(x)) meets the class of y.  If w C(y) w^-1 = C(x), then
@@ -71,7 +72,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import ChainLevel, GroupTable, sift, stabilizer_chain
+from .groups import ChainLevel, GroupTable, chain_order, extend, sift
 
 log = logging.getLogger(__name__)
 
@@ -179,20 +180,13 @@ def _power(perms: np.ndarray, e: int) -> np.ndarray:
 
 
 def _center_generators(g: GroupTable, central: np.ndarray) -> list[int]:
-    """The rows of Z(G), given sorted as `central`, that lie outside the
-    subgroup generated by the earlier ones."""
-    keys, spanned, kept = g.keys[central], central == g.identity_row, []
-    for i, c in enumerate(central.tolist()):
-        if spanned[i]:
-            continue
-        kept.append(c)
-        coset = np.flatnonzero(spanned)
-        while True:  # the cosets S c, S c^2, ... of the span S, until S again
-            images = g.perms[central[coset]][:, g.perms[c][g.base]]
-            coset = np.searchsorted(keys, g.base_keys(images))
-            if spanned[coset[0]]:
-                break
-            spanned[coset] = True
+    """The rows of Z(G), given sorted as `central`, each the first outside the
+    group the earlier ones generate, by `sift` through the chain of that group,
+    which each extends."""
+    chain, kept = [], []
+    while (central := central[_outside(chain, g.perms[central])]).size:
+        kept.append(int(central[0]))
+        chain = extend(chain, g.perms[central[:1]])
     return kept
 
 
@@ -276,8 +270,8 @@ def _outside(levels: list[ChainLevel], perms: np.ndarray) -> np.ndarray:
 
 class _Probes:
     """Probes of C(x), |C(x)| = `order`, drawn until certified (see the
-    module docstring): `rows` are those the stabilizer chain `chain` was
-    built of, and `pending` those of the last sample outside its group."""
+    module docstring): `rows` are those the complete stabilizer chain `chain`
+    was extended by, and `pending` those of the last sample outside its group."""
 
     def __init__(self, g: GroupTable, x: int, order: int):
         self.g, self.x, self.order = g, x, order
@@ -303,14 +297,14 @@ class _Probes:
 
     def certify(self) -> bool:
         """Whether the probes generate a group of order |C(x)|, by their
-        complete stabilizer chain; takes the whole first sample, then one
-        pending probe at a time."""
+        complete stabilizer chain, extended by the whole first sample, then by
+        one pending probe at a time."""
         perms = self.g.perms
         while not self.certified and self.pending.size:
             take = 1 if self.rows.size else self.pending.size
             self.rows = np.concatenate([self.rows, self.pending[:take]])
-            self.chain = stabilizer_chain(perms[self.rows])
-            reached = math.prod(level.transversal.shape[0] for level in self.chain)
+            self.chain = extend(self.chain, perms[self.pending[:take]])
+            reached = chain_order(self.chain)
             if reached > self.order:
                 raise AssertionError("probe closure passed |G|/|class|")
             if reached == self.order:

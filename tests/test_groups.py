@@ -1,6 +1,8 @@
 """Group builders and the GroupTable encoding contract."""
 
 import copy
+import functools
+import itertools
 import math
 import random
 import subprocess
@@ -30,11 +32,12 @@ from zclass.groups import (
     build_dihedral,
     build_symmetric,
     build_wreath_bc,
+    chain_order,
     direct_product,
+    extend,
     group_from_generators,
     row_to_signed_perm,
     sift,
-    stabilizer_chain,
 )
 from zclass.reflection import build_root_system
 from zclass.signed_perm import SignedPermutation
@@ -64,8 +67,18 @@ def generator_sets(draw):
     return np.array(gens, dtype=np.uint8).reshape(-1, degree)
 
 
-def orbit_product(levels) -> int:
-    return math.prod(level.transversal.shape[0] for level in levels)
+@st.composite
+def split_generator_sets(draw):
+    """A set drawn by `generator_sets`, split in two."""
+    gens = draw(generator_sets())
+    n = gens.shape[0]
+    split = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return gens[split], gens[~split]
+
+
+@functools.cache
+def all_permutations(degree: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(degree))), dtype=np.uint8)
 
 
 def random_signed_perm(rng, n):
@@ -123,10 +136,10 @@ class TestBuilders:
         ],
     )
     def test_huge_orders_refused_before_any_chain(self, monkeypatch, build, n):
-        def no_chain(gens):
+        def no_chain(levels, gens):
             raise AssertionError("stabilizer chain built past the cap")
 
-        monkeypatch.setattr(groups, "stabilizer_chain", no_chain)
+        monkeypatch.setattr(groups, "extend", no_chain)
         started = time.perf_counter()
         with pytest.raises(OrderCapExceeded, match="no order cap serves it"):
             build(n)
@@ -136,10 +149,10 @@ class TestBuilders:
         self, monkeypatch
     ):
         # Schreier-Sims on B100's generators alone would run for minutes
-        def no_chain(gens):
+        def no_chain(levels, gens):
             raise AssertionError("stabilizer chain built past the cap")
 
-        monkeypatch.setattr(groups, "stabilizer_chain", no_chain)
+        monkeypatch.setattr(groups, "extend", no_chain)
         started = time.perf_counter()
         with pytest.raises(OrderCapExceeded, match="B100 has order of 189 digits"):
             group_from_generators(
@@ -320,7 +333,7 @@ class TestConjugationMaps:
 class TestStabilizerChain:
     def test_e6_orbit_lengths(self):
         gens = np.array(build_root_system("E6").reflection_tables, dtype=np.uint8)
-        levels = stabilizer_chain(gens)
+        levels = extend([], gens)
         assert [level.transversal.shape[0] for level in levels] == [72, 30, 4, 3, 2]
 
     @PROPERTY_SETTINGS
@@ -329,7 +342,44 @@ class TestStabilizerChain:
         degree = gens.shape[1]
         identity = Permutation(list(range(degree)))
         group = PermutationGroup([identity, *(Permutation(g.tolist()) for g in gens)])
-        assert orbit_product(stabilizer_chain(gens)) == int(group.order())
+        assert chain_order(extend([], gens)) == int(group.order())
+
+    @PROPERTY_SETTINGS
+    @given(split=split_generator_sets())
+    def test_extend_by_more_generators_matches_one_build(self, split):
+        # the chain of A extended by B describes <A u B>, sifting every
+        # permutation as the chain built from A u B at once does, and the
+        # chain of A is left as it was
+        a, b = split
+        gens, degree = np.vstack([a, b]), a.shape[1]
+        first = extend([], a)
+        order = chain_order(first)
+        levels = extend(first, b)
+        assert chain_order(first) == order
+        identity = Permutation(list(range(degree)))
+        group = PermutationGroup([identity, *(Permutation(g.tolist()) for g in gens)])
+        assert chain_order(levels) == int(group.order())
+        rows = all_permutations(degree)
+
+        def accepted(chain):
+            return (sift(chain, rows)[0] == np.arange(degree)).all(axis=1)
+
+        at_once = accepted(extend([], gens))
+        assert at_once.sum() == int(group.order())
+        assert np.array_equal(accepted(levels), at_once)
+
+    @PROPERTY_SETTINGS
+    @given(gens=generator_sets())
+    def test_first_level_is_least_moved_point_sorted_by_image(self, gens):
+        # the table's block sort relies on both
+        levels = extend([], gens)
+        moved = np.flatnonzero((gens != np.arange(gens.shape[1])).any(axis=0))
+        if not moved.size:
+            assert levels == []
+            return
+        assert levels[0].point == moved[0]
+        images = levels[0].transversal[:, levels[0].point]
+        assert np.all(images[1:] > images[:-1])
 
     @pytest.mark.parametrize("text", ["B3", "D4", "H3", "B2 x I2(5)"])
     def test_sift_membership_matches_full_row_closure(self, text):
@@ -346,8 +396,8 @@ class TestStabilizerChain:
                 fresh = {multiply(a, g) for a in frontier for g in gens} - closed
                 closed |= fresh
                 frontier = list(fresh)
-            levels = stabilizer_chain(table.perms[rows])
-            assert orbit_product(levels) == len(closed)
+            levels = extend([], table.perms[rows])
+            assert chain_order(levels) == len(closed)
             inside = np.array([e in closed for e in group])
             residues, stop = sift(levels, table.perms)
             identity = np.arange(table.degree)
@@ -356,12 +406,26 @@ class TestStabilizerChain:
             assert np.array_equal(oracle._outside(levels, table.perms), ~inside)
 
     def test_transversals_map_base_points_to_their_orbits(self):
-        levels = stabilizer_chain(build_d(5).perms[list(build_d(5).gen_rows)])
+        levels = extend([], build_d(5).perms[list(build_d(5).gen_rows)])
         for d, level in enumerate(levels):
             orbit = level.transversal[:, level.point]
             assert np.array_equal(level.position[orbit], np.arange(orbit.size))
             for earlier in levels[:d]:
                 assert np.all(level.transversal[:, earlier.point] == earlier.point)
+
+    def test_b7_build_sifts_few_rows(self, monkeypatch):
+        # the sift work of B7's chain from [c, s_1, s_7], as measured: 28
+        # calls over 464 rows (a restart that re-sifts each level whole from a
+        # global strong generator list takes 36 over 1404)
+        calls, real = [], groups.sift
+
+        def counting(levels, perms):
+            calls.append(perms.shape[0])
+            return real(levels, perms)
+
+        monkeypatch.setattr(groups, "sift", counting)
+        assert build_wreath_bc(7).order == 645120
+        assert len(calls) <= 28 and sum(calls) <= 464
 
     def test_order_cap_refuses_before_enumeration(self, monkeypatch):
         def enumerate_rows(levels, degree):
@@ -455,7 +519,7 @@ class TestCoxeterGenerators:
                 c = s[c]
             assert np.array_equal(gens, [c, simple[0], simple[-1]])
         order = parse_coxeter_type(text).group_order()
-        assert orbit_product(stabilizer_chain(gens.astype(np.uint8))) == order
+        assert chain_order(extend([], gens.astype(np.uint8))) == order
 
     @pytest.mark.parametrize("text", ["D4", "D6", "F4"])
     def test_no_pair_of_coxeter_element_and_reflection_generates(
@@ -466,7 +530,7 @@ class TestCoxeterGenerators:
         order = parse_coxeter_type(text).group_order()
         for s in simple:
             pair = np.array([gens[0], s], dtype=np.uint8)
-            assert orbit_product(stabilizer_chain(pair)) < order
+            assert chain_order(extend([], pair)) < order
 
     def test_pair_refused_by_its_order_under_optimize(self):
         script = (

@@ -23,10 +23,11 @@ from zclass.groups import (
     build_dihedral,
     build_symmetric,
     build_wreath_bc,
+    chain_order,
     direct_product,
+    extend,
     group_from_generators,
     row_to_signed_perm,
-    stabilizer_chain,
 )
 from zclass.closed_form import parse_coxeter_type, z_count
 from zclass.errors import LARGE_ORDER_CAP
@@ -271,8 +272,7 @@ class TestCentralizer:
         cl = oracle.conjugacy_classes(table)[1]
         rows = self.other_members_centralizer(table, cl)
         target = table.order // cl.size
-        chain = stabilizer_chain(table.perms[rows])
-        assert math.prod(len(level.transversal) for level in chain) == target
+        assert chain_order(extend([], table.perms[rows])) == target
         monkeypatch.setattr(oracle, "_probes", lambda g, x, r: np.array(rows))
         with pytest.raises(AssertionError) as exc:
             oracle.centralizer(table, cl.rep, cl)
