@@ -29,8 +29,9 @@ with t, so no product row is formed.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -69,19 +70,40 @@ def _find_base(perms: np.ndarray) -> np.ndarray:
     return np.array(base, dtype=np.intp)
 
 
+def orbit_labels(maps: np.ndarray, n: int) -> np.ndarray:
+    """label[p] = the least point of p's orbit under the group that the
+    permutations `maps` of 0..n-1 (one row each) generate, as int32.
+
+    Every point starts labelled with itself.  Each round sets
+    label = min(label, label[m]) for each map m in turn, in place, then
+    label = label[label], until a round leaves the label sum unchanged.  A
+    label always names a point of the same orbit and never grows, so the
+    least point of an orbit keeps its own label, and a round that keeps the
+    sum changed no label.  Then label[p] <= label[m(p)] for every map m and
+    point p, and as m has finite order, the labels along p, m(p), m(m(p)), ...
+    are equal.  The maps reach the whole orbit, so all of it carries its
+    least point.
+    """
+    label = np.arange(n, dtype=np.int32)
+    total = n * (n - 1) // 2
+    while True:
+        for m in maps:
+            np.minimum(label, label[m], out=label)
+        label = label[label]
+        last, total = total, int(label.sum(dtype=np.int64))
+        if total == last:
+            return label
+
+
 def _key_code(gens: np.ndarray, base: np.ndarray) -> np.ndarray:
     """code[i, p] = weight of base point i times the rank of p in its orbit
-    under the group generated by `gens`.
+    under the group generated by `gens`, the orbits taken by `orbit_labels`.
 
     Weights are mixed-radix over the orbit sizes with the first base point most
     significant, so keys sort like the rows.  A point outside the orbit codes
-    as the key bound, which no member key reaches.  The orbits come from
-    min-label rounds over the generators, as in `oracle.conjugacy_classes`.
+    as the key bound, which no member key reaches.
     """
-    label, last = np.arange(gens.shape[1]), None  # ends as each orbit's least point
-    while not np.array_equal(label, last):
-        new = np.minimum(label, label[gens].min(axis=0, initial=label.size))
-        label, last = new[new], label
+    label = orbit_labels(gens, gens.shape[1])
     orbits = [np.flatnonzero(label == label[b]) for b in base]
     bound = math.prod(o.size for o in orbits)
     if bound * (len(base) + 1) >= 2**63:
@@ -108,7 +130,7 @@ class GroupTable:
     `keys` holds their strictly increasing base keys.  `gen_rows` index the
     generators the table was built from (for a Coxeter group of rank 4 or
     more, the three of `coxeter_generators`); conjugation by each gives one
-    row of `conjugation_maps`.
+    row of `conjugation_maps`, which the table does not keep.
     """
 
     def __init__(
@@ -132,7 +154,6 @@ class GroupTable:
         self.identity_row = int(self.row_index(identity)[0])
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
-        self._conjugation_maps: np.ndarray | None = None
 
     def base_keys(self, images: np.ndarray) -> np.ndarray:
         """Keys of elements given by their base images, one (k,) row each."""
@@ -172,44 +193,28 @@ class GroupTable:
             self._inverses = inv
         return self._inverses
 
-    def _conjugates(
-        self, ts: Sequence[int], rows: np.ndarray | None = None
-    ) -> np.ndarray:
-        """out[s, j] is the index of t * e * t^-1 for t = ts[s] and e the j-th
-        of `rows` (every row if None), as int32.
+    def conjugation_maps(self) -> np.ndarray:
+        """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as
+        int32, computed anew on each call.
 
         t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its key is the
         sum of code[i, t(e(c_i))]: one lookup per base point in the code
         composed with t, code[:, t].  Each chunk of rows is read once, at the
         union of the columns c_i of every t.
         """
-        t_rows = self.perms[list(ts)]
+        t_rows = self.perms[list(self.gen_rows)]
         columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
-        codes = self._code[:, t_rows]  # codes[:, s] is code[:, ts[s]]
+        codes = self._code[:, t_rows]  # codes[:, s] is code[:, gen_rows[s]]
         read, at = np.unique(columns, return_inverse=True)
         at = at.reshape(columns.shape)  # columns[s, i] is read[at[s, i]]
-        n = self.order if rows is None else rows.size
-        out = np.empty((len(ts), n), dtype=np.int32)
-        for lo in range(0, n, _CONJUGATE_CHUNK):
-            hi = min(lo + _CONJUGATE_CHUNK, n)
-            select = slice(lo, hi) if rows is None else rows[lo:hi, None]
-            block = self.perms[select, read]
-            for s in range(len(ts)):
-                out[s, lo:hi] = self._search(_keys(codes[:, s], block[:, at[s]]))
-        return out
-
-    def conjugates(self, t: int, rows: np.ndarray) -> np.ndarray:
-        """Indices of t * e * t^-1 for the elements at `rows`, as int32."""
-        return self._conjugates([t], rows)[0]
-
-    def conjugation_maps(self) -> np.ndarray:
-        """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as int32.
-
-        Computed once, into one preallocated array.
-        """
-        if self._conjugation_maps is None:
-            self._conjugation_maps = self._conjugates(self.gen_rows)
-        return self._conjugation_maps
+        maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
+        for lo in range(0, self.order, _CONJUGATE_CHUNK):
+            block = self.perms[lo : lo + _CONJUGATE_CHUNK, read]
+            for s, m in enumerate(maps):
+                m[lo : lo + block.shape[0]] = self._search(
+                    _keys(codes[:, s], block[:, at[s]])
+                )
+        return maps
 
     def element_orders(self) -> np.ndarray:
         """Order of each element: the first power that returns every base point."""
@@ -526,19 +531,24 @@ def build_dihedral(m: int) -> GroupTable:
     return group_from_generators([rot, ref], name=f"I2({m})", degree=m, order=order)
 
 
-def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
-    """G1 x G2 acting on the disjoint union of the two point sets."""
-    d1, d2 = g1.degree, g2.degree
-    gens = []  # in a wide dtype: d1 + d2 may pass 256 before it is refused
-    for r in g1.gen_rows:
-        gens.append(np.concatenate([g1.perms[r], np.arange(d1, d1 + d2)]))
-    for r in g2.gen_rows:
-        gens.append(np.concatenate([np.arange(d1), g2.perms[r].astype(np.intp) + d1]))
+def direct_product(*tables: GroupTable) -> GroupTable:
+    """The product of `tables`, acting on the disjoint union of their point
+    sets in order, built once from every factor's generators."""
+    ends = [0, *itertools.accumulate(t.degree for t in tables)]
+    gens = []  # in a wide dtype: the degree may pass 256 before it is refused
+    for t, lo, hi in zip(tables, ends, ends[1:]):
+        for r in t.gen_rows:
+            g = np.arange(ends[-1])
+            g[lo:hi] = t.perms[r].astype(np.intp) + lo
+            gens.append(g)
     labeler = None
-    if g1.labeler and g2.labeler:
-        l1, l2 = g1.labeler, g2.labeler
-        labeler = lambda row: f"{l1(row[:d1])} | {l2(row[d1:] - d1)}"
-    name, order = f"{g1.name} x {g2.name}", g1.order * g2.order
+    if all(t.labeler for t in tables):
+        parts = [(t.labeler, lo, hi) for t, lo, hi in zip(tables, ends, ends[1:])]
+        labeler = lambda row: " | ".join(l(row[lo:hi] - lo) for l, lo, hi in parts)
     return group_from_generators(
-        gens, name=name, degree=d1 + d2, order=order, labeler=labeler
+        gens,
+        name=" x ".join(t.name for t in tables),
+        degree=ends[-1],
+        order=math.prod(t.order for t in tables),
+        labeler=labeler,
     )

@@ -6,22 +6,18 @@ conjugate subgroups, scanning existing groups in order and absorbing into the
 first match.  Everything is deterministic: classes are ordered by their least
 row and witnesses are the smallest-index conjugators.
 
-Classes.  `conjugacy_classes` labels every row with itself, then repeats
-rounds of label[r] = min(label[r], label[s r s^-1]) for each generator s of
-the table (any generating set of G serves; a Coxeter group of rank 4 or
-more has three, see `zclass.groups.coxeter_generators`) and
-label[r] = label[label[r]] until a round changes nothing.  A label always
-names a row of the same class and never grows, so the least row m of a class
-keeps label m, and a round that keeps the label sum changed none.  Then
-label[r] <= label[s r s^-1] for every generator s, and as s has finite
-order, the labels along r, s r s^-1, s^2 r s^-2, ... are equal.  Conjugation
-by the generators reaches the whole class, so every row is labelled m.
+Classes.  `conjugacy_classes` labels every row with the least row of its
+orbit under the conjugation maps r -> s r s^-1 of the table's generators s
+(any generating set of G serves; a Coxeter group of rank 4 or more has
+three, see `zclass.groups.coxeter_generators`), by the min-label rounds of
+`zclass.groups.orbit_labels`, which carries their proof.
 
 Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
 length, so w(b), b the first base point, lies in an x-cycle as long as b's.
 Rows are sorted by w(b) (see `zclass.groups`), so such rows form contiguous
 blocks, found by one searchsorted on that column; `centralizer` lists C(x)
-exactly by testing only them.  A probe of x is a member of C(x) found in a
+exactly by testing only them, and takes generators from that list by
+`_generating_rows`.  A probe of x is a member of C(x) found in a
 spread sample of those n rows (a stride near n/phi), sized to hold about
 `_FIRST_PROBES` probes, then twice as many each round.  The probes are
 certified once the product of the orbit lengths of their complete
@@ -31,8 +27,7 @@ C(x), so they generate C(x).  The chain is extended by each probe taken
 that sifts through it adds nothing and is dropped, and the others are taken
 one at a time, each at least doubling the order.  Rows running out below
 |C(x)|, an order past it, or a probe that does not commute with x raises,
-also under `python -O`.  A central x takes the generators the table was
-built from, which generate G = C(x).
+also under `python -O`.
 
 Center test.  For |C(x)| = |C(y)|, C(x) and C(y) are conjugate exactly when
 the center Z(C(x)) meets the class of y.  If w C(y) w^-1 = C(x), then
@@ -53,8 +48,9 @@ for c central, which holds x = (xc)c^-1.  So `z_classes` first joins into sure
 components all central classes (C = G), each other rep x with the class of
 x^p, for p a prime dividing ord(x) (read off x's cycle lengths), when that
 class has x's size, and x with the class of xc for c in a generating set of
-Z(G).  A row's class is found among the classes of its size.  Only the first
-class of a component meets the center test; the others join its group.
+Z(G) (`_generating_rows`).  A row's class is found among the classes of its
+size.  Only the first class of a component meets the center test; the others
+join its group.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -72,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import ChainLevel, GroupTable, chain_order, extend, sift
+from .groups import ChainLevel, GroupTable, chain_order, extend, orbit_labels, sift
 
 log = logging.getLogger(__name__)
 
@@ -125,16 +121,8 @@ class SubgroupHandle:
 
 def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     """Orbit partition under conjugation, ordered by minimal representative:
-    min-label propagation over the conjugation maps (see the module docstring)."""
-    label = np.arange(g.order, dtype=np.int32)
-    total = g.order * (g.order - 1) // 2
-    while True:
-        for m in g.conjugation_maps():
-            np.minimum(label, label[m], out=label)
-        label = label[label]
-        last, total = total, int(label.sum(dtype=np.int64))
-        if total == last:
-            break
+    the orbit labels of the conjugation maps (see the module docstring)."""
+    label = orbit_labels(g.conjugation_maps(), g.order)
     reps = np.flatnonzero(label == np.arange(g.order))
     sizes = np.bincount(label)[reps]
     if sizes.sum() != g.order or np.any(g.order % sizes):
@@ -179,14 +167,14 @@ def _power(perms: np.ndarray, e: int) -> np.ndarray:
     return out
 
 
-def _center_generators(g: GroupTable, central: np.ndarray) -> list[int]:
-    """The rows of Z(G), given sorted as `central`, each the first outside the
-    group the earlier ones generate, by `sift` through the chain of that group,
-    which each extends."""
+def _generating_rows(g: GroupTable, rows: np.ndarray) -> list[int]:
+    """Generators of the subgroup whose members are the sorted `rows`: each
+    the first row outside the group the earlier ones generate, by `sift`
+    through the chain of that group, which each extends."""
     chain, kept = [], []
-    while (central := central[_outside(chain, g.perms[central])]).size:
-        kept.append(int(central[0]))
-        chain = extend(chain, g.perms[central[:1]])
+    while (rows := rows[_outside(chain, g.perms[rows])]).size:
+        kept.append(int(rows[0]))
+        chain = extend(chain, g.perms[rows[:1]])
     return kept
 
 
@@ -204,7 +192,7 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
         if has.any() and all(p % q for q in range(2, math.isqrt(p) + 1)):
             src.append(moving[has])
             images.append(_power(xs[has], p)[:, g.base])
-    for c in _center_generators(g, reps[central]) if moving.size else ():
+    for c in _generating_rows(g, reps[central]) if moving.size else ():
         src.append(moving)
         images.append(xs[:, g.perms[c][g.base]])  # x c
     src = np.concatenate([moving[:0], *src])
@@ -220,7 +208,7 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
     a, b = src[dst >= 0], dst[dst >= 0]
     root = np.arange(len(classes))
     root[central] = 0  # the identity's class
-    while True:  # min-label rounds, as in `conjugacy_classes`
+    while True:  # min-label rounds over the joined pairs
         low, new = np.minimum(root[a], root[b]), root.copy()
         np.minimum.at(new, a, low)
         np.minimum.at(new, b, low)
@@ -275,13 +263,11 @@ class _Probes:
 
     def __init__(self, g: GroupTable, x: int, order: int):
         self.g, self.x, self.order = g, x, order
-        self.certified = order == g.order
-        self.rows = np.array(g.gen_rows if self.certified else (), dtype=np.intp)
+        self.certified = False
+        self.rows = self.pending = np.array((), dtype=np.intp)
         self.chain: list[ChainLevel] = []
-        self.pending = self.rows[:0]
-        if not self.certified:
-            self.blocks = _candidate_blocks(g, x)
-            self.drawn, self.wanted = 0, _FIRST_PROBES
+        self.blocks = _candidate_blocks(g, x)
+        self.drawn, self.wanted = 0, _FIRST_PROBES
 
     def draw(self) -> np.ndarray:
         """The probes of the next, twice as large sample outside the chain's group."""
@@ -327,8 +313,9 @@ def centralizer(
     g: GroupTable, row: int, cl: ConjugacyClass | None = None
 ) -> SubgroupHandle:
     """All elements commuting with the element at `row`, listed from the rows
-    that may, and generated by its certified probes.  The class `cl` of `row`
-    fixes |C(x)| = |G|/|class|, which the listing must match."""
+    that may, with generators taken from that list by `_generating_rows`.  The
+    class `cl` of `row` fixes |C(x)| = |G|/|class|, which the listing must
+    match."""
     if cl is not None and cl.rep != row:
         raise ValueError(f"class of row {cl.rep}, not {row}")
     blocks = _candidate_blocks(g, row)
@@ -336,10 +323,7 @@ def centralizer(
     order = members.size if cl is None else g.order // cl.size
     if members.size != order:
         raise AssertionError("centralizer scan missed |G|/|class|")
-    probes = _Probes(g, row, order)
-    while not probes.certify():
-        probes.draw()
-    return SubgroupHandle(g, members, tuple(probes.rows.tolist()))
+    return SubgroupHandle(g, members, tuple(_generating_rows(g, members)))
 
 
 def subgroups_conjugate(
@@ -349,7 +333,7 @@ def subgroups_conjugate(
 
     Fingerprint mismatch rejects immediately.  Otherwise candidates w are
     filtered generator by generator (w g w^-1 must land in k), and the first
-    survivor is confirmed by conjugating h's full member set.
+    survivor is confirmed by looking up the full rows of w h w^-1.
     """
     if h.fingerprint != k.fingerprint:
         return False, None
@@ -374,7 +358,8 @@ def subgroups_conjugate(
     if not candidates.size:
         return False, None
     witness = int(candidates[0])
-    conj_members = np.sort(g.conjugates(witness, h.member_rows))
+    w, w_inv = g.perms[witness], inverses[witness]
+    conj_members = np.sort(g.row_index(w[g.perms[h.member_rows][:, w_inv]]))
     if not np.array_equal(conj_members, k.member_rows):
         raise AssertionError("generator images matched but member sets differ")
     return True, witness

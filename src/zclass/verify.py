@@ -24,11 +24,8 @@ def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTabl
     if oracle is None:
         raise UnsupportedGroupError("the oracle needs numpy, which is not installed")
     check_order([f.order_parts() for f in t.factors], str(t), order_cap)
-    tables = (FAMILIES[f.family].build(f.rank) for f in t.factors)
-    table = next(tables)
-    for factor_table in tables:
-        table = direct_product(table, factor_table)
-    return table
+    tables = [FAMILIES[f.family].build(f.rank) for f in t.factors]
+    return direct_product(*tables) if len(tables) > 1 else tables[0]
 
 
 def oracle_grouping_labels(table: GroupTable) -> list[list[str]]:

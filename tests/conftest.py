@@ -1,11 +1,12 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
 the numpy engine, a tiny dict-based z-class oracle built on it, the row of a
-signed permutation, and the derandomized settings of the hypothesis property
-tests."""
+signed permutation, the certified centralizer probes of a class, and the
+derandomized settings of the hypothesis property tests."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
+from zclass import oracle
 from zclass.signed_perm import SignedPermutation
 
 PROPERTY_SETTINGS = settings(
@@ -119,3 +120,12 @@ def assert_valid_permutation_table(table):
     assert perms.dtype == np.uint8
     for row in perms:
         assert sorted(row.tolist()) == list(range(table.degree))
+
+
+def certified_probe_rows(table, cl) -> list[int]:
+    """The probes of C(x), x the representative of the class `cl`, drawn and
+    certified as `oracle.z_classes` does for a head, until they generate C(x)."""
+    probes = oracle._Probes(table, cl.rep, table.order // cl.size)
+    while not probes.certify():
+        probes.draw()
+    return probes.rows.tolist()

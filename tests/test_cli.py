@@ -403,6 +403,15 @@ class TestLargeDegree:
         assert "at most 256 points" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_refusal_names_the_whole_product(self, capsys):
+        text = "I2(200) x I2(100) x I2(5)"
+        argv = ("count", text, "--method", "oracle", "--allow-large")
+        assert run_cli(capsys, *argv) == (
+            3,
+            "",
+            f"zclass: {text} acts on 305 points; group tables hold at most 256 points\n",
+        )
+
 
 class TestWithoutNumpy:
     """With numpy blocked, the formula route answers and an oracle request is

@@ -7,14 +7,15 @@ group orders, centralizers and conjugacy classes, and the center-test z-class
 grouping against the pairwise conjugator search `subgroups_conjugate`.  The
 certified probes that generate each centralizer are checked on full rows and
 by sympy's group order, and the probe scan of `z_classes` against the
-member-listed center `centralizer(...).center_rows`.  The
+member-listed center `centralizer(...).center_rows`, whose generators come
+from the member list, not from probes.  The
 tables enumerated from stabilizer chains are also compared, with E6, H4 and
 F4 added, against a closure that deduplicates on a Python set of row bytes.
 """
 
 import numpy as np
 import pytest
-from conftest import elements
+from conftest import certified_probe_rows, elements
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from zclass import oracle
@@ -156,14 +157,14 @@ def test_centralizer_generators_close_to_members(table):
 
 def test_certified_generators_commute_on_full_rows(table):
     for cl in oracle.conjugacy_classes(table):
-        gens = list(oracle.centralizer(table, cl.rep, cl).generator_rows)
+        gens = certified_probe_rows(table, cl)
         rows, x = table.perms[gens], table.perms[cl.rep]
         assert (rows[:, x] == x[rows]).all()
 
 
 def test_certified_generators_generate_the_centralizer_order(table):
     for cl in oracle.conjugacy_classes(table):
-        gens = list(oracle.centralizer(table, cl.rep, cl).generator_rows)
+        gens = certified_probe_rows(table, cl)
         assert sympy_group(table, gens).order() == table.order // cl.size
 
 

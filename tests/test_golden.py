@@ -17,7 +17,7 @@ from zclass.cli import main
 
 TYPES = (
     "A3", "B4", "C3", "D4", "D5", "I2(7)", "I2(8)", "H3", "F4", "E6", "E7",
-    "E8", "H4", "B3 x I2(8)", "A2 x D4",
+    "E8", "H4", "B3 x I2(8)", "A2 x D4", "A1 x A1 x B3",
 )  # fmt: skip
 COMMANDS = (
     ("count",),
@@ -652,6 +652,46 @@ GOLDEN = {
         0,
         "da13c9dd90514dc414829e83603f058a27f0f3a0d4c6fb21391dda1a60cd5be6",
     ),
+    "count A1 x A1 x B3 --format table": (
+        0,
+        "c621a32c06b375197b7b65f6f01909718c22928a5fb426f29f8dfcc0a1df84e8",
+    ),
+    "count A1 x A1 x B3 --format json": (
+        0,
+        "e61c411360902ff30dc2a1db9d8abf238579ef5ac7b5069f2fa09920b58459d0",
+    ),
+    "count A1 x A1 x B3 --method oracle --format table": (
+        0,
+        "844e332378e2bf15b0170620c866f3934f24b474350f0d0b9fc18ffe35609fbf",
+    ),
+    "count A1 x A1 x B3 --method oracle --format json": (
+        0,
+        "168602805431fdd99e0d11cd6e92243d337a8c0ff5c346b15c18d1c79bb37380",
+    ),
+    "classes A1 x A1 x B3 --format table": (
+        0,
+        "64c4e7fd24dba0532b0abaeca3903c9cb90ac4a37d56a2f7503743f0a4dd6bef",
+    ),
+    "classes A1 x A1 x B3 --format json": (
+        0,
+        "2959ab9dc76133637f441b3a16513d255f496c1c889f187467ae02e60592b4ef",
+    ),
+    "classes A1 x A1 x B3 --method oracle --format table": (
+        0,
+        "0cce3f49b0f0717c56fba327daa9ab4a4681e63a16d4dfdc5a6cfe979d2aa074",
+    ),
+    "classes A1 x A1 x B3 --method oracle --format json": (
+        0,
+        "cea34b5acd945d17cf8086d7c42e5582e8ca9dcf21e78eab8e552c9bd017eec8",
+    ),
+    "verify A1 x A1 x B3 --format table": (
+        0,
+        "28436a3d50d17b8567342b9748a92578fe55d2cba96982d7ec531722ebbea3ea",
+    ),
+    "verify A1 x A1 x B3 --format json": (
+        0,
+        "ef211f16c836e24c802afb9f8466f9f3f9171d9af0496db07cb901e59692ec67",
+    ),
     "verify --all-small --format json": (
         0,
         "2507183c522857fd12ddee56cbecdd2b6cc5a9164b172b2a7fff7702042ad288",
@@ -690,8 +730,8 @@ def test_cli_output_is_pinned(argv):
 
 def test_matrix_covers_every_exit_path():
     codes = [code for code, _ in GOLDEN.values()]
-    assert len(GOLDEN) == len(ARGVS) == 157
-    assert (codes.count(0), codes.count(2), codes.count(3)) == (127, 14, 16)
+    assert len(GOLDEN) == len(ARGVS) == 167
+    assert (codes.count(0), codes.count(2), codes.count(3)) == (137, 14, 16)
 
 
 if __name__ == "__main__":

@@ -270,6 +270,40 @@ def with_last_key_moved(table, delta: int):
     return moved
 
 
+def breadth_first_orbit_minima(maps: list[list[int]], n: int) -> list[int]:
+    minima = []
+    for p in range(n):
+        orbit, queue = {p}, [p]
+        for q in queue:
+            for m in maps:
+                if m[q] not in orbit:
+                    orbit.add(m[q])
+                    queue.append(m[q])
+        minima.append(min(orbit))
+    return minima
+
+
+class TestOrbitLabels:
+    def test_labels_are_breadth_first_orbit_minima(self):
+        rng = random.Random(22)
+        for n in range(1, 61):
+            for k in range(5):
+                maps = []
+                for _ in range(k):  # a random permutation, or a cycle on few points
+                    if rng.random() < 0.5:
+                        maps.append(rng.sample(range(n), n))
+                        continue
+                    m, cycle = list(range(n)), rng.sample(range(n), min(n, 4))
+                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                        m[a] = b
+                    maps.append(m)
+                dtype = np.uint8 if n % 2 else np.int32  # point rows, or map rows
+                rows = np.array(maps, dtype=dtype).reshape(k, n)
+                label = groups.orbit_labels(rows, n)
+                assert label.dtype == np.int32
+                assert label.tolist() == breadth_first_orbit_minima(maps, n)
+
+
 class TestConjugationMaps:
     # I2(8) and B2 x I2(5) have a rotation generator, which is no involution;
     # S1 has no generator and an empty base
@@ -286,7 +320,6 @@ class TestConjugationMaps:
             expected = [index[multiply(multiply(t_row, e), t_inv)] for e in group]
             assert maps[s].tolist() == expected
             assert sorted(maps[s].tolist()) == list(range(table.order))
-        assert table.conjugation_maps() is maps
 
     @pytest.mark.parametrize("text", list(MAP_GROUPS))
     def test_lookups_agree_with_the_maps(self, text):
@@ -295,10 +328,11 @@ class TestConjugationMaps:
         assert table.base_index(table.perms[rows][:, table.base]).tolist() == (
             rows.tolist()
         )
+        maps = table.conjugation_maps()
         for s, t in enumerate(table.gen_rows):
-            assert np.array_equal(
-                table.conjugates(t, rows), table.conjugation_maps()[s, rows]
-            )
+            t_row = table.perms[t]
+            conjugated = t_row[table.perms[rows][:, np.argsort(t_row)]]  # t e t^-1
+            assert np.array_equal(table.row_index(conjugated), maps[s, rows])
 
     @pytest.mark.parametrize("delta", [1, -1])  # a key between, or past the table
     def test_missing_conjugate_raises(self, delta):
@@ -574,6 +608,10 @@ class TestDirectProduct:
             direct_product(build_dihedral(200), build_dihedral(100))
         with pytest.raises(UnsupportedGroupError, match="acts on 259 points"):
             direct_product(build_dihedral(256), build_dihedral(3))
+        with pytest.raises(
+            UnsupportedGroupError, match=r"^I2\(200\) x I2\(100\) x I2\(5\) acts on 305"
+        ):
+            direct_product(build_dihedral(200), build_dihedral(100), build_dihedral(5))
         with pytest.raises(UnsupportedGroupError):
             group_from_generators([np.arange(257)], name="big", degree=257, order=1)
         assert build_dihedral(256).degree == 256
@@ -584,6 +622,24 @@ class TestDirectProduct:
         assert labels == {
             "1~3 | 1~2", "1~3 | 2", "2 1 | 1~2", "2 1 | 2", "3 | 1~2", "3 | 2",
         }
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            lambda: (build_symmetric(3), build_wreath_bc(2), build_dihedral(5)),
+            lambda: (build_symmetric(2), build_symmetric(2), build_wreath_bc(3)),
+        ],
+        ids=["S3 x B2 x I2(5)", "A1 x A1 x B3"],
+    )
+    def test_one_build_equals_pairwise_builds(self, factors):
+        a, b, c = factors()
+        once = direct_product(a, b, c)
+        pairwise = direct_product(direct_product(a, b), c)
+        assert np.array_equal(once.perms, pairwise.perms)
+        assert once.gen_rows == pairwise.gen_rows
+        assert once.name == pairwise.name == f"{a.name} x {b.name} x {c.name}"
+        labels = [once.label(r) for r in range(once.order)]
+        assert labels == [pairwise.label(r) for r in range(pairwise.order)]
 
 
 class TestSingleCapCheck:

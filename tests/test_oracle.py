@@ -10,6 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 from conftest import (
+    certified_probe_rows,
     elements,
     invert,
     multiply,
@@ -241,7 +242,7 @@ class TestCentralizer:
             lambda g, x, rows: np.full(rows.size, g.identity_row),
         )
         with pytest.raises(AssertionError, match="ran out"):
-            oracle.centralizer(table, cl.rep, cl)
+            certified_probe_rows(table, cl)
 
     def test_non_centralizing_generator_raises(self, monkeypatch):
         table = build_wreath_bc(3)
@@ -251,8 +252,8 @@ class TestCentralizer:
             "_probes",
             lambda g, x, rows: np.array(g.gen_rows),
         )
-        with pytest.raises(AssertionError):
-            oracle.centralizer(table, cl.rep, cl)
+        with pytest.raises(AssertionError, match="passed"):
+            certified_probe_rows(table, cl)
 
     @staticmethod
     def other_members_centralizer(table, cl):
@@ -275,7 +276,7 @@ class TestCentralizer:
         assert chain_order(extend([], table.perms[rows])) == target
         monkeypatch.setattr(oracle, "_probes", lambda g, x, r: np.array(rows))
         with pytest.raises(AssertionError) as exc:
-            oracle.centralizer(table, cl.rep, cl)
+            certified_probe_rows(table, cl)
         assert str(exc.value) == "a probe does not centralize"
 
     def test_centralizer_checks_survive_python_O(self):
@@ -289,6 +290,7 @@ class TestCentralizer:
 
             table = build_wreath_bc(3)
             cl = oracle.conjugacy_classes(table)[1]
+            order = table.order // cl.size
             fakes = {{
                 "ran out": lambda g, x, rows: np.full(rows.size, g.identity_row),
                 "passed": lambda g, x, rows: np.array(g.gen_rows),
@@ -296,8 +298,10 @@ class TestCentralizer:
             }}
             for name, fake in fakes.items():
                 oracle._probes = fake
+                probes = oracle._Probes(table, cl.rep, order)
                 try:
-                    oracle.centralizer(table, cl.rep, cl)
+                    while not probes.certify():
+                        probes.draw()
                     print(name, "accepted")
                 except AssertionError as exc:
                     print(name, "refused", name in str(exc))
@@ -312,6 +316,14 @@ class TestCentralizer:
             "passed refused True",
             "does not centralize refused True",
         ]
+
+    @pytest.mark.parametrize("text", ["B3", "D4", "H3", "B2 x I2(5)"])
+    def test_generator_rows_generate_exactly_the_members(self, text):
+        table = build_group(parse_coxeter_type(text))
+        for cl in oracle.conjugacy_classes(table):
+            cen = oracle.centralizer(table, cl.rep, cl)
+            chain = extend([], table.perms[list(cen.generator_rows)])
+            assert chain_order(chain) == cen.order == table.order // cl.size
 
     def test_class_walked_from_another_row_is_refused(self):
         table = build_wreath_bc(2)
@@ -648,7 +660,7 @@ class TestSureComponents:
         table = table_of(text)
         classes = oracle.conjugacy_classes(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
-        assert len(oracle._center_generators(table, central)) == n_generators
+        assert len(oracle._generating_rows(table, central)) == n_generators
         looked_up = []
         search = type(table)._search
 
@@ -673,7 +685,7 @@ class TestSureComponents:
         table = table_of(text)
         classes = oracle.conjugacy_classes(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
-        generators = oracle._center_generators(table, central)
+        generators = oracle._generating_rows(table, central)
         assert len(generators) == math.ceil(math.log2(central.size))
         assert len(oracle._sure_components(table, classes)) == len(classes)
         expected = 1 if text == "S1" else z_count(parse_coxeter_type(text)).total
