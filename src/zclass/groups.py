@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,8 +46,57 @@ from .signed_perm import SignedPermutation, dn_class_label, signed_cycle_type
 MAX_DEGREE = 256
 
 _CHUNK = 1 << 17
-_CONJUGATE_CHUNK = 1 << 16
+_ROW_CHUNK = 1 << 16
 _TAKE_CHUNK = 1 << 14
+
+
+def _workers() -> int:
+    """The CPUs this process may run on: its affinity set, or where that is
+    not exposed (macOS, Windows), every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_chunks(fn: Callable[[int, int], None], n: int, chunk: int) -> None:
+    """fn(lo, hi) for every chunk [lo, hi) of `chunk` rows of range(n), on up
+    to `_workers()` threads, the caller's among them; one chunk or one CPU
+    runs serially in the caller.
+
+    numpy releases the interpreter lock in the gathers, minima and searches
+    the row kernels are made of, so the chunks run side by side.  Chunks are
+    handed out in order.  Once one raises, no further chunk starts, and the
+    first exception is raised here after every thread has ended.
+    """
+    starts = range(0, n, chunk)
+    workers = min(_workers(), len(starts))
+    if workers <= 1:
+        for lo in starts:
+            fn(lo, min(lo + chunk, n))
+        return
+    todo, lock, errors = iter(starts), threading.Lock(), []
+
+    def work() -> None:
+        while True:
+            with lock:
+                lo = None if errors else next(todo, None)
+            if lo is None:
+                return
+            try:
+                fn(lo, min(lo + chunk, n))
+            except BaseException as e:  # raised in the caller below
+                with lock:
+                    errors.append(e)
+                return
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for t in threads:
+        t.start()
+    work()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 def _find_base(perms: np.ndarray) -> np.ndarray:
@@ -74,22 +125,34 @@ def orbit_labels(maps: np.ndarray, n: int) -> np.ndarray:
     """label[p] = the least point of p's orbit under the group that the
     permutations `maps` of 0..n-1 (one row each) generate, as int32.
 
-    Every point starts labelled with itself.  Each round sets
-    label = min(label, label[m]) for each map m in turn, in place, then
-    label = label[label], until a round leaves the label sum unchanged.  A
-    label always names a point of the same orbit and never grows, so the
-    least point of an orbit keeps its own label, and a round that keeps the
-    sum changed no label.  Then label[p] <= label[m(p)] for every map m and
-    point p, and as m has finite order, the labels along p, m(p), m(m(p)), ...
-    are equal.  The maps reach the whole orbit, so all of it carries its
-    least point.
+    Every point starts labelled with itself.  Each round runs, for every
+    chunk [lo, hi) of `_ROW_CHUNK` points (by `_run_chunks`, so chunks may
+    run at once on several threads), label[lo:hi] = min(label[lo:hi],
+    label[m[lo:hi]]) for each map m in turn, then label[lo:hi] =
+    label[label[lo:hi]], all in place; rounds repeat until one leaves the
+    label sum unchanged.  A read may see a label before or after another
+    chunk lowers it (an int32 is read and written whole), but every value it
+    can see names a point of the same orbit and is at most the point it
+    labels, so labels never grow and always name a point of their orbit: the
+    least point of an orbit keeps its own label.  A round that keeps the sum
+    therefore changed no label, so every read in it, whichever thread wrote
+    the value, saw the final labels.  Then label[p] <= label[m(p)] for every
+    map m and point p, and as m has finite order, the labels along p, m(p),
+    m(m(p)), ... are equal.  The maps reach the whole orbit, so all of it
+    carries its least point.  The labels do not depend on the number of
+    threads; the number of rounds may.
     """
     label = np.arange(n, dtype=np.int32)
+
+    def lower(lo: int, hi: int) -> None:
+        part = label[lo:hi]
+        for m in maps:
+            np.minimum(part, label[m[lo:hi]], out=part)
+        part[:] = label[part]
+
     total = n * (n - 1) // 2
     while True:
-        for m in maps:
-            np.minimum(label, label[m], out=label)
-        label = label[label]
+        _run_chunks(lower, n, _ROW_CHUNK)
         last, total = total, int(label.sum(dtype=np.int64))
         if total == last:
             return label
@@ -199,8 +262,10 @@ class GroupTable:
 
         t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its key is the
         sum of code[i, t(e(c_i))]: one lookup per base point in the code
-        composed with t, code[:, t].  Each chunk of rows is read once, at the
-        union of the columns c_i of every t.
+        composed with t, code[:, t].  Each chunk of `_ROW_CHUNK` rows is read
+        once, at the union of the columns c_i of every t, and writes only its
+        own columns of the maps, so the chunks run on `_run_chunks`' threads;
+        a conjugate with no member raises LookupError in the caller.
         """
         t_rows = self.perms[list(self.gen_rows)]
         columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
@@ -208,12 +273,13 @@ class GroupTable:
         read, at = np.unique(columns, return_inverse=True)
         at = at.reshape(columns.shape)  # columns[s, i] is read[at[s, i]]
         maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
-        for lo in range(0, self.order, _CONJUGATE_CHUNK):
-            block = self.perms[lo : lo + _CONJUGATE_CHUNK, read]
+
+        def conjugate(lo: int, hi: int) -> None:
+            block = self.perms[lo:hi, read]
             for s, m in enumerate(maps):
-                m[lo : lo + block.shape[0]] = self._search(
-                    _keys(codes[:, s], block[:, at[s]])
-                )
+                m[lo:hi] = self._search(_keys(codes[:, s], block[:, at[s]]))
+
+        _run_chunks(conjugate, self.order, _ROW_CHUNK)
         return maps
 
     def element_orders(self) -> np.ndarray:
@@ -338,15 +404,20 @@ def extend(levels: list[ChainLevel], gens: np.ndarray) -> list[ChainLevel]:
 
 def _products(levels: list[ChainLevel], degree: int) -> np.ndarray:
     """Every product u_1 ... u_k of one transversal element per level, as rows;
-    built from the last level up with one np.take per transversal element."""
+    built from the last level up with one np.take per transversal element,
+    over chunks of `_TAKE_CHUNK` rows (which bound the intp copy of the rows)
+    on `_run_chunks`' threads."""
     block = np.arange(degree, dtype=np.uint8)[None, :]
     for level in reversed(levels):
         n = block.shape[0]
         out = np.empty((level.transversal.shape[0] * n, degree), dtype=np.uint8)
-        for lo in range(0, n, _TAKE_CHUNK):  # bounds the intp copy of the rows
-            rows = block[lo : lo + _TAKE_CHUNK].astype(np.intp)
+
+        def take(lo: int, hi: int) -> None:
+            rows = block[lo:hi].astype(np.intp)
             for j, u in enumerate(level.transversal):
-                np.take(u, rows, out=out[j * n + lo : j * n + lo + rows.shape[0]])
+                np.take(u, rows, out=out[j * n + lo : j * n + hi])
+
+        _run_chunks(take, n, _TAKE_CHUNK)
         block = out
     return block
 
@@ -369,7 +440,8 @@ def group_from_generators(
     least point the group moves and the first transversal is sorted by image
     point, so the rows come in blocks u_1 H, H the stabilizer of b_1, in order
     of u_1(b_1): sorting each block by key sorts the table, without a copy.
-    Generators may come in any integer dtype; they are stored as uint8 once
+    The blocks are keyed and sorted on `_run_chunks`' threads, whole blocks
+    to a chunk.  Generators may come in any integer dtype; they are stored as uint8 once
     `degree` is known to fit.
     """
     if degree > MAX_DEGREE:
@@ -391,11 +463,16 @@ def group_from_generators(
     perms = _products(levels, degree)
     base = _find_base(perms)
     code = _key_code(generators, base)
-    keys, n = _keys(code, perms[:, base]), order // chain_order(levels[:1])
-    for lo in range(0, order, n):  # sort each block u_1 H by key
-        by_key = np.argsort(keys[lo : lo + n])
-        keys[lo : lo + n] = keys[lo : lo + n][by_key]
-        perms[lo : lo + n] = perms[lo : lo + n][by_key]
+    keys, n = np.empty(order, dtype=np.int64), order // chain_order(levels[:1])
+
+    def sort_blocks(lo: int, hi: int) -> None:  # each block u_1 H by key
+        keys[lo:hi] = _keys(code, perms[lo:hi, base])
+        for b in range(lo, hi, n):
+            by_key = np.argsort(keys[b : b + n])
+            keys[b : b + n] = keys[b : b + n][by_key]
+            perms[b : b + n] = perms[b : b + n][by_key]
+
+    _run_chunks(sort_blocks, order, n * max(1, _ROW_CHUNK // n))
     table = GroupTable(perms, (), name, labeler, index=(base, code, keys))
     table.gen_rows = tuple(int(r) for r in table.row_index(generators))
     return table

@@ -1,12 +1,13 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
 the numpy engine, a tiny dict-based z-class oracle built on it, the row of a
-signed permutation, the certified centralizer probes of a class, and the
-derandomized settings of the hypothesis property tests."""
+signed permutation, the certified centralizer probes of a class, the
+derandomized settings of the hypothesis property tests, and a switch for the
+thread count and chunk size of the row kernels."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
-from zclass import oracle
+from zclass import groups, oracle
 from zclass.signed_perm import SignedPermutation
 
 PROPERTY_SETTINGS = settings(
@@ -16,6 +17,16 @@ PROPERTY_SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def set_row_kernels(monkeypatch, workers: int, chunk: int | None = None) -> None:
+    """Run the row kernels of `zclass.groups` on `workers` threads and, given
+    `chunk`, in chunks of that many rows, so that small tables take the
+    threaded multi-chunk path."""
+    monkeypatch.setattr(groups, "_workers", lambda: workers)
+    if chunk is not None:
+        monkeypatch.setattr(groups, "_ROW_CHUNK", chunk)
+        monkeypatch.setattr(groups, "_TAKE_CHUNK", chunk)
 
 
 def elements(table) -> list[tuple[int, ...]]:

@@ -4,9 +4,11 @@ import copy
 import functools
 import itertools
 import math
+import os
 import random
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -20,6 +22,7 @@ from conftest import (
     elements,
     invert,
     multiply,
+    set_row_kernels,
     signed_perm_to_row,
     validate,
 )
@@ -283,25 +286,105 @@ def breadth_first_orbit_minima(maps: list[list[int]], n: int) -> list[int]:
     return minima
 
 
+def check_random_orbit_labels():
+    """`orbit_labels` against breadth-first orbit minima on random maps."""
+    rng = random.Random(22)
+    for n in range(1, 61):
+        for k in range(5):
+            maps = []
+            for _ in range(k):  # a random permutation, or a cycle on few points
+                if rng.random() < 0.5:
+                    maps.append(rng.sample(range(n), n))
+                    continue
+                m, cycle = list(range(n)), rng.sample(range(n), min(n, 4))
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    m[a] = b
+                maps.append(m)
+            dtype = np.uint8 if n % 2 else np.int32  # point rows, or map rows
+            rows = np.array(maps, dtype=dtype).reshape(k, n)
+            label = groups.orbit_labels(rows, n)
+            assert label.dtype == np.int32
+            assert label.tolist() == breadth_first_orbit_minima(maps, n)
+
+
 class TestOrbitLabels:
     def test_labels_are_breadth_first_orbit_minima(self):
-        rng = random.Random(22)
-        for n in range(1, 61):
-            for k in range(5):
-                maps = []
-                for _ in range(k):  # a random permutation, or a cycle on few points
-                    if rng.random() < 0.5:
-                        maps.append(rng.sample(range(n), n))
-                        continue
-                    m, cycle = list(range(n)), rng.sample(range(n), min(n, 4))
-                    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                        m[a] = b
-                    maps.append(m)
-                dtype = np.uint8 if n % 2 else np.int32  # point rows, or map rows
-                rows = np.array(maps, dtype=dtype).reshape(k, n)
-                label = groups.orbit_labels(rows, n)
-                assert label.dtype == np.int32
-                assert label.tolist() == breadth_first_orbit_minima(maps, n)
+        check_random_orbit_labels()
+
+    # two and four threads (more than the CPUs of a small host) over chunks
+    # of a few points
+    @pytest.mark.parametrize("workers, chunk", [(2, 3), (4, 1)])
+    def test_threaded_labels_are_breadth_first_orbit_minima(
+        self, monkeypatch, workers, chunk
+    ):
+        set_row_kernels(monkeypatch, workers, chunk)
+        check_random_orbit_labels()
+
+    def test_shared_labels_under_fast_thread_switching(self, monkeypatch):
+        table = build_dihedral(255)  # the most propagation rounds seen
+        maps = table.conjugation_maps()
+        expected = groups.orbit_labels(maps, table.order)
+        set_row_kernels(monkeypatch, 8, 16)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert np.array_equal(groups.orbit_labels(maps, table.order), expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestRunChunks:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("n, chunk", [(0, 4), (1, 4), (4, 4), (100, 3), (100, 7)])
+    def test_every_chunk_runs_once(self, monkeypatch, workers, n, chunk):
+        set_row_kernels(monkeypatch, workers)
+        seen, lock = [], threading.Lock()
+
+        def record(lo, hi):
+            with lock:
+                seen.append((lo, hi))
+
+        groups._run_chunks(record, n, chunk)
+        assert sorted(seen) == [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+
+    def test_one_chunk_runs_in_the_caller(self, monkeypatch):
+        set_row_kernels(monkeypatch, 4)
+        ran_on = []
+        groups._run_chunks(lambda *_: ran_on.append(threading.current_thread()), 5, 5)
+        assert ran_on == [threading.current_thread()]
+
+    def test_an_error_in_a_worker_thread_reaches_the_caller(self, monkeypatch):
+        set_row_kernels(monkeypatch, 2)
+        caller, raised = threading.current_thread(), threading.Event()
+        before = threading.active_count()
+
+        def fail_off_the_caller(lo, hi):
+            if threading.current_thread() is caller:
+                raised.wait(timeout=30)  # until the other thread has raised
+                return
+            raised.set()
+            raise ValueError(f"chunk {lo}")
+
+        with pytest.raises(ValueError, match="chunk"):
+            groups._run_chunks(fail_off_the_caller, 40, 1)
+        assert threading.active_count() == before
+
+    def test_worker_count_is_the_affinity_set(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert groups._workers() == len(os.sched_getaffinity(0))
+        else:
+            assert groups._workers() == (os.cpu_count() or 1)
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert groups._workers() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert groups._workers() == 1
+        table = build_d(4)
+        assert len(oracle.conjugacy_classes(table)) == 13
 
 
 class TestConjugationMaps:
@@ -341,27 +424,52 @@ class TestConjugationMaps:
             with_last_key_moved(table, delta).conjugation_maps()
         assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
 
+    @pytest.mark.parametrize("delta", [1, -1])
+    def test_missing_conjugate_raises_from_threads(self, monkeypatch, delta):
+        table = build_d(4)
+        set_row_kernels(monkeypatch, 2, 16)  # 12 chunks on two threads
+        before = threading.active_count()
+        with pytest.raises(LookupError):
+            with_last_key_moved(table, delta).conjugation_maps()
+        assert threading.active_count() == before
+        assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
+
     def test_missing_conjugate_raises_under_optimize(self):
-        script = (
-            "import copy\n"
-            "from zclass.groups import build_d\n"
-            "table = build_d(4)\n"
-            "print(__debug__)\n"
-            "for delta in (1, -1):\n"
-            "    moved = copy.copy(table)\n"
-            "    moved.keys = table.keys.copy()\n"
-            "    moved.keys[-1] += delta\n"
-            "    try:\n"
-            "        moved.conjugation_maps()\n"
-            "        print('accepted')\n"
-            "    except LookupError:\n"
-            "        print('refused')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "refused", "refused"]
+        check_missing_conjugate_under_optimize(threaded=False)
+
+    def test_missing_conjugate_raises_from_threads_under_optimize(self):
+        check_missing_conjugate_under_optimize(threaded=True)
+
+
+def check_missing_conjugate_under_optimize(threaded: bool):
+    """Under python -O, a D4 table whose last key is moved refuses its
+    conjugation maps, on one thread or over 12 chunks on two, and leaves no
+    thread behind."""
+    script = (
+        "import copy, threading\n"
+        "from zclass import groups\n"
+        "from zclass.groups import build_d\n"
+        "table = build_d(4)\n"
+        f"if {threaded}:\n"
+        "    groups._workers, groups._ROW_CHUNK = (lambda: 2), 16\n"
+        "before = threading.active_count()\n"
+        "print(__debug__)\n"
+        "for delta in (1, -1):\n"
+        "    moved = copy.copy(table)\n"
+        "    moved.keys = table.keys.copy()\n"
+        "    moved.keys[-1] += delta\n"
+        "    try:\n"
+        "        moved.conjugation_maps()\n"
+        "        print('accepted')\n"
+        "    except LookupError:\n"
+        "        print('refused')\n"
+        "print(threading.active_count() == before)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["False", "refused", "refused", "True"]
 
 
 class TestStabilizerChain:

@@ -15,6 +15,7 @@ from conftest import (
     invert,
     multiply,
     naive_z_class_count,
+    set_row_kernels,
     signed_perm_to_row,
 )
 
@@ -138,6 +139,38 @@ def class_answers(table):
     classes = [(c.rep, c.members.tolist()) for c in oracle.conjugacy_classes(table)]
     grouping = [[c.rep for c in grp] for grp in oracle.z_classes(table)]
     return classes, grouping
+
+
+def threaded_answers(text):
+    """The table, conjugation maps, orbit labels and class answers of `text`."""
+    table = build_group(parse_coxeter_type(text), order_cap=LARGE_ORDER_CAP)
+    maps = table.conjugation_maps()
+    label = groups.orbit_labels(maps, table.order)
+    return (table.perms, table.keys, maps, label), class_answers(table)
+
+
+class TestWorkerCount:
+    """The answers do not depend on how many threads run the row kernels."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["B3", "D4", "H3", "I2(255)", " x ".join(["A1"] * 8), "B2 x I2(5)"],
+    )
+    def test_one_and_two_threads_over_small_chunks_agree(self, monkeypatch, text):
+        expected = threaded_answers(text)
+        for workers in (1, 2):
+            set_row_kernels(monkeypatch, workers, 5)
+            arrays, answers = threaded_answers(text)
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, expected[0]))
+            assert answers == expected[1]
+
+    def test_d7_one_and_two_threads_agree(self, monkeypatch):
+        set_row_kernels(monkeypatch, 1)
+        arrays, expected = threaded_answers("D7")
+        set_row_kernels(monkeypatch, 2)
+        threaded, answers = threaded_answers("D7")
+        assert all(np.array_equal(a, b) for a, b in zip(threaded, arrays))
+        assert answers == expected
 
 
 class TestGeneratorOrder:
