@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -48,11 +46,14 @@ MAX_DEGREE = 256
 _CHUNK = 1 << 17
 _ROW_CHUNK = 1 << 16
 _TAKE_CHUNK = 1 << 14
+_CHUNKS_PER_THREAD = 4
 
 
 def _workers() -> int:
     """The CPUs this process may run on: its affinity set, or where that is
     not exposed (macOS, Windows), every CPU."""
+    import os  # loaded by the interpreter at start-up
+
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -60,20 +61,22 @@ def _workers() -> int:
 
 def _run_chunks(fn: Callable[[int, int], None], n: int, chunk: int) -> None:
     """fn(lo, hi) for every chunk [lo, hi) of `chunk` rows of range(n), on up
-    to `_workers()` threads, the caller's among them; one chunk or one CPU
-    runs serially in the caller.
+    to `_workers()` threads, the caller's among them, and on no more threads
+    than there are runs of `_CHUNKS_PER_THREAD` chunks.
 
     numpy releases the interpreter lock in the gathers, minima and searches
-    the row kernels are made of, so the chunks run side by side.  Chunks are
-    handed out in order.  Once one raises, no further chunk starts, and the
-    first exception is raised here after every thread has ended.
+    the row kernels are made of, so the chunks run side by side.  Each thread
+    holds the temporaries of one chunk at a time, so the cap keeps those of
+    at most 1/`_CHUNKS_PER_THREAD` of the rows live at once, on a host of any
+    size; one thread, as for a table of at most that many chunks, runs every
+    chunk in the caller.  Chunks are handed out in order.  Once one raises,
+    no further chunk starts, and the first exception is raised here after
+    every thread has ended.
     """
+    import threading  # loaded with numpy
+
     starts = range(0, n, chunk)
-    workers = min(_workers(), len(starts))
-    if workers <= 1:
-        for lo in starts:
-            fn(lo, min(lo + chunk, n))
-        return
+    workers = min(_workers(), -(-len(starts) // _CHUNKS_PER_THREAD))
     todo, lock, errors = iter(starts), threading.Lock(), []
 
     def work() -> None:

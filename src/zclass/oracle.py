@@ -11,9 +11,9 @@ orbit under the conjugation maps r -> s r s^-1 of the table's generators s
 (any generating set of G serves; a Coxeter group of rank 4 or more has
 three, see `zclass.groups.coxeter_generators`), by the min-label rounds of
 `zclass.groups.orbit_labels`, which carries their proof.  Both the maps and
-the rounds run over chunks of rows on up to one thread per allowed CPU; the
-labels, and so the classes, are the same at any thread count, though the
-number of rounds may vary between runs.
+the rounds run over chunks of rows on up to one thread per allowed CPU and
+per four chunks; the labels, and so the classes, are the same at any thread
+count, though the number of rounds may vary between runs.
 
 Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
 length, so w(b), b the first base point, lies in an x-cycle as long as b's.

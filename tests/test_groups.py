@@ -370,17 +370,28 @@ class TestRunChunks:
             groups._run_chunks(fail_off_the_caller, 40, 1)
         assert threading.active_count() == before
 
-    def test_worker_count_is_the_affinity_set(self):
-        if hasattr(os, "sched_getaffinity"):
-            assert groups._workers() == len(os.sched_getaffinity(0))
-        else:
-            assert groups._workers() == (os.cpu_count() or 1)
+    def test_a_thread_takes_at_least_chunks_per_thread_chunks(self, monkeypatch):
+        set_row_kernels(monkeypatch, 64)
+        started = []
 
-    def test_worker_count_without_affinity(self, monkeypatch):
-        # macOS and Windows have no os.sched_getaffinity
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", Counted)
+        seen = []
+        groups._run_chunks(lambda lo, hi: seen.append(lo), 40, 1)
+        assert sorted(seen) == list(range(40))
+        assert len(started) == 40 // groups._CHUNKS_PER_THREAD - 1  # and the caller
+
+    def test_worker_count_is_the_affinity_set_or_every_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
         assert groups._workers() == 3
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert groups._workers() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert groups._workers() == 1
         table = build_d(4)
