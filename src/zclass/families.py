@@ -2,8 +2,8 @@
 
 `FAMILIES` describes each family of irreducible finite Coxeter groups once:
 the ranks it takes, its group order, how its counts are found (a formula or
-a table), how its group is built (the built table labels each class by
-its representative row), and how structure theory groups its classes.
+a table), the generators and row labeler its group is built from, and how
+structure theory groups its classes.
 The other modules read these descriptors, not family names.
 Slots import the module they call when called, so importing this module
 loads neither numpy nor the oracle, and they look the function up on its
@@ -34,15 +34,17 @@ class Family:
     """One family.  Slots take the rank first: the n of A_n, the m of I2(m),
     or None.  The group order is p * 2**k * n! for (p, k, n) = order_parts.
     `method` says how `z_count` counts z-classes: 'formula' or 'table'.
-    `structural` lists the z-classes as groups of class labels from structure
-    theory; the oracle's classes are labelled by the rows of `build`'s table."""
+    `generators` gives (degree, generator rows, row labeler or None), from
+    which `verify.build_group` builds the table; `structural` lists the
+    z-classes as groups of class labels from structure theory, which the
+    labeler gives the oracle's class representatives."""
 
     min_rank: int | None  # None: the family takes no rank
     order_parts: Callable
     method: str
     class_count: Callable
     z_count: Callable
-    build: Callable
+    generators: Callable
     notation: str = "{family}{rank}"  # str.format pattern over family and rank
     rank_name: str = "rank"
     series_capped: bool = False  # ranks over MAX_FORMULA_RANK are refused
@@ -54,14 +56,14 @@ class Family:
 
 
 def _exceptional(name: str, order: int, classes: int, z_classes: int) -> Family:
-    """A type counted from the paper's table and built from its root system."""
+    """A type counted from the paper's table and generated on its root system."""
     return Family(
         min_rank=None,
         order_parts=lambda _: (order, 0, 0),
         method="table",
         class_count=lambda _: classes,
         z_count=lambda _: z_classes,
-        build=lambda _: _module("reflection").build_reflection_group(name),
+        generators=lambda _: _module("reflection").reflection_generators(name),
         notation="{family}",
     )
 
@@ -72,7 +74,7 @@ _BC = Family(
     method="formula",
     class_count=lambda n: _module("closed_form").conjugacy_count_bc(n),
     z_count=lambda n: _module("closed_form").z_count_bc(n),
-    build=lambda n: _module("groups").build_wreath_bc(n),
+    generators=lambda n: _module("groups").bc_generators(n),
     series_capped=True,
     structural=lambda n: _module("signed_perm").z_classes_bc(n),
 )
@@ -84,7 +86,7 @@ FAMILIES: dict[str, Family] = {
         method="formula",
         class_count=lambda n: _module("closed_form").partition_count(n + 1),
         z_count=lambda n: _module("closed_form").z_count_a(n + 1),
-        build=lambda n: _module("groups").build_symmetric(n + 1),
+        generators=lambda n: _module("groups").symmetric_generators(n + 1),
         series_capped=True,
         structural=lambda n: _module("signed_perm").z_classes_a(n + 1),
     ),
@@ -96,7 +98,7 @@ FAMILIES: dict[str, Family] = {
         method="formula",
         class_count=lambda n: _module("closed_form").conjugacy_count_d(n),
         z_count=lambda n: _module("closed_form").z_count_d(n),
-        build=lambda n: _module("groups").build_d(n),
+        generators=lambda n: _module("groups").d_generators(n),
         series_capped=True,
         structural=lambda n: _module("signed_perm").z_classes_dn(n),
     ),
@@ -106,7 +108,7 @@ FAMILIES: dict[str, Family] = {
         method="formula",
         class_count=lambda m: _module("closed_form").conjugacy_count_dihedral(m),
         z_count=lambda m: _module("closed_form").z_count_dihedral(m),
-        build=lambda m: _module("groups").build_dihedral(m),
+        generators=lambda m: _module("groups").dihedral_generators(m),
         notation="I2({rank})",
         rank_name="label",
     ),

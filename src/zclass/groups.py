@@ -35,10 +35,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closed_form import check_order
 from .combinatorics import Partition
 from .errors import LARGE_ORDER_CAP, UnsupportedGroupError, order_cap_exceeded
-from .families import FAMILIES
 from .signed_perm import SignedPermutation, dn_class_label, signed_cycle_type
 
 MAX_DEGREE = 256
@@ -481,13 +479,6 @@ def group_from_generators(
     return table
 
 
-def family_order(family: str, rank: int | None, name: str) -> int:
-    """The order FAMILIES gives `family` at `rank`, refused over LARGE_ORDER_CAP,
-    the most memory a table may take, before any chain is built or a giant
-    order is formed."""
-    return check_order([FAMILIES[family].order_parts(rank)], name, LARGE_ORDER_CAP)
-
-
 def coxeter_generators(reflections: list[np.ndarray]) -> list[np.ndarray]:
     """[c, s_1, s_n] for the simple reflections s_1, ..., s_n in list order,
     where c is their product (the Coxeter element), when that list is shorter,
@@ -508,30 +499,24 @@ def coxeter_generators(reflections: list[np.ndarray]) -> list[np.ndarray]:
 
 # --- concrete families ----------------------------------------------------
 
+# (degree, generator rows, row labeler or None): a group as `product_table` takes it
+Parts = tuple[int, list[np.ndarray], Callable[[np.ndarray], str] | None]
+
 
 def _cycle_type_label(row: np.ndarray) -> str:
     cycles = SignedPermutation((1,) * row.shape[0], tuple(row.tolist())).cycles()
     return str(Partition.from_parts(len(c) for c in cycles))
 
 
-def build_symmetric(n: int) -> GroupTable:
-    """S_n on n points, generated from the adjacent transpositions by
-    `coxeter_generators`."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = family_order("A", n - 1, f"S{n}")
+def symmetric_generators(n: int) -> Parts:
+    """S_n on n points, from the adjacent transpositions by
+    `coxeter_generators`, labelled by cycle type."""
     gens = []
     for i in range(n - 1):
         g = np.arange(n, dtype=np.uint8)
         g[[i, i + 1]] = g[[i + 1, i]]
         gens.append(g)
-    return group_from_generators(
-        coxeter_generators(gens),
-        name=f"S{n}",
-        degree=n,
-        order=order,
-        labeler=_cycle_type_label,
-    )
+    return n, coxeter_generators(gens), _cycle_type_label
 
 
 def row_to_signed_perm(row: np.ndarray) -> SignedPermutation:
@@ -553,7 +538,7 @@ def _dn_label(row: np.ndarray) -> str:
     return str(dn_class_label(row_to_signed_perm(row)))
 
 
-def _bc_generators(n: int) -> list[np.ndarray]:
+def _bc_reflections(n: int) -> list[np.ndarray]:
     gens = []
     for i in range(n - 1):
         swap = np.arange(2 * n, dtype=np.uint8)
@@ -566,69 +551,60 @@ def _bc_generators(n: int) -> list[np.ndarray]:
     return gens
 
 
-def build_wreath_bc(n: int) -> GroupTable:
-    """C2 wr S_n as signed permutations acting on 2n points."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    order = family_order("B", n, f"B{n}")
-    return group_from_generators(
-        coxeter_generators(_bc_generators(n)),
-        name=f"B{n}",
-        degree=2 * n,
-        order=order,
-        labeler=_signed_label,
-    )
+def bc_generators(n: int) -> Parts:
+    """C2 wr S_n as signed permutations of 2n points, from its simple
+    reflections by `coxeter_generators`, labelled by signed cycle type."""
+    return 2 * n, coxeter_generators(_bc_reflections(n)), _signed_label
 
 
-def build_d(n: int) -> GroupTable:
-    """D_n: the index-2 subgroup of C2 wr S_n with positive sign product."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    order = family_order("D", n, f"D{n}")
-    gens = _bc_generators(n)[:-1]
+def d_generators(n: int) -> Parts:
+    """D_n, the signed permutations of 2n points with positive sign product,
+    from its simple reflections by `coxeter_generators`, labelled by D_n class."""
+    gens = _bc_reflections(n)[:-1]
     flip_swap = np.arange(2 * n, dtype=np.uint8)
     flip_swap[n - 2] = 2 * n - 1
     flip_swap[n - 1] = 2 * n - 2
     flip_swap[2 * n - 2] = n - 1
     flip_swap[2 * n - 1] = n - 2
     gens.append(flip_swap)
+    return 2 * n, coxeter_generators(gens), _dn_label
+
+
+def dihedral_generators(m: int) -> Parts:
+    """The dihedral group of order 2m on the vertices of an m-gon, from its
+    rotation and a reflection; no labeler."""
+    vertices = np.arange(m)
+    return m, [(vertices + 1) % m, -vertices % m], None
+
+
+def product_table(parts: list[Parts], name: str, order: int) -> GroupTable:
+    """The table of the product of the groups `parts` give, acting on the
+    disjoint union of their point sets in order, built once from every part's
+    generators, of the `order` the caller knows.  Its rows are labelled by
+    the parts' labels joined by ' | ' when every part has a labeler, and by
+    the labeler of a lone part."""
+    ends = [0, *itertools.accumulate(degree for degree, _, _ in parts)]
+    gens = []  # in a wide dtype: the degree may pass 256 before it is refused
+    for (_, rows, _), lo, hi in zip(parts, ends, ends[1:]):
+        for r in rows:
+            g = np.arange(ends[-1])
+            g[lo:hi] = np.asarray(r, dtype=np.intp) + lo
+            gens.append(g)
+    labels, labeler = [label for _, _, label in parts], None
+    if len(labels) == 1:  # a part's own rows need no slicing
+        labeler = labels[0]
+    elif all(labels):
+        spans = list(zip(labels, ends, ends[1:]))
+        labeler = lambda row: " | ".join(l(row[lo:hi] - lo) for l, lo, hi in spans)
     return group_from_generators(
-        coxeter_generators(gens),
-        name=f"D{n}",
-        degree=2 * n,
-        order=order,
-        labeler=_dn_label,
+        gens, name=name, degree=ends[-1], order=order, labeler=labeler
     )
 
 
-def build_dihedral(m: int) -> GroupTable:
-    """Dihedral group of order 2m on the vertices of an m-gon."""
-    if m < 3:
-        raise ValueError("m must be at least 3")
-    order = family_order("I2", m, f"I2({m})")
-    vertices = np.arange(m)
-    rot, ref = (vertices + 1) % m, -vertices % m
-    return group_from_generators([rot, ref], name=f"I2({m})", degree=m, order=order)
-
-
 def direct_product(*tables: GroupTable) -> GroupTable:
-    """The product of `tables`, acting on the disjoint union of their point
-    sets in order, built once from every factor's generators."""
-    ends = [0, *itertools.accumulate(t.degree for t in tables)]
-    gens = []  # in a wide dtype: the degree may pass 256 before it is refused
-    for t, lo, hi in zip(tables, ends, ends[1:]):
-        for r in t.gen_rows:
-            g = np.arange(ends[-1])
-            g[lo:hi] = t.perms[r].astype(np.intp) + lo
-            gens.append(g)
-    labeler = None
-    if all(t.labeler for t in tables):
-        parts = [(t.labeler, lo, hi) for t, lo, hi in zip(tables, ends, ends[1:])]
-        labeler = lambda row: " | ".join(l(row[lo:hi] - lo) for l, lo, hi in parts)
-    return group_from_generators(
-        gens,
-        name=" x ".join(t.name for t in tables),
-        degree=ends[-1],
-        order=math.prod(t.order for t in tables),
-        labeler=labeler,
+    """The product of `tables` by `product_table`, from their generator rows."""
+    return product_table(
+        [(t.degree, [t.perms[r] for r in t.gen_rows], t.labeler) for t in tables],
+        " x ".join(t.name for t in tables),
+        math.prod(t.order for t in tables),
     )

@@ -22,12 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UnsupportedGroupError
-from .groups import (
-    GroupTable,
-    coxeter_generators,
-    family_order,
-    group_from_generators,
-)
+from .families import FAMILIES
+from .groups import GroupTable, Parts, coxeter_generators, product_table
 
 Zphi = tuple[int, int]  # a + b*phi
 
@@ -145,17 +141,21 @@ def build_root_system(name: str) -> RootSystem:
     )
 
 
-def generate_group(rs: RootSystem) -> GroupTable:
-    """The reflection group as permutations of the root list, generated from
-    the simple reflections by `coxeter_generators`."""
-    order = family_order(rs.type_name, None, rs.type_name)
+def _parts(rs: RootSystem) -> Parts:
     gens = [np.array(t, dtype=np.uint8) for t in rs.reflection_tables]
-    return group_from_generators(
-        coxeter_generators(gens),
-        name=rs.type_name,
-        degree=len(rs.roots),
-        order=order,
-    )
+    return len(rs.roots), coxeter_generators(gens), None
+
+
+def reflection_generators(name: str) -> Parts:
+    """The reflection group `name` on its roots, from its simple reflections
+    by `coxeter_generators`; no labeler."""
+    return _parts(build_root_system(name))
+
+
+def generate_group(rs: RootSystem) -> GroupTable:
+    """The table of the reflection group of `rs`, by `product_table`."""
+    order = FAMILIES[rs.type_name].group_order(None)
+    return product_table([_parts(rs)], rs.type_name, order)
 
 
 def build_reflection_group(

@@ -8,7 +8,7 @@ from .families import FAMILIES, CoxeterType, IrreducibleType
 
 try:  # the oracle needs numpy; the formula route runs without it
     from . import oracle
-    from .groups import GroupTable, direct_product
+    from .groups import GroupTable, product_table
 except ModuleNotFoundError as exc:
     if exc.name != "numpy":
         raise
@@ -16,16 +16,17 @@ except ModuleNotFoundError as exc:
 
 
 def build_group(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> GroupTable:
-    """The whole group of a product type, as one permutation group.
+    """The whole group of a type, named as typed: one table of the product of
+    its factors, built from every factor's generators.
 
-    Its order is checked against `order_cap` here, before any table is built;
-    the builders refuse only past LARGE_ORDER_CAP.
+    Its order is checked against `order_cap` here, before any generator is
+    made; no other code refuses a type's order.
     """
     if oracle is None:
         raise UnsupportedGroupError("the oracle needs numpy, which is not installed")
-    check_order([f.order_parts() for f in t.factors], str(t), order_cap)
-    tables = [FAMILIES[f.family].build(f.rank) for f in t.factors]
-    return direct_product(*tables) if len(tables) > 1 else tables[0]
+    order = check_order([f.order_parts() for f in t.factors], str(t), order_cap)
+    parts = [FAMILIES[f.family].generators(f.rank) for f in t.factors]
+    return product_table(parts, str(t), order)
 
 
 def oracle_grouping_labels(table: GroupTable) -> list[list[str]]:

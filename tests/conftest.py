@@ -1,14 +1,18 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
 the numpy engine, a tiny dict-based z-class oracle built on it, the row of a
 signed permutation, the certified centralizer probes of a class, the
-derandomized settings of the hypothesis property tests, and a switch for the
-thread count and chunk size of the row kernels."""
+derandomized settings of the hypothesis property tests, a switch for the
+thread count and chunk size of the row kernels, and the table of a Coxeter
+type."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
 
 from zclass import groups, oracle
+from zclass.errors import LARGE_ORDER_CAP
+from zclass.families import parse_coxeter_type
 from zclass.signed_perm import SignedPermutation
+from zclass.verify import build_group
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -27,6 +31,12 @@ def set_row_kernels(monkeypatch, workers: int, chunk: int | None = None) -> None
     if chunk is not None:
         monkeypatch.setattr(groups, "_ROW_CHUNK", chunk)
         monkeypatch.setattr(groups, "_TAKE_CHUNK", chunk)
+
+
+def build(text: str):
+    """The table `verify.build_group` makes of the Coxeter type `text`, with
+    the order cap at LARGE_ORDER_CAP."""
+    return build_group(parse_coxeter_type(text), order_cap=LARGE_ORDER_CAP)
 
 
 def elements(table) -> list[tuple[int, ...]]:

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 from itertools import product as iproduct
 
 import pytest
+from conftest import build
 
 from zclass import oracle
 from zclass.closed_form import (
@@ -27,13 +28,7 @@ from zclass.combinatorics import (
     signed_partitions_of,
     zeta,
 )
-from zclass.groups import (
-    build_d,
-    build_dihedral,
-    build_symmetric,
-    build_wreath_bc,
-    direct_product,
-)
+from zclass.groups import direct_product
 from zclass.reflection import build_reflection_group
 from zclass.signed_perm import centralizer_order_bc
 from zclass.verify import oracle_grouping_labels
@@ -53,13 +48,13 @@ def test_criterion_1_formula_oracle_agreement_sweep():
     started = time.perf_counter()
     with criterion(1, "formula equals oracle for B1-B5, D2-D6, I2(3)-I2(16)"):
         for n in range(1, 6):
-            table = build_wreath_bc(n)
+            table = build(f"B{n}")
             assert len(oracle.z_classes(table)) == z_count_bc(n), f"B{n}"
         for n in range(2, 7):
-            table = build_d(n)
+            table = build(f"D{n}")
             assert len(oracle.z_classes(table)) == z_count_d(n), f"D{n}"
         for m in range(3, 17):
-            table = build_dihedral(m)
+            table = build(f"I2({m})")
             assert len(oracle.z_classes(table)) == z_count_dihedral(m), f"I2({m})"
         elapsed = time.perf_counter() - started
         assert elapsed < 120, f"sweep took {elapsed:.1f}s, budget is 120s"
@@ -76,7 +71,7 @@ def test_criterion_2_rank_two_and_three_class_tables():
                 str(sp): centralizer_order_bc(sp) for sp in signed_partitions_of(n)
             }
             assert [by_formula[lbl] for lbl in labels] == expected_sizes
-            table = build_wreath_bc(n)
+            table = build(f"B{n}")
             classes = oracle.conjugacy_classes(table)
             assert len(classes) == len(expected_sizes)
             by_oracle = {
@@ -145,18 +140,14 @@ def test_criterion_5_e7_reproduction():
 
 def test_criterion_6_dn_split_class_merging():
     with criterion(6, "split-pair separation/merging and absorption in D4/D6"):
-        d4_groups = {
-            frozenset(g) for g in oracle_grouping_labels(build_d(4))
-        }
+        d4_groups = {frozenset(g) for g in oracle_grouping_labels(build("D4"))}
         # in D4 no part = 2 mod 4 has odd multiplicity: both split pairs stay apart
         assert {"4+"} in d4_groups and {"4-"} in d4_groups
         assert {"2~2+"} in d4_groups and {"2~2-"} in d4_groups
         # no absorption shape exists at rank 4: the 1^2 2 group stays by itself
         assert {"2 1~2", "2 1b~2"} in d4_groups
 
-        d6_groups = {
-            frozenset(g) for g in oracle_grouping_labels(build_d(6))
-        }
+        d6_groups = {frozenset(g) for g in oracle_grouping_labels(build("D6"))}
         # part 6 = 2 mod 4 with multiplicity one: the halves merge
         assert {"6+", "6-"} in d6_groups
         assert {"2~3+", "2~3-"} in d6_groups
@@ -167,20 +158,11 @@ def test_criterion_6_dn_split_class_merging():
 def test_criterion_7_direct_product_rule():
     with criterion(7, "z-count multiplies over direct products (10 random pairs)"):
         rng = random.Random(77)
-        builders = [
-            lambda: build_dihedral(3),
-            lambda: build_dihedral(4),
-            lambda: build_dihedral(5),
-            lambda: build_dihedral(6),
-            lambda: build_symmetric(3),
-            lambda: build_symmetric(4),
-            lambda: build_wreath_bc(2),
-            lambda: build_d(3),
-        ]
+        pool = ["I2(3)", "I2(4)", "I2(5)", "I2(6)", "A2", "A3", "B2", "D3"]
         checked = 0
         while checked < 10:
-            g1 = rng.choice(builders)()
-            g2 = rng.choice(builders)()
+            g1 = build(rng.choice(pool))
+            g2 = build(rng.choice(pool))
             if g1.order * g2.order > 2000:
                 continue
             prod = direct_product(g1, g2)

@@ -403,13 +403,24 @@ class TestLargeDegree:
         assert "at most 256 points" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_refusal_names_the_whole_product(self, capsys):
-        text = "I2(200) x I2(100) x I2(5)"
-        argv = ("count", text, "--method", "oracle", "--allow-large")
-        assert run_cli(capsys, *argv) == (
+    @pytest.mark.parametrize(
+        "command,text,flags,points",
+        [
+            ("count", "I2(200) x I2(100) x I2(5)", "--method oracle --allow-large", 305),
+            ("verify", "A1 x I2(255)", "", 257),
+            ("count", "I2(300) x A1", "--method oracle", 302),
+        ],
+        ids=["I2(200) x I2(100) x I2(5)", "A1 x I2(255)", "I2(300) x A1"],
+    )
+    def test_refusal_names_the_whole_product(
+        self, capsys, command, text, flags, points
+    ):
+        # the typed product, not the factor whose generators come first
+        assert run_cli(capsys, command, text, *flags.split()) == (
             3,
             "",
-            f"zclass: {text} acts on 305 points; group tables hold at most 256 points\n",
+            f"zclass: {text} acts on {points} points; "
+            "group tables hold at most 256 points\n",
         )
 
 

@@ -19,6 +19,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from conftest import (
     PROPERTY_SETTINGS,
     assert_valid_permutation_table,
+    build,
     elements,
     invert,
     multiply,
@@ -27,20 +28,20 @@ from conftest import (
     validate,
 )
 
-from zclass.errors import OrderCapExceeded, UnsupportedGroupError
+from test_golden import TYPES as GOLDEN_TYPES
+from zclass.errors import LARGE_ORDER_CAP, OrderCapExceeded, UnsupportedGroupError
 from zclass import groups, oracle, reflection
 from zclass.families import FAMILIES, parse_coxeter_type
 from zclass.groups import (
-    build_d,
-    build_dihedral,
-    build_symmetric,
-    build_wreath_bc,
+    bc_generators,
     chain_order,
     direct_product,
     extend,
     group_from_generators,
+    product_table,
     row_to_signed_perm,
     sift,
+    symmetric_generators,
 )
 from zclass.reflection import build_root_system
 from zclass.signed_perm import SignedPermutation
@@ -50,7 +51,7 @@ from zclass.verify import build_group
 FAMILY_GENERATORS = {
     name: table.perms[list(table.gen_rows)]
     for name, table in (
-        ("S6", build_symmetric(6)), ("B4", build_wreath_bc(4)), ("D4", build_d(4))
+        ("S6", build("A5")), ("B4", build("B4")), ("D4", build("D4"))
     )
 }
 
@@ -94,58 +95,62 @@ def random_signed_perm(rng, n):
 class TestBuilders:
     @pytest.mark.parametrize("n,order", [(1, 1), (2, 2), (3, 6), (4, 24), (5, 120)])
     def test_symmetric_orders(self, n, order):
-        assert build_symmetric(n).order == order
+        degree, gens, _ = symmetric_generators(n)
+        gens = np.array(gens, dtype=np.uint8).reshape(-1, degree)
+        assert chain_order(extend([], gens)) == order
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_wreath_orders(self, n):
-        assert build_wreath_bc(n).order == 2**n * math.factorial(n)
+        assert build(f"B{n}").order == 2**n * math.factorial(n)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_d_orders(self, n):
-        assert build_d(n).order == 2 ** (n - 1) * math.factorial(n)
+        assert build(f"D{n}").order == 2 ** (n - 1) * math.factorial(n)
 
     @pytest.mark.parametrize("m", [3, 4, 6, 16])
     def test_dihedral_orders(self, m):
-        assert build_dihedral(m).order == 2 * m
+        assert build(f"I2({m})").order == 2 * m
 
     def test_d_elements_have_positive_sign_product(self):
-        table = build_d(3)
+        table = build("D3")
         for row in table.perms:
             assert row_to_signed_perm(row).in_d_n()
 
     def test_wreath_cap(self):
         with pytest.raises(OrderCapExceeded):
-            build_wreath_bc(8)
+            build("B8")
 
     def test_axioms_validate(self):
-        for table in (build_wreath_bc(3), build_d(3), build_dihedral(5),
-                      build_symmetric(4)):
+        for table in (build("B3"), build("D3"), build("I2(5)"),
+                      build("A3")):
             validate(table)
             assert_valid_permutation_table(table)
 
     def test_probabilistic_validation_path(self):
-        validate(build_wreath_bc(5))  # order 3840 exhaustive
-        validate(build_d(6))  # order 23040 probabilistic
+        validate(build("B5"))  # order 3840 exhaustive
+        validate(build("D6"))  # order 23040 probabilistic
 
     @pytest.mark.parametrize(
-        "build,n",
-        [
-            (build_wreath_bc, 100),
-            (build_d, 100),
-            (build_symmetric, 80),
-            (build_symmetric, 10**6),
-            (build_wreath_bc, 10**6),
-            (build_d, 10**6),
+        "text",
+        ["B100", "D100", "A79", "A999999", "B1000000", "D1000000"],
+        # the ids these cases have always been reported under
+        ids=[
+            "build_wreath_bc-100",
+            "build_d-100",
+            "build_symmetric-80",
+            "build_symmetric-1000000",
+            "build_wreath_bc-1000000",
+            "build_d-1000000",
         ],
     )
-    def test_huge_orders_refused_before_any_chain(self, monkeypatch, build, n):
+    def test_huge_orders_refused_before_any_chain(self, monkeypatch, text):
         def no_chain(levels, gens):
             raise AssertionError("stabilizer chain built past the cap")
 
         monkeypatch.setattr(groups, "extend", no_chain)
         started = time.perf_counter()
         with pytest.raises(OrderCapExceeded, match="no order cap serves it"):
-            build(n)
+            build(text)
         assert time.perf_counter() - started < 1
 
     def test_raw_generators_refused_by_their_order_before_any_chain(
@@ -159,7 +164,7 @@ class TestBuilders:
         started = time.perf_counter()
         with pytest.raises(OrderCapExceeded, match="B100 has order of 189 digits"):
             group_from_generators(
-                groups._bc_generators(100),
+                bc_generators(100)[1],
                 name="B100",
                 degree=200,
                 order=2**100 * math.factorial(100),
@@ -184,14 +189,14 @@ class TestSignedPermEncoding:
             assert np.array_equal(signed_perm_to_row(v * w), rv[rw])
 
     def test_every_wreath_element_decodes(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         decoded = {row_to_signed_perm(row) for row in table.perms}
         assert len(decoded) == table.order
 
 
 class TestGroupTableContract:
     def test_multiply_invert_encodings(self):
-        table = build_dihedral(6)
+        table = build("I2(6)")
         rows = elements(table)
         assert len(set(rows)) == table.order
         e = tuple(range(table.degree))
@@ -202,26 +207,26 @@ class TestGroupTableContract:
             assert invert(a) in rows
 
     def test_rows_sorted_and_stable(self):
-        t1 = build_wreath_bc(3)
-        t2 = build_wreath_bc(3)
+        t1 = build("B3")
+        t2 = build("B3")
         assert np.array_equal(t1.perms, t2.perms)
         rows = elements(t1)
         assert rows == sorted(rows)
 
     def test_row_index_round_trip(self):
-        table = build_d(4)
+        table = build("D4")
         idx = table.row_index(table.perms)
         assert np.array_equal(idx, np.arange(table.order))
 
     def test_element_orders_divide_group_order(self):
-        table = build_wreath_bc(4)
+        table = build("B4")
         orders = table.element_orders()
         assert orders[table.identity_row] == 1
         for k in np.unique(orders):
             assert table.order % int(k) == 0
 
     def test_non_member_rows_refused(self):
-        table = build_d(4)
+        table = build("D4")
         key_miss = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
         key_hit = np.array([4, 1, 2, 3, 0, 5, 6, 7], dtype=np.uint8)  # in B4 only
         for row in (key_miss, key_hit):
@@ -233,8 +238,9 @@ class TestGroupTableContract:
         # under python -O assertions vanish; row_index must still refuse
         script = (
             "import numpy as np\n"
-            "from zclass.groups import build_d\n"
-            "table = build_d(4)\n"
+            "from zclass.families import parse_coxeter_type\n"
+            "from zclass.verify import build_group\n"
+            "table = build_group(parse_coxeter_type('D4'))\n"
             "print(__debug__)\n"
             "for row in ([0, 4, 2, 3, 1, 5, 6, 7], [4, 1, 2, 3, 0, 5, 6, 7]):\n"
             "    try:\n"
@@ -258,10 +264,10 @@ class TestGroupTableContract:
 
 
 MAP_GROUPS = {
-    text: (lambda text=text: build_group(parse_coxeter_type(text)))
+    text: (lambda text=text: build(text))
     for text in ["B3", "D4", "H3", " x ".join(["A1"] * 8), "I2(8)", "B2 x I2(5)"]
 }
-MAP_GROUPS["S1"] = lambda: build_symmetric(1)
+MAP_GROUPS["S1"] = lambda: product_table([symmetric_generators(1)], "S1", 1)
 
 
 def with_last_key_moved(table, delta: int):
@@ -321,7 +327,7 @@ class TestOrbitLabels:
         check_random_orbit_labels()
 
     def test_shared_labels_under_fast_thread_switching(self, monkeypatch):
-        table = build_dihedral(255)  # the most propagation rounds seen
+        table = build("I2(255)")  # the most propagation rounds seen
         maps = table.conjugation_maps()
         expected = groups.orbit_labels(maps, table.order)
         set_row_kernels(monkeypatch, 8, 16)
@@ -394,7 +400,7 @@ class TestRunChunks:
         assert groups._workers() == 8
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert groups._workers() == 1
-        table = build_d(4)
+        table = build("D4")
         assert len(oracle.conjugacy_classes(table)) == 13
 
 
@@ -430,14 +436,14 @@ class TestConjugationMaps:
 
     @pytest.mark.parametrize("delta", [1, -1])  # a key between, or past the table
     def test_missing_conjugate_raises(self, delta):
-        table = build_d(4)
+        table = build("D4")
         with pytest.raises(LookupError):
             with_last_key_moved(table, delta).conjugation_maps()
         assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
 
     @pytest.mark.parametrize("delta", [1, -1])
     def test_missing_conjugate_raises_from_threads(self, monkeypatch, delta):
-        table = build_d(4)
+        table = build("D4")
         set_row_kernels(monkeypatch, 2, 16)  # 12 chunks on two threads
         before = threading.active_count()
         with pytest.raises(LookupError):
@@ -459,8 +465,9 @@ def check_missing_conjugate_under_optimize(threaded: bool):
     script = (
         "import copy, threading\n"
         "from zclass import groups\n"
-        "from zclass.groups import build_d\n"
-        "table = build_d(4)\n"
+        "from zclass.families import parse_coxeter_type\n"
+        "from zclass.verify import build_group\n"
+        "table = build_group(parse_coxeter_type('D4'))\n"
         f"if {threaded}:\n"
         "    groups._workers, groups._ROW_CHUNK = (lambda: 2), 16\n"
         "before = threading.active_count()\n"
@@ -559,7 +566,7 @@ class TestStabilizerChain:
             assert np.array_equal(oracle._outside(levels, table.perms), ~inside)
 
     def test_transversals_map_base_points_to_their_orbits(self):
-        levels = extend([], build_d(5).perms[list(build_d(5).gen_rows)])
+        levels = extend([], build("D5").perms[list(build("D5").gen_rows)])
         for d, level in enumerate(levels):
             orbit = level.transversal[:, level.point]
             assert np.array_equal(level.position[orbit], np.arange(orbit.size))
@@ -577,7 +584,7 @@ class TestStabilizerChain:
             return real(levels, perms)
 
         monkeypatch.setattr(groups, "sift", counting)
-        assert build_wreath_bc(7).order == 645120
+        assert build("B7").order == 645120
         assert len(calls) <= 28 and sum(calls) <= 464
 
     def test_order_cap_refuses_before_enumeration(self, monkeypatch):
@@ -614,7 +621,7 @@ class TestStabilizerChain:
         assert proc.stdout == "I2(3): 6 elements, not 7\n"
 
     def test_trivial_group_has_no_base(self):
-        table = build_symmetric(1)
+        table = product_table([symmetric_generators(1)], "S1", 1)
         assert table.perms.tolist() == [[0]]
         assert table.base.size == 0 and table.keys.tolist() == [0]
         assert table.gen_rows == ()
@@ -632,29 +639,19 @@ BUILDABLE = (
 
 
 def builder_generators(monkeypatch, text):
-    """The simple reflections the builder of `text` starts from and the
-    generators it gives `group_from_generators`, caught before any chain."""
-
-    class Stop(Exception):
-        pass
-
+    """The simple reflections the `generators` slot of `text` starts from and
+    the generators it gives."""
     seen, coxeter_generators = {}, groups.coxeter_generators
 
     def record(reflections):
         seen["simple"] = np.array(reflections)
         return coxeter_generators(reflections)
 
-    def stop(gens, **kwargs):
-        seen["gens"] = np.array(gens)
-        raise Stop
-
     for module in (groups, reflection):
         monkeypatch.setattr(module, "coxeter_generators", record)
-        monkeypatch.setattr(module, "group_from_generators", stop)
     factor = parse_coxeter_type(text).factors[0]
-    with pytest.raises(Stop):
-        FAMILIES[factor.family].build(factor.rank)
-    return seen["simple"], seen["gens"]
+    _, gens, _ = FAMILIES[factor.family].generators(factor.rank)
+    return seen["simple"], np.array(gens)
 
 
 class TestCoxeterGenerators:
@@ -707,13 +704,13 @@ class TestCoxeterGenerators:
 
     @pytest.mark.parametrize("text", ["A5", "D5", "E6", "H4"])
     def test_tables_keep_three_generators(self, text):
-        table = build_group(parse_coxeter_type(text))
+        table = build(text)
         assert len(table.gen_rows) == 3
 
 
 class TestDirectProduct:
     def test_orders_multiply(self):
-        g = direct_product(build_dihedral(3), build_dihedral(4))
+        g = direct_product(build("I2(3)"), build("I2(4)"))
         assert g.order == (2 * 3) * (2 * 4)
 
     def test_cap_applies(self):
@@ -722,21 +719,21 @@ class TestDirectProduct:
 
     def test_point_sets_over_256_refused(self):
         with pytest.raises(UnsupportedGroupError):
-            build_dihedral(257)
+            build("I2(257)")
         with pytest.raises(UnsupportedGroupError):
-            direct_product(build_dihedral(200), build_dihedral(100))
+            direct_product(build("I2(200)"), build("I2(100)"))
         with pytest.raises(UnsupportedGroupError, match="acts on 259 points"):
-            direct_product(build_dihedral(256), build_dihedral(3))
+            direct_product(build("I2(256)"), build("I2(3)"))
         with pytest.raises(
             UnsupportedGroupError, match=r"^I2\(200\) x I2\(100\) x I2\(5\) acts on 305"
         ):
-            direct_product(build_dihedral(200), build_dihedral(100), build_dihedral(5))
+            direct_product(build("I2(200)"), build("I2(100)"), build("I2(5)"))
         with pytest.raises(UnsupportedGroupError):
             group_from_generators([np.arange(257)], name="big", degree=257, order=1)
-        assert build_dihedral(256).degree == 256
+        assert build("I2(256)").degree == 256
 
     def test_component_labels(self):
-        g = direct_product(build_symmetric(3), build_symmetric(2))
+        g = direct_product(build("A2"), build("A1"))
         labels = {g.label(r) for r in range(g.order)}
         assert labels == {
             "1~3 | 1~2", "1~3 | 2", "2 1 | 1~2", "2 1 | 2", "3 | 1~2", "3 | 2",
@@ -745,8 +742,8 @@ class TestDirectProduct:
     @pytest.mark.parametrize(
         "factors",
         [
-            lambda: (build_symmetric(3), build_wreath_bc(2), build_dihedral(5)),
-            lambda: (build_symmetric(2), build_symmetric(2), build_wreath_bc(3)),
+            lambda: (build("A2"), build("B2"), build("I2(5)")),
+            lambda: (build("A1"), build("A1"), build("B3")),
         ],
         ids=["S3 x B2 x I2(5)", "A1 x A1 x B3"],
     )
@@ -771,14 +768,32 @@ class TestSingleCapCheck:
         class Built(Exception):
             pass
 
-        def build(*args, **kwargs):
+        def built(*args, **kwargs):
             raise Built
 
-        monkeypatch.setattr(groups, "group_from_generators", build)
-        monkeypatch.setattr(reflection, "group_from_generators", build)
+        monkeypatch.setattr(groups, "group_from_generators", built)
         t = parse_coxeter_type(text)
         order = t.group_order()
         for cap in (order - 1, order, order + 1):
             expected = OrderCapExceeded if order > cap else Built
             with pytest.raises(expected):
                 build_group(t, order_cap=cap)
+
+    @pytest.mark.parametrize("text", GOLDEN_TYPES)
+    def test_one_table_per_request(self, monkeypatch, text):
+        # a product is built as one table, with no table of any factor
+        calls = []
+
+        def built(*args, **kwargs):
+            calls.append(kwargs["name"])
+            return calls
+
+        monkeypatch.setattr(groups, "group_from_generators", built)
+        t = parse_coxeter_type(text)
+        if t.group_order() > LARGE_ORDER_CAP:
+            with pytest.raises(OrderCapExceeded):
+                build(text)
+            assert calls == []
+        else:
+            assert build(text) is calls
+            assert calls == [text]

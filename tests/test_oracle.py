@@ -10,6 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 from conftest import (
+    build,
     certified_probe_rows,
     elements,
     invert,
@@ -21,18 +22,15 @@ from conftest import (
 
 from zclass import groups, oracle, reflection
 from zclass.groups import (
-    build_d,
-    build_dihedral,
-    build_symmetric,
-    build_wreath_bc,
     chain_order,
     direct_product,
     extend,
     group_from_generators,
+    product_table,
     row_to_signed_perm,
+    symmetric_generators,
 )
 from zclass.closed_form import parse_coxeter_type, z_count
-from zclass.errors import LARGE_ORDER_CAP
 from zclass.signed_perm import (
     SignedPartition,
     SignedPermutation,
@@ -40,7 +38,7 @@ from zclass.signed_perm import (
     signed_cycle_type,
     z_classes_a,
 )
-from zclass.verify import build_group, oracle_grouping_labels
+from zclass.verify import oracle_grouping_labels
 
 
 def dn_membership_label(table, cl):
@@ -69,33 +67,33 @@ def class_of(table, classes, signed_partition_entries):
 
 class TestConjugacyClasses:
     def test_b2_has_five_classes(self):
-        table = build_wreath_bc(2)
+        table = build("B2")
         classes = oracle.conjugacy_classes(table)
         assert len(classes) == 5
         assert sorted(c.size for c in classes) == [1, 1, 2, 2, 2]
 
     def test_b3_has_ten_classes(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         assert len(oracle.conjugacy_classes(table)) == 10
 
     def test_class_equation(self):
-        for table in (build_wreath_bc(3), build_d(4), build_dihedral(7)):
+        for table in (build("B3"), build("D4"), build("I2(7)")):
             classes = oracle.conjugacy_classes(table)
             assert sum(c.size for c in classes) == table.order
             for c in classes:
                 assert table.order % c.size == 0
 
     def test_representative_is_minimal_encoding(self):
-        table = build_d(3)
+        table = build("D3")
         for c in oracle.conjugacy_classes(table):
             assert c.rep == int(c.members.min())
 
     def test_dihedral_8_has_five_classes(self):
-        assert len(oracle.conjugacy_classes(build_dihedral(4))) == 5
+        assert len(oracle.conjugacy_classes(build("I2(4)"))) == 5
 
     def test_dihedral_12_class_structure(self):
         # two central singletons, two rotation pairs, two reflection triples
-        table = build_dihedral(6)
+        table = build("I2(6)")
         sizes = sorted(c.size for c in oracle.conjugacy_classes(table))
         assert sizes == [1, 1, 2, 2, 3, 3]
 
@@ -129,7 +127,7 @@ class TestFullRowClasses:
         ["B3", "D4", "H3", "I2(8)", "B2 x I2(5)", " x ".join(["A1"] * 8), "I2(255)"],
     )
     def test_propagation_matches_breadth_first_search(self, text):
-        table = build_group(parse_coxeter_type(text))
+        table = build(text)
         got = [(cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)]
         assert got == full_row_classes(table)
 
@@ -143,7 +141,7 @@ def class_answers(table):
 
 def threaded_answers(text):
     """The table, conjugation maps, orbit labels and class answers of `text`."""
-    table = build_group(parse_coxeter_type(text), order_cap=LARGE_ORDER_CAP)
+    table = build(text)
     maps = table.conjugation_maps()
     label = groups.orbit_labels(maps, table.order)
     return (table.perms, table.keys, maps, label), class_answers(table)
@@ -176,7 +174,7 @@ class TestWorkerCount:
 class TestGeneratorOrder:
     @pytest.mark.parametrize("text", ["B4", "H3", "B2 x I2(5)"])
     def test_classes_and_grouping_ignore_generator_order(self, text):
-        table = build_group(parse_coxeter_type(text))
+        table = build(text)
         gens, maps = table.gen_rows, table.conjugation_maps()
         expected = class_answers(table)
         for order in (gens[::-1], gens[1:] + gens[:1], gens[2:] + gens[:2]):
@@ -199,12 +197,11 @@ class TestGeneratorOrder:
     def test_classes_and_grouping_match_all_simple_reflections(
         self, monkeypatch, text
     ):
-        t = parse_coxeter_type(text)
-        table = build_group(t)
+        table = build(text)
         expected = class_answers(table)
         for module in (groups, reflection):  # builders take every reflection
             monkeypatch.setattr(module, "coxeter_generators", lambda gens: gens)
-        simple = build_group(t)
+        simple = build(text)
         assert len(simple.gen_rows) > len(table.gen_rows)
         assert np.array_equal(simple.perms, table.perms)
         assert class_answers(simple) == expected
@@ -212,17 +209,17 @@ class TestGeneratorOrder:
 
 class TestCentralizer:
     def test_identity_centralizer_is_whole_group(self):
-        table = build_dihedral(5)
+        table = build("I2(5)")
         cen = oracle.centralizer(table, table.identity_row)
         assert cen.order == table.order
 
     def test_trivial_group_centralizer(self):
         # the trivial group has no base; its one row still lists itself
-        cen = oracle.centralizer(build_symmetric(1), 0)
+        cen = oracle.centralizer(table_of("S1"), 0)
         assert cen.member_rows.tolist() == [0] and cen.generator_rows == ()
 
     def test_b2_table_sizes(self):
-        table = build_wreath_bc(2)
+        table = build("B2")
         classes = oracle.conjugacy_classes(table)
         expected = {"1~2": 8, "1 1b": 4, "1b~2": 8, "2": 4, "2b": 4}
         for cl in classes:
@@ -230,19 +227,19 @@ class TestCentralizer:
             assert cen.order == expected[table.label(cl.rep)]
 
     def test_b3_negative_three_cycle(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         classes = oracle.conjugacy_classes(table)
         cl = class_of(table, classes, ((3, 0, 1),))
         assert oracle.centralizer(table, cl.rep).order == 6
 
     def test_order_times_class_size(self):
-        table = build_d(4)
+        table = build("D4")
         for cl in oracle.conjugacy_classes(table):
             cen = oracle.centralizer(table, cl.rep)
             assert cen.order * cl.size == table.order
 
     def test_generators_generate(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         classes = oracle.conjugacy_classes(table)
         for cl in classes:
             cen = oracle.centralizer(table, cl.rep)
@@ -267,7 +264,7 @@ class TestCentralizer:
 
 
     def test_running_out_of_probes_raises(self, monkeypatch):
-        table = build_wreath_bc(3)
+        table = build("B3")
         cl = oracle.conjugacy_classes(table)[1]
         monkeypatch.setattr(
             oracle,
@@ -278,7 +275,7 @@ class TestCentralizer:
             certified_probe_rows(table, cl)
 
     def test_non_centralizing_generator_raises(self, monkeypatch):
-        table = build_wreath_bc(3)
+        table = build("B3")
         cl = oracle.conjugacy_classes(table)[1]
         monkeypatch.setattr(
             oracle,
@@ -302,7 +299,7 @@ class TestCentralizer:
     def test_generators_of_another_centralizer_raise(self, monkeypatch):
         # C(y) has the right order, so the complete chain reaches |G|/|class|
         # exactly and only the commuting check can refuse
-        table = build_wreath_bc(3)
+        table = build("B3")
         cl = oracle.conjugacy_classes(table)[1]
         rows = self.other_members_centralizer(table, cl)
         target = table.order // cl.size
@@ -313,15 +310,16 @@ class TestCentralizer:
         assert str(exc.value) == "a probe does not centralize"
 
     def test_centralizer_checks_survive_python_O(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         rows = self.other_members_centralizer(table, oracle.conjugacy_classes(table)[1])
         script = textwrap.dedent(
             f"""
             import numpy as np
             from zclass import oracle
-            from zclass.groups import build_wreath_bc
+            from zclass.families import parse_coxeter_type
+            from zclass.verify import build_group
 
-            table = build_wreath_bc(3)
+            table = build_group(parse_coxeter_type("B3"))
             cl = oracle.conjugacy_classes(table)[1]
             order = table.order // cl.size
             fakes = {{
@@ -352,14 +350,14 @@ class TestCentralizer:
 
     @pytest.mark.parametrize("text", ["B3", "D4", "H3", "B2 x I2(5)"])
     def test_generator_rows_generate_exactly_the_members(self, text):
-        table = build_group(parse_coxeter_type(text))
+        table = build(text)
         for cl in oracle.conjugacy_classes(table):
             cen = oracle.centralizer(table, cl.rep, cl)
             chain = extend([], table.perms[list(cen.generator_rows)])
             assert chain_order(chain) == cen.order == table.order // cl.size
 
     def test_class_walked_from_another_row_is_refused(self):
-        table = build_wreath_bc(2)
+        table = build("B2")
         cl = oracle.conjugacy_classes(table)[1]
         other = int(cl.members[cl.members != cl.rep][0])
         with pytest.raises(ValueError):
@@ -368,7 +366,7 @@ class TestCentralizer:
 
 class TestSubgroupsConjugate:
     def test_identical_subgroups_identity_witness(self):
-        table = build_wreath_bc(2)
+        table = build("B2")
         cl = oracle.conjugacy_classes(table)[1]
         cen = oracle.centralizer(table, cl.rep)
         ok, witness = oracle.subgroups_conjugate(table, cen, cen)
@@ -376,7 +374,7 @@ class TestSubgroupsConjugate:
 
     def test_positive_and_negative_two_cycle_not_conjugate(self):
         # Z(2) ~ C2 x C2 but Z(2b) ~ C4: same order, different element orders
-        table = build_wreath_bc(2)
+        table = build("B2")
         classes = oracle.conjugacy_classes(table)
         cen_pos = oracle.centralizer(
             table, class_of(table, classes, ((2, 1, 0),)).rep
@@ -390,7 +388,7 @@ class TestSubgroupsConjugate:
         assert not ok
 
     def test_dihedral_16_reflection_centralizers_not_conjugate(self):
-        table = build_dihedral(8)
+        table = build("I2(8)")
         classes = oracle.conjugacy_classes(table)
         reflection_classes = [c for c in classes if c.size == 4]
         assert len(reflection_classes) == 2
@@ -399,7 +397,7 @@ class TestSubgroupsConjugate:
         assert not ok
 
     def test_dihedral_12_reflection_centralizers_conjugate(self):
-        table = build_dihedral(6)
+        table = build("I2(6)")
         classes = oracle.conjugacy_classes(table)
         reflection_classes = [c for c in classes if c.size == 3]
         assert len(reflection_classes) == 2
@@ -408,7 +406,7 @@ class TestSubgroupsConjugate:
         assert ok and witness is not None
 
     def test_witness_actually_conjugates(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         classes = oracle.conjugacy_classes(table)
         cens = [oracle.centralizer(table, c.rep) for c in classes]
         found_any = False
@@ -434,7 +432,7 @@ class TestSubgroupsConjugate:
         assert found_any
 
     def test_conjugate_elements_have_conjugate_centralizers(self):
-        table = build_d(3)
+        table = build("D3")
         rng = random.Random(13)
         inv = table.inverses()
         for _ in range(500):
@@ -450,44 +448,46 @@ class TestSubgroupsConjugate:
 
 class TestZClasses:
     def test_b2(self):
-        table = build_wreath_bc(2)
+        table = build("B2")
         groups = oracle.z_classes(table)
         assert len(groups) == 4
 
     def test_dihedral_counts(self):
-        assert len(oracle.z_classes(build_dihedral(6))) == 3
-        assert len(oracle.z_classes(build_dihedral(8))) == 4
+        assert len(oracle.z_classes(build("I2(6)"))) == 3
+        assert len(oracle.z_classes(build("I2(8)"))) == 4
 
     def test_refines_conjugacy(self):
-        table = build_d(4)
+        table = build("D4")
         groups = oracle.z_classes(table)
         reps = [c.rep for grp in groups for c in grp]
         assert len(reps) == len(set(reps)) == len(oracle.conjugacy_classes(table))
 
     @pytest.mark.parametrize(
-        "builder,arg",
-        [
-            (build_wreath_bc, 2),
-            (build_wreath_bc, 3),
-            (build_d, 3),
-            (build_dihedral, 4),
-            (build_dihedral, 6),
-            (build_symmetric, 4),
+        "text",
+        ["B2", "B3", "D3", "I2(4)", "I2(6)", "A3"],
+        # the ids these cases have always been reported under
+        ids=[
+            "build_wreath_bc-2",
+            "build_wreath_bc-3",
+            "build_d-3",
+            "build_dihedral-4",
+            "build_dihedral-6",
+            "build_symmetric-4",
         ],
     )
-    def test_matches_naive_oracle(self, builder, arg):
-        table = builder(arg)
+    def test_matches_naive_oracle(self, text):
+        table = build(text)
         assert len(oracle.z_classes(table)) == naive_z_class_count(table)
 
     def test_first_matching_group_absorbs(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         groups = oracle.z_classes(table)
         firsts = [grp[0].rep for grp in groups]
         assert firsts == sorted(firsts)
 
 
     def test_debug_log_has_one_line_per_class(self, caplog):
-        table = build_wreath_bc(3)
+        table = build("B3")
         with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
             oracle.z_classes(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
@@ -506,7 +506,7 @@ class TestZClasses:
         )
 
     def test_no_log_output_by_default(self, capsys):
-        oracle.z_classes(build_wreath_bc(3))
+        oracle.z_classes(build("B3"))
         assert capsys.readouterr() == ("", "")
 
 
@@ -583,7 +583,7 @@ KEPT_PROBES = {"B6": [4, 6, 12], "D7": [4, 4, 6], "E6": []}
 class TestLazyCertificates:
     @pytest.mark.parametrize("text", EAGER_TYPES)
     def test_matches_eager_grouping_class_by_class(self, text):
-        table = build_group(parse_coxeter_type(text))
+        table = build(text)
         classes, eager = eager_grouping(table)
         eager_group_of = {classes[ci].rep: gi for gi, grp in enumerate(eager) for ci in grp}
         got = oracle.z_classes(table)
@@ -599,7 +599,7 @@ class TestLazyCertificates:
         "text,probed,n_classes", [("B6", 22, 65), ("E6", 7, 25), ("D7", 26, 55)]
     )
     def test_certifies_only_reached_heads(self, monkeypatch, text, probed, n_classes):
-        table = build_group(parse_coxeter_type(text), LARGE_ORDER_CAP)
+        table = build(text)
         root = sure_roots(table, oracle.conjugacy_classes(table))
         made = []
 
@@ -621,7 +621,7 @@ class TestLazyCertificates:
         assert kept == KEPT_PROBES[text]
 
     def test_debug_log_marks_uncertified_classes(self, caplog):
-        table = build_group(parse_coxeter_type("E6"))
+        table = build("E6")
         with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
             groups = oracle.z_classes(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
@@ -657,8 +657,8 @@ A1_POWER = " x ".join(["A1"] * 8)
 def table_of(text: str):
     """The group of a type, or the trivial group S1."""
     if text == "S1":
-        return build_symmetric(1)
-    return build_group(parse_coxeter_type(text), LARGE_ORDER_CAP)
+        return product_table([symmetric_generators(1)], "S1", 1)
+    return build(text)
 
 
 class TestSureComponents:
@@ -744,8 +744,8 @@ def test_cycle_lengths_and_powers_match_a_naive_walk():
 class TestIndexTwoConsistency:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_nonsplit_z_grouping_agrees_between_d_and_b(self, n):
-        bn = build_wreath_bc(n)
-        dn = build_d(n)
+        bn = build(f"B{n}")
+        dn = build(f"D{n}")
         d_groups = oracle.z_classes(dn)
         b_groups = oracle.z_classes(bn)
 
@@ -773,7 +773,7 @@ class TestIndexTwoConsistency:
     def test_minus_half_is_outside_conjugate_of_plus_half(self):
         # conjugating the all-plus representative by a lone sign flip
         # (an element outside D_n) lands in the '-' half
-        dn = build_d(4)
+        dn = build("D4")
         classes = oracle.conjugacy_classes(dn)
         by_label = {dn_membership_label(dn, c): c for c in classes}
         for sp_entries in (((4, 1, 0),), ((2, 2, 0),)):
@@ -793,15 +793,15 @@ class TestIndexTwoConsistency:
     def test_row_labels_are_the_membership_labels(self, n):
         # the D_n table labels every row, not only class representatives,
         # with the half its class holds by membership
-        dn = build_d(n)
+        dn = build(f"D{n}")
         for cl in oracle.conjugacy_classes(dn):
             expected = dn_membership_label(dn, cl)
             assert {dn.label(r) for r in cl.members.tolist()} == {expected}
 
     def test_split_class_centralizers_equal_in_both_groups(self):
         for n in (2, 4, 6):
-            bn = build_wreath_bc(n)
-            dn = build_d(n)
+            bn = build(f"B{n}")
+            dn = build(f"D{n}")
             for cl in oracle.conjugacy_classes(dn):
                 label = dn_membership_label(dn, cl)
                 row_in_b = int(bn.row_index(dn.perms[cl.rep][None, :])[0])
@@ -815,23 +815,14 @@ class TestIndexTwoConsistency:
 
 class TestDirectProductRule:
     def test_dihedral_square(self):
-        g = direct_product(build_dihedral(3), build_dihedral(3))
+        g = direct_product(build("I2(3)"), build("I2(3)"))
         assert len(oracle.z_classes(g)) == 9
 
     def test_random_pairs_multiply(self):
         rng = random.Random(14)
-        pool = [
-            ("I2(3)", lambda: build_dihedral(3)),
-            ("I2(4)", lambda: build_dihedral(4)),
-            ("I2(6)", lambda: build_dihedral(6)),
-            ("B2", lambda: build_wreath_bc(2)),
-            ("A2", lambda: build_symmetric(3)),
-            ("A3", lambda: build_symmetric(4)),
-            ("D3", lambda: build_d(3)),
-        ]
+        pool = ["I2(3)", "I2(4)", "I2(6)", "B2", "A2", "A3", "D3"]
         for _ in range(10):
-            (n1, f1), (n2, f2) = rng.sample(pool, 2)
-            g1, g2 = f1(), f2()
+            g1, g2 = (build(text) for text in rng.sample(pool, 2))
             if g1.order * g2.order > 2000:
                 continue
             prod = direct_product(g1, g2)
@@ -842,7 +833,7 @@ class TestDirectProductRule:
 
 class TestOracleLabels:
     def test_b3_grouping_labels(self):
-        table = build_wreath_bc(3)
+        table = build("B3")
         groups = oracle_grouping_labels(table)
         assert {frozenset(g) for g in groups} == {
             frozenset({"1~3", "1b~3"}),
@@ -856,16 +847,14 @@ class TestOracleLabels:
     def test_type_a_grouping_matches_structure(self, rank):
         """The oracle's z-classes of S_(rank+1), as sets of cycle types, are
         the structural grouping `z_classes_a`."""
-        table = build_group(
-            parse_coxeter_type(f"A{rank}"), order_cap=LARGE_ORDER_CAP
-        )
+        table = build(f"A{rank}")
         oracular = oracle_grouping_labels(table)
         structural = [[str(lam) for lam in g] for g in z_classes_a(rank + 1)]
         assert {frozenset(g) for g in oracular} == {frozenset(g) for g in structural}
         assert sorted(sum(oracular, [])) == sorted(sum(structural, []))
 
     def test_generic_labels_are_positional(self):
-        table = build_dihedral(5)
+        table = build("I2(5)")
         groups = oracle_grouping_labels(table)
         flat = sorted(lbl for grp in groups for lbl in grp)
         assert flat == [f"c{i}" for i in range(4)]
