@@ -41,7 +41,6 @@ from .signed_perm import SignedPermutation, dn_class_label, signed_cycle_type
 
 MAX_DEGREE = 256
 
-_CHUNK = 1 << 17
 _ROW_CHUNK = 1 << 16
 _TAKE_CHUNK = 1 << 14
 _CHUNKS_PER_THREAD = 4
@@ -159,6 +158,18 @@ def orbit_labels(maps: np.ndarray, n: int) -> np.ndarray:
             return label
 
 
+def cycle_lengths(perms: np.ndarray) -> np.ndarray:
+    """cycle[r, p]: the length of the cycle of the r-th of `perms` through p,
+    counted by the least point of each cycle, found by pointer doubling."""
+    n, degree = perms.shape
+    least, jump = np.broadcast_to(np.arange(degree), perms.shape), perms
+    for _ in range((degree - 1).bit_length()):  # least of p, ..., x^(2^k - 1)(p)
+        least = np.minimum(least, np.take_along_axis(least, jump, axis=1))
+        jump = np.take_along_axis(jump, jump, axis=1)
+    flat = least + degree * np.arange(n)[:, None]
+    return np.bincount(flat.ravel(), minlength=n * degree)[flat]
+
+
 def _key_code(gens: np.ndarray, base: np.ndarray) -> np.ndarray:
     """code[i, p] = weight of base point i times the rank of p in its orbit
     under the group generated by `gens`, the orbits taken by `orbit_labels`.
@@ -219,10 +230,6 @@ class GroupTable:
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
 
-    def base_keys(self, images: np.ndarray) -> np.ndarray:
-        """Keys of elements given by their base images, one (k,) row each."""
-        return _keys(self._code, images)
-
     def _search(self, query: np.ndarray) -> np.ndarray:
         """Indices of the member keys `query`, in any order; a key with no
         member raises (an index past the table clips to the last key, which
@@ -235,7 +242,7 @@ class GroupTable:
     def base_index(self, images: np.ndarray) -> np.ndarray:
         """Indices of members given by their base images, one (k,) row each;
         a key with no member raises."""
-        return self._search(self.base_keys(images))
+        return self._search(_keys(self._code, images))
 
     def row_index(self, rows: np.ndarray) -> np.ndarray:
         """Indices of query rows in the table; a row that is not a member raises.
@@ -249,11 +256,14 @@ class GroupTable:
         return idx
 
     def inverses(self) -> np.ndarray:
+        """Each row's inverse, by argsort over `_TAKE_CHUNK` rows at a time."""
         if self._inverses is None:
             inv = np.empty_like(self.perms)
-            for lo in range(0, self.order, _CHUNK):
-                hi = min(lo + _CHUNK, self.order)
-                inv[lo:hi] = np.argsort(self.perms[lo:hi], axis=1).astype(np.uint8)
+
+            def invert(lo: int, hi: int) -> None:
+                inv[lo:hi] = np.argsort(self.perms[lo:hi], axis=1)
+
+            _run_chunks(invert, self.order, _TAKE_CHUNK)
             self._inverses = inv
         return self._inverses
 
@@ -284,20 +294,14 @@ class GroupTable:
         return maps
 
     def element_orders(self) -> np.ndarray:
-        """Order of each element: the first power that returns every base point."""
+        """Each element's order, the lcm of its cycle lengths, by `_TAKE_CHUNK` rows."""
         if self._orders is None:
-            orders = np.ones(self.order, dtype=np.int64)
-            flat = self.perms.ravel()
-            for lo in range(0, self.order, _CHUNK):
-                rows = np.arange(lo, min(lo + _CHUNK, self.order))
-                images = self.perms[rows[:, None], self.base]
-                power = 1
-                while rows.size:
-                    moved = np.flatnonzero(np.any(images != self.base, axis=1))
-                    rows, images = rows[moved], images[moved]
-                    power += 1
-                    orders[rows] = power
-                    images = flat[(rows * self.degree)[:, None] + images]
+            orders = np.empty(self.order, dtype=np.int64)
+
+            def lcm(lo: int, hi: int) -> None:
+                orders[lo:hi] = np.lcm.reduce(cycle_lengths(self.perms[lo:hi]), axis=1)
+
+            _run_chunks(lcm, self.order, _TAKE_CHUNK)
             self._orders = orders
         return self._orders
 
@@ -423,6 +427,14 @@ def _products(levels: list[ChainLevel], degree: int) -> np.ndarray:
     return block
 
 
+def _check_degree(name: str, degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise UnsupportedGroupError(
+            f"{name} acts on {degree} points; group tables hold at most "
+            f"{MAX_DEGREE} points"
+        )
+
+
 def group_from_generators(
     gens: list[np.ndarray],
     *,
@@ -445,11 +457,7 @@ def group_from_generators(
     to a chunk.  Generators may come in any integer dtype; they are stored as uint8 once
     `degree` is known to fit.
     """
-    if degree > MAX_DEGREE:
-        raise UnsupportedGroupError(
-            f"{name} acts on {degree} points; group tables hold at most "
-            f"{MAX_DEGREE} points"
-        )
+    _check_degree(name, degree)
     if order > LARGE_ORDER_CAP:
         raise order_cap_exceeded(name, order, LARGE_ORDER_CAP)
     for g in gens:
@@ -580,15 +588,17 @@ def dihedral_generators(m: int) -> Parts:
 def product_table(parts: list[Parts], name: str, order: int) -> GroupTable:
     """The table of the product of the groups `parts` give, acting on the
     disjoint union of their point sets in order, built once from every part's
-    generators, of the `order` the caller knows.  Its rows are labelled by
-    the parts' labels joined by ' | ' when every part has a labeler, and by
-    the labeler of a lone part."""
+    generators, of the `order` the caller knows, and refused past MAX_DEGREE
+    points before any row is lifted.  Its rows are labelled by the parts'
+    labels joined by ' | ' when every part has a labeler, and by the labeler
+    of a lone part."""
     ends = [0, *itertools.accumulate(degree for degree, _, _ in parts)]
-    gens = []  # in a wide dtype: the degree may pass 256 before it is refused
+    _check_degree(name, ends[-1])
+    gens = []
     for (_, rows, _), lo, hi in zip(parts, ends, ends[1:]):
         for r in rows:
-            g = np.arange(ends[-1])
-            g[lo:hi] = np.asarray(r, dtype=np.intp) + lo
+            g = np.arange(ends[-1], dtype=np.uint8)
+            g[lo:hi] = np.asarray(r) + lo
             gens.append(g)
     labels, labeler = [label for _, _, label in parts], None
     if len(labels) == 1:  # a part's own rows need no slicing

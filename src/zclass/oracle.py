@@ -43,7 +43,6 @@ in C(h), C_G(probes) contains Z(C(h)): if none survives, the answer is
 exactly no.  A survivor counts only once the probes are certified, as then
 C_G(probes) = Z(C(h)); until then h draws more.  Only a head that a later
 class of its size from another sure component reaches draws probes.
-`subgroups_conjugate` and its fingerprint remain as general tools.
 
 Sure joins.  If C(x) lies in C(y) and the classes of x and y have the same
 size, then |C(x)| = |C(y)|, so C(x) = C(y).  C(x) lies in C(x^p), and in C(xc)
@@ -59,6 +58,9 @@ Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
 b, and a product or conjugate is looked up by its base images alone, so no
 full product row is formed on the hot paths.
+
+References.  The tests' `centralizer` and `subgroups_conjugate` share these
+kernels: `zclass.groups.cycle_lengths`, `GroupTable.base_index`, `_run_chunks`.
 """
 
 from __future__ import annotations
@@ -71,11 +73,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import ChainLevel, GroupTable, chain_order, extend, orbit_labels, sift
+from . import groups
+from .groups import ChainLevel, GroupTable, chain_order, cycle_lengths, extend, sift
 
 log = logging.getLogger(__name__)
 
-_CHUNK = 1 << 16
 _FIRST_PROBES = 4  # probes the first sample of a head is sized to hold
 
 
@@ -125,7 +127,7 @@ class SubgroupHandle:
 def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     """Orbit partition under conjugation, ordered by minimal representative:
     the orbit labels of the conjugation maps (see the module docstring)."""
-    label = orbit_labels(g.conjugation_maps(), g.order)
+    label = groups.orbit_labels(g.conjugation_maps(), g.order)
     reps = np.flatnonzero(label == np.arange(g.order))
     sizes = np.bincount(label)[reps]
     if sizes.sum() != g.order or np.any(g.order % sizes):
@@ -148,18 +150,6 @@ def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray
     return rows
 
 
-def _cycle_lengths(perms: np.ndarray) -> np.ndarray:
-    """cycle[r, p]: the length of the cycle of the r-th of `perms` through p,
-    counted by the least point of each cycle, found by pointer doubling."""
-    n, degree = perms.shape
-    least, jump = np.broadcast_to(np.arange(degree), perms.shape), perms
-    for _ in range((degree - 1).bit_length()):  # least of p, ..., x^(2^k - 1)(p)
-        least = np.minimum(least, np.take_along_axis(least, jump, axis=1))
-        jump = np.take_along_axis(jump, jump, axis=1)
-    flat = least + degree * np.arange(n)[:, None]
-    return np.bincount(flat.ravel(), minlength=n * degree)[flat]
-
-
 def _power(perms: np.ndarray, e: int) -> np.ndarray:
     """Each of `perms` raised to e >= 1, by repeated squaring."""
     out = None
@@ -171,11 +161,12 @@ def _power(perms: np.ndarray, e: int) -> np.ndarray:
 
 
 def _generating_rows(g: GroupTable, rows: np.ndarray) -> list[int]:
-    """Generators of the subgroup whose members are the sorted `rows`: each
-    the first row outside the group the earlier ones generate, by `sift`
-    through the chain of that group, which each extends."""
+    """Generators of the subgroup whose members are the sorted `rows`: each the
+    first row outside the group the earlier ones generate (by `sift` through
+    its chain, which each extends), until that group has them all."""
     chain, kept = [], []
-    while (rows := rows[_outside(chain, g.perms[rows])]).size:
+    while chain_order(chain) < rows.size:
+        rows = rows[_outside(chain, g.perms[rows])]
         kept.append(int(rows[0]))
         chain = extend(chain, g.perms[rows[:1]])
     return kept
@@ -187,7 +178,7 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
     reps = np.array([cl.rep for cl in classes])
     central, moving = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
     xs = g.perms[reps[moving]]
-    cycle = _cycle_lengths(xs)
+    cycle = cycle_lengths(xs)
     orders = np.lcm.reduce(cycle, axis=1)
     src, images = [], []
     for p in range(2, int(cycle.max(initial=1)) + 1):  # x^p for primes p | ord(x)
@@ -226,7 +217,7 @@ def _candidate_blocks(g: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
     point, as blocks: (first row of each, running total of their lengths)."""
     points = np.arange(g.degree)
     b = g.base[0] if g.base.size else 0  # a trivial group has no base
-    cycle = _cycle_lengths(g.perms[x : x + 1])[0]
+    cycle = cycle_lengths(g.perms[x : x + 1])[0]
     # rows are sorted by w(b): first[p] is the first row with w(b) >= p
     first = np.append(np.searchsorted(g.perms[:, b], points.astype(np.uint8)), g.order)
     same = np.flatnonzero(cycle == cycle[b])
@@ -342,22 +333,19 @@ def subgroups_conjugate(
         return False, None
     if np.array_equal(h.member_rows, k.member_rows):
         return True, g.identity_row
-    k_keys = g.keys[k.member_rows]
+    in_k = np.zeros(g.order, dtype=bool)
+    in_k[k.member_rows] = True
     inverses = g.inverses()
     candidates = np.arange(g.order)
     for gr in h.generator_rows:
-        if not candidates.size:
-            break
-        gen_arr = g.perms[gr]
-        keep_parts = []
-        for lo in range(0, candidates.size, _CHUNK):
-            cand = candidates[lo : lo + _CHUNK]
-            images = g.perms[cand[:, None], gen_arr[inverses[cand[:, None], g.base]]]
-            query = g.base_keys(images)
-            inside = np.searchsorted(k_keys, query)
-            inside[inside == k_keys.size] = 0
-            keep_parts.append(cand[k_keys[inside] == query])
-        candidates = np.concatenate(keep_parts)
+        x, keep = g.perms[gr], np.empty(candidates.size, dtype=bool)
+
+        def lands_in_k(lo: int, hi: int) -> None:  # w x w^-1 at each base point
+            w = candidates[lo:hi, None]
+            keep[lo:hi] = in_k[g.base_index(g.perms[w, x[inverses[w, g.base]]])]
+
+        groups._run_chunks(lands_in_k, candidates.size, groups._ROW_CHUNK)
+        candidates = candidates[keep]
     if not candidates.size:
         return False, None
     witness = int(candidates[0])
@@ -378,12 +366,12 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
     """
     classes = conjugacy_classes(g)
     root = _sure_components(g, classes)
-    groups: list[list[int]] = []
+    zgroups: list[list[int]] = []
     group_of: list[int] = []
     probes: dict[int, _Probes] = {}
     for ci, cl in enumerate(classes):
-        gi = group_of[root[ci]] if root[ci] < ci else len(groups)
-        for k, grp in enumerate(groups if root[ci] == ci else ()):
+        gi = group_of[root[ci]] if root[ci] < ci else len(zgroups)
+        for k, grp in enumerate(zgroups if root[ci] == ci else ()):
             head = grp[0]
             if classes[head].size != cl.size:
                 continue
@@ -392,9 +380,9 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
             if probes[head].meet(cl.members):
                 gi = k
                 break
-        if gi == len(groups):
-            groups.append([])
-        groups[gi].append(ci)
+        if gi == len(zgroups):
+            zgroups.append([])
+        zgroups[gi].append(ci)
         group_of.append(gi)
     for ci, cl in enumerate(classes):
         p = probes.get(ci)
@@ -414,4 +402,4 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
         len(probes),
         sum(p.certified for p in probes.values()),
     )
-    return [[classes[ci] for ci in grp] for grp in groups]
+    return [[classes[ci] for ci in grp] for grp in zgroups]

@@ -8,14 +8,16 @@ grouping against the pairwise conjugator search `subgroups_conjugate`.  The
 certified probes that generate each centralizer are checked on full rows and
 by sympy's group order, and the probe scan of `z_classes` against the
 member-listed center `centralizer(...).center_rows`, whose generators come
-from the member list, not from probes.  The
-tables enumerated from stabilizer chains are also compared, with E6, H4 and
-F4 added, against a closure that deduplicates on a Python set of row bytes.
+from the member list, not from probes.  The reference kernels (`inverses`,
+`element_orders` and the conjugator search) are also run over chunks of 7
+rows on two threads.  The tables enumerated from stabilizer chains are also
+compared, with E6, H4 and F4 added, against a closure that deduplicates on a
+Python set of row bytes.
 """
 
 import numpy as np
 import pytest
-from conftest import certified_probe_rows, elements
+from conftest import certified_probe_rows, elements, set_row_kernels
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from zclass import oracle
@@ -183,6 +185,23 @@ def test_head_scan_matches_center_rows(table):
 def test_center_test_grouping_matches_conjugator_search(table):
     got = [[cl.rep for cl in grp] for grp in oracle.z_classes(table)]
     assert got == first_absorbing_grouping(table)
+
+
+@pytest.mark.parametrize("text", ["B4", "B3 x I2(5)"])
+def test_reference_kernels_across_chunk_boundaries(monkeypatch, text):
+    # chunks of 7 rows on two threads, against the definitions and against
+    # the pairwise search at the real chunk sizes
+    def searches(table):
+        classes = oracle.conjugacy_classes(table)
+        cens = [oracle.centralizer(table, cl.rep, cl) for cl in classes]
+        return [oracle.subgroups_conjugate(table, h, k) for h in cens for k in cens]
+
+    expected = searches(build_group(parse_coxeter_type(text)))
+    set_row_kernels(monkeypatch, 2, 7)
+    table = build_group(parse_coxeter_type(text))
+    assert np.array_equal(table.inverses(), np.argsort(table.perms, axis=1))
+    assert np.array_equal(table.element_orders(), naive_orders(table.perms))
+    assert searches(table) == expected
 
 
 @pytest.mark.parametrize("text", SYMPY_CLASS_TYPES)

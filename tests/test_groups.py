@@ -340,6 +340,22 @@ class TestOrbitLabels:
             sys.setswitchinterval(interval)
 
 
+def test_cycle_lengths_and_powers_match_a_naive_walk():
+    rng = random.Random(18)
+    perms = np.array([rng.sample(range(40), 40) for _ in range(30)], dtype=np.uint8)
+    cycle = groups.cycle_lengths(perms)
+    for r, perm in enumerate(perms.tolist()):
+        for p in range(40):
+            q, length = perm[p], 1
+            while q != p:
+                q, length = perm[q], length + 1
+            assert cycle[r, p] == length
+        power = list(range(40))
+        for e in range(1, 13):
+            power = [perm[i] for i in power]
+            assert oracle._power(perms[r : r + 1], e)[0].tolist() == power
+
+
 class TestRunChunks:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("n, chunk", [(0, 4), (1, 4), (4, 4), (100, 3), (100, 7)])
@@ -731,6 +747,19 @@ class TestDirectProduct:
         with pytest.raises(UnsupportedGroupError):
             group_from_generators([np.arange(257)], name="big", degree=257, order=1)
         assert build("I2(256)").degree == 256
+
+    def test_point_sets_over_256_refused_before_the_build(self, monkeypatch):
+        def unreached(*args, **kwargs):
+            raise AssertionError("group_from_generators was called")
+
+        monkeypatch.setattr(groups, "group_from_generators", unreached)
+        parts = [groups.dihedral_generators(200), groups.dihedral_generators(100)]
+        with pytest.raises(
+            UnsupportedGroupError,
+            match=r"^I2\(200\) x I2\(100\) acts on 300 points; "
+            r"group tables hold at most 256 points$",
+        ):
+            product_table(parts, "I2(200) x I2(100)", 400 * 200)
 
     def test_component_labels(self):
         g = direct_product(build("A2"), build("A1"))

@@ -725,20 +725,23 @@ class TestSureComponents:
         assert len(oracle.z_classes(table)) == expected
 
 
-def test_cycle_lengths_and_powers_match_a_naive_walk():
-    rng = random.Random(18)
-    perms = np.array([rng.sample(range(40), 40) for _ in range(30)], dtype=np.uint8)
-    cycle = oracle._cycle_lengths(perms)
-    for r, perm in enumerate(perms.tolist()):
-        for p in range(40):
-            q, length = perm[p], 1
-            while q != p:
-                q, length = perm[q], length + 1
-            assert cycle[r, p] == length
-        power = list(range(40))
-        for e in range(1, 13):
-            power = [perm[i] for i in power]
-            assert oracle._power(perms[r : r + 1], e)[0].tolist() == power
+    @pytest.mark.parametrize("text", ["A1 x A1 x A1 x B3", "D4 x I2(8)", "B4"])
+    def test_generating_rows_sift_once_per_generator(self, monkeypatch, text):
+        # both callers pass every row of a subgroup: Z(G), and a listed C(x)
+        table = table_of(text)
+        classes = oracle.conjugacy_classes(table)
+        subgroups = [np.array([cl.rep for cl in classes if cl.size == 1])] + [
+            oracle.centralizer(table, cl.rep, cl).member_rows for cl in classes
+        ]
+        calls, outside = [], oracle._outside
+        monkeypatch.setattr(
+            oracle, "_outside", lambda *args: calls.append(1) or outside(*args)
+        )
+        for rows in subgroups:
+            calls.clear()
+            kept = oracle._generating_rows(table, rows)
+            assert len(calls) == len(kept)
+            assert chain_order(extend([], table.perms[kept])) == rows.size
 
 
 class TestIndexTwoConsistency:
