@@ -57,42 +57,50 @@ def _workers() -> int:
 
 
 def _run_chunks(fn: Callable[[int, int], None], n: int, chunk: int) -> None:
-    """fn(lo, hi) for every chunk [lo, hi) of `chunk` rows of range(n), on up
-    to `_workers()` threads, the caller's among them, and on no more threads
-    than there are runs of `_CHUNKS_PER_THREAD` chunks.
+    """fn(lo, hi) for every chunk [lo, hi) of range(n), on up to `_workers()`
+    threads, the caller's among them, and on no more threads than there are
+    runs of `_CHUNKS_PER_THREAD` chunks of `chunk` rows.
 
-    numpy releases the interpreter lock in the gathers, minima and searches
-    the row kernels are made of, so the chunks run side by side.  Each thread
-    holds the temporaries of one chunk at a time, so the cap keeps those of
-    at most 1/`_CHUNKS_PER_THREAD` of the rows live at once, on a host of any
-    size; one thread, as for a table of at most that many chunks, runs every
-    chunk in the caller.  Chunks are handed out in order.  Once one raises,
-    no further chunk starts, and the first exception is raised here after
-    every thread has ended.
+    range(n) is cut into ceil(n / chunk) chunks, that count rounded up to a
+    multiple of the thread count, the first n % count of them one row longer
+    than the rest: no chunk holds more than `chunk` rows.  Thread t runs
+    chunks t, t + threads, t + 2 threads, ... in order, an equal share whose
+    rows differ from another's by at most one; so every thread walks the rows
+    from the lowest, as the label rounds of `orbit_labels` want (a chunk is
+    empty, and skipped, only when there are more chunks than rows).  numpy
+    releases the interpreter lock in the gathers, minima, searches and sorts
+    the row kernels are made of, so the shares run side by side.  Each
+    thread holds the temporaries of one chunk at a time, so the cap keeps
+    those of at most about 1/`_CHUNKS_PER_THREAD` of the rows live at once,
+    on a host of any size; one thread, as for a table of at most that many
+    chunks, runs every chunk in the caller.  Once one raises, no further
+    chunk starts, and the first exception is raised here after every thread
+    has ended.
     """
     import threading  # loaded with numpy
 
-    starts = range(0, n, chunk)
-    workers = min(_workers(), -(-len(starts) // _CHUNKS_PER_THREAD))
-    todo, lock, errors = iter(starts), threading.Lock(), []
+    count = -(-n // chunk)
+    workers = max(1, min(_workers(), -(-count // _CHUNKS_PER_THREAD)))
+    count += -count % workers  # equal shares
+    size, longer = divmod(n, max(count, 1))
+    edges = [i * size + min(i, longer) for i in range(count + 1)]
+    chunks = [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+    errors: list[BaseException] = []
 
-    def work() -> None:
-        while True:
-            with lock:
-                lo = None if errors else next(todo, None)
-            if lo is None:
+    def work(t: int) -> None:
+        for lo, hi in chunks[t::workers]:
+            if errors:
                 return
             try:
-                fn(lo, min(lo + chunk, n))
+                fn(lo, hi)
             except BaseException as e:  # raised in the caller below
-                with lock:
-                    errors.append(e)
+                errors.append(e)
                 return
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(1, workers)]
     for t in threads:
         t.start()
-    work()
+    work(0)
     for t in threads:
         t.join()
     if errors:
@@ -126,15 +134,15 @@ def orbit_labels(maps: np.ndarray, n: int) -> np.ndarray:
     permutations `maps` of 0..n-1 (one row each) generate, as int32.
 
     Every point starts labelled with itself.  Each round runs, for every
-    chunk [lo, hi) of `_ROW_CHUNK` points (by `_run_chunks`, so chunks may
-    run at once on several threads), label[lo:hi] = min(label[lo:hi],
-    label[m[lo:hi]]) for each map m in turn, then label[lo:hi] =
-    label[label[lo:hi]], all in place; rounds repeat until one leaves the
-    label sum unchanged.  A read may see a label before or after another
-    chunk lowers it (an int32 is read and written whole), but every value it
-    can see names a point of the same orbit and is at most the point it
-    labels, so labels never grow and always name a point of their orbit: the
-    least point of an orbit keeps its own label.  A round that keeps the sum
+    chunk [lo, hi) of at most `_ROW_CHUNK` points (by `_run_chunks`, so equal
+    shares of the chunks may run at once on several threads), label[lo:hi]
+    = min(label[lo:hi], label[m[lo:hi]]) for each map m in turn, then
+    label[lo:hi] = label[label[lo:hi]], all in place; rounds repeat until one
+    leaves the label sum unchanged.  A read may see a label before or after
+    another chunk lowers it (an int32 is read and written whole), but every
+    value it can see names a point of the same orbit and is at most the point
+    it labels, so labels never grow and always name a point of their orbit:
+    the least point of an orbit keeps its own label.  A round that keeps the sum
     therefore changed no label, so every read in it, whichever thread wrote
     the value, saw the final labels.  Then label[p] <= label[m(p)] for every
     map m and point p, and as m has finite order, the labels along p, m(p),
@@ -229,6 +237,7 @@ class GroupTable:
         self.identity_row = int(self.row_index(identity)[0])
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
+        self._starts: np.ndarray | None = None
 
     def _search(self, query: np.ndarray) -> np.ndarray:
         """Indices of the member keys `query`, in any order; a key with no
@@ -273,10 +282,10 @@ class GroupTable:
 
         t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its key is the
         sum of code[i, t(e(c_i))]: one lookup per base point in the code
-        composed with t, code[:, t].  Each chunk of `_ROW_CHUNK` rows is read
-        once, at the union of the columns c_i of every t, and writes only its
-        own columns of the maps, so the chunks run on `_run_chunks`' threads;
-        a conjugate with no member raises LookupError in the caller.
+        composed with t, code[:, t].  Each chunk of at most `_ROW_CHUNK` rows
+        is read once, at the union of the columns c_i of every t, and writes
+        only its own columns of the maps, so the chunks run on `_run_chunks`'
+        threads; a conjugate with no member raises LookupError in the caller.
         """
         t_rows = self.perms[list(self.gen_rows)]
         columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
@@ -304,6 +313,18 @@ class GroupTable:
             _run_chunks(lcm, self.order, _TAKE_CHUNK)
             self._orders = orders
         return self._orders
+
+    def image_starts(self) -> np.ndarray:
+        """starts[p], p = 0, ..., degree: the first row w with w(b) >= p, b the
+        first base point, or order; rows are sorted by w(b), so those with
+        w(b) = p are rows starts[p] to starts[p + 1] - 1.  Found once per
+        table, by one search of that column."""
+        if self._starts is None:
+            b = self.base[0] if self.base.size else 0  # a trivial group has no base
+            points = np.arange(self.degree, dtype=np.uint8)
+            first = np.searchsorted(self.perms[:, b], points)
+            self._starts = np.append(first, self.order)
+        return self._starts
 
     def label(self, row: int) -> str | None:
         return self.labeler(self.perms[row]) if self.labeler else None
@@ -410,7 +431,7 @@ def extend(levels: list[ChainLevel], gens: np.ndarray) -> list[ChainLevel]:
 def _products(levels: list[ChainLevel], degree: int) -> np.ndarray:
     """Every product u_1 ... u_k of one transversal element per level, as rows;
     built from the last level up with one np.take per transversal element,
-    over chunks of `_TAKE_CHUNK` rows (which bound the intp copy of the rows)
+    over chunks of at most `_TAKE_CHUNK` rows (which bound the intp copy)
     on `_run_chunks`' threads."""
     block = np.arange(degree, dtype=np.uint8)[None, :]
     for level in reversed(levels):
@@ -453,9 +474,9 @@ def group_from_generators(
     least point the group moves and the first transversal is sorted by image
     point, so the rows come in blocks u_1 H, H the stabilizer of b_1, in order
     of u_1(b_1): sorting each block by key sorts the table, without a copy.
-    The blocks are keyed and sorted on `_run_chunks`' threads, whole blocks
-    to a chunk.  Generators may come in any integer dtype; they are stored as uint8 once
-    `degree` is known to fit.
+    The blocks are keyed and sorted on `_run_chunks`' threads, which walk the
+    blocks, not the rows, so no chunk cuts a block.  Generators may come in
+    any integer dtype; they are stored as uint8 once `degree` is known to fit.
     """
     _check_degree(name, degree)
     if order > LARGE_ORDER_CAP:
@@ -474,14 +495,14 @@ def group_from_generators(
     code = _key_code(generators, base)
     keys, n = np.empty(order, dtype=np.int64), order // chain_order(levels[:1])
 
-    def sort_blocks(lo: int, hi: int) -> None:  # each block u_1 H by key
-        keys[lo:hi] = _keys(code, perms[lo:hi, base])
-        for b in range(lo, hi, n):
+    def sort_blocks(lo: int, hi: int) -> None:  # the blocks u_1 H lo..hi-1 by key
+        keys[lo * n : hi * n] = _keys(code, perms[lo * n : hi * n, base])
+        for b in range(lo * n, hi * n, n):
             by_key = np.argsort(keys[b : b + n])
             keys[b : b + n] = keys[b : b + n][by_key]
             perms[b : b + n] = perms[b : b + n][by_key]
 
-    _run_chunks(sort_blocks, order, n * max(1, _ROW_CHUNK // n))
+    _run_chunks(sort_blocks, order // n, max(1, _ROW_CHUNK // n))
     table = GroupTable(perms, (), name, labeler, index=(base, code, keys))
     table.gen_rows = tuple(int(r) for r in table.row_index(generators))
     return table

@@ -13,13 +13,21 @@ three, see `zclass.groups.coxeter_generators`), by the min-label rounds of
 `zclass.groups.orbit_labels`, which carries their proof.  Both the maps and
 the rounds run over chunks of rows on up to one thread per allowed CPU and
 per four chunks; the labels, and so the classes, are the same at any thread
-count, though the number of rounds may vary between runs.
+count, though the number of rounds may vary between runs.  The members come
+from a counting sort, with no sort of the whole table: each row's label
+becomes its class number, in the narrowest unsigned dtype that holds them
+all, each chunk counts its class numbers (chunks are cut for at least as
+many rows as there are classes, so the counts never outgrow the rows by
+much), and each chunk's stable argsort of them fills its slot of one int32 array, after
+the earlier classes and the earlier chunks' rows of the same class.  So each
+class's members come out sorted, also when chunks run at once.
 
 Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
 length, so w(b), b the first base point, lies in an x-cycle as long as b's.
 Rows are sorted by w(b) (see `zclass.groups`), so such rows form contiguous
-blocks, found by one searchsorted on that column; `centralizer` lists C(x)
-exactly by testing only them, and takes generators from that list by
+blocks, read off the first row of each image point, which the table finds
+once (`GroupTable.image_starts`); `centralizer` lists C(x) exactly by
+testing only them, and takes generators from that list by
 `_generating_rows`.  A probe of x is a member of C(x) found in a
 spread sample of those n rows (a stride near n/phi), sized to hold about
 `_FIRST_PROBES` probes, then twice as many each round.  The probes are
@@ -50,9 +58,10 @@ for c central, which holds x = (xc)c^-1.  So `z_classes` first joins into sure
 components all central classes (C = G), each other rep x with the class of
 x^p, for p a prime dividing ord(x) (read off x's cycle lengths), when that
 class has x's size, and x with the class of xc for c in a generating set of
-Z(G) (`_generating_rows`).  A row's class is found among the classes of its
-size.  Only the first class of a component meets the center test; the others
-join its group.
+Z(G) (`_generating_rows`).  A row's class is read from an index of the
+class of every row, built once with one scatter per class outside the
+center.  Only the first class of a component meets the center test; the
+others join its group.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -126,15 +135,55 @@ class SubgroupHandle:
 
 def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     """Orbit partition under conjugation, ordered by minimal representative:
-    the orbit labels of the conjugation maps (see the module docstring)."""
+    the orbit labels of the conjugation maps, their members placed by a
+    counting sort of the class numbers (see the module docstring)."""
     label = groups.orbit_labels(g.conjugation_maps(), g.order)
-    reps = np.flatnonzero(label == np.arange(g.order))
-    sizes = np.bincount(label)[reps]
-    if sizes.sum() != g.order or np.any(g.order % sizes):
+    reps = np.flatnonzero(label == np.arange(g.order, dtype=np.int32)).astype(np.int32)
+    number = np.zeros(g.order, dtype=np.min_scalar_type(reps.size - 1))
+    number[reps] = np.arange(reps.size)
+    counts: dict[int, np.ndarray] = {}
+    chunk = max(groups._ROW_CHUNK, reps.size)
+
+    def count(lo: int, hi: int) -> None:
+        # the class number of each row, in place: a class's least row keeps
+        # its own number, so reading it while other chunks write is safe
+        part = number[label[lo:hi]]
+        if np.any(reps[part] != label[lo:hi]):
+            raise AssertionError("conjugacy classes break the class equation")
+        number[lo:hi] = part
+        counts[lo] = np.bincount(part, minlength=reps.size)
+
+    groups._run_chunks(count, g.order, chunk)
+    del label
+    starts = sorted(counts)
+    chunks = np.array([counts[lo] for lo in starts])
+    sizes = chunks.sum(axis=0)
+    if np.any(g.order % sizes):
         raise AssertionError("conjugacy classes break the class equation")
-    members = np.argsort(label, kind="stable").astype(np.int32)
-    parts = np.split(members, np.cumsum(sizes)[:-1])
-    return [ConjugacyClass(int(r), part) for r, part in zip(reps, parts)]
+    # where each chunk's first row of each class goes: after the rows of the
+    # earlier classes and the earlier chunks' rows of that class
+    before = np.cumsum(chunks, axis=0) - chunks + (np.cumsum(sizes) - sizes)
+    first = dict(zip(starts, before))
+    members = np.empty(g.order, dtype=np.int32)
+
+    def place(lo: int, hi: int) -> None:
+        # a stable sort of the chunk by class number makes one run per class,
+        # each written from its first slot on: the target position steps by
+        # one within a run, and from each run's last slot to the next's first
+        rows = np.argsort(number[lo:hi], kind="stable")
+        rows += lo
+        runs = np.flatnonzero(counts[lo])
+        size, to = counts[lo][runs], first[lo][runs]
+        step = np.ones(hi - lo, dtype=np.intp)
+        step[np.cumsum(size) - size] = to - np.append(0, to[:-1] + size[:-1] - 1)
+        members[np.cumsum(step, out=step)] = rows
+
+    groups._run_chunks(place, g.order, chunk)
+    ends = np.cumsum(sizes).tolist()
+    return [
+        ConjugacyClass(r, members[lo:hi])
+        for r, lo, hi in zip(reps.tolist(), [0, *ends], ends)
+    ]
 
 
 def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray:
@@ -191,15 +240,12 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
         images.append(xs[:, g.perms[c][g.base]])  # x c
     src = np.concatenate([moving[:0], *src])
     rows = g.base_index(np.concatenate([xs[:0, g.base], *images]))
-    dst = np.full(src.size, -1)
-    for s in set(sizes[moving].tolist()):  # each row's class among those of its size
-        ask = np.flatnonzero(sizes[src] == s)
-        query = rows[ask]
-        for j in np.flatnonzero(sizes == s):
-            members = classes[j].members
-            at = members.take(np.searchsorted(members, query), mode="clip")
-            dst[ask[at == query]] = j
-    a, b = src[dst >= 0], dst[dst >= 0]
+    number = np.zeros(g.order, dtype=np.min_scalar_type(len(classes) - 1))
+    for j in moving:  # each row's class; a central row reads the identity's, 0
+        number[classes[j].members.astype(np.intp)] = j  # faster than by int32
+    dst = number[rows]
+    same = sizes[dst] == sizes[src]
+    a, b = src[same], dst[same]
     root = np.arange(len(classes))
     root[central] = 0  # the identity's class
     while True:  # min-label rounds over the joined pairs
@@ -215,11 +261,9 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
 def _candidate_blocks(g: GroupTable, x: int) -> tuple[np.ndarray, np.ndarray]:
     """The rows w with w(b) in an x-cycle as long as b's, b the first base
     point, as blocks: (first row of each, running total of their lengths)."""
-    points = np.arange(g.degree)
     b = g.base[0] if g.base.size else 0  # a trivial group has no base
     cycle = cycle_lengths(g.perms[x : x + 1])[0]
-    # rows are sorted by w(b): first[p] is the first row with w(b) >= p
-    first = np.append(np.searchsorted(g.perms[:, b], points.astype(np.uint8)), g.order)
+    first = g.image_starts()
     same = np.flatnonzero(cycle == cycle[b])
     return first[same], np.cumsum(np.append(0, first[same + 1] - first[same]))
 
@@ -384,22 +428,24 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
             zgroups.append([])
         zgroups[gi].append(ci)
         group_of.append(gi)
-    for ci, cl in enumerate(classes):
-        p = probes.get(ci)
+    if log.isEnabledFor(logging.DEBUG):  # the arguments are formatted here
+        for ci, cl in enumerate(classes):
+            p = probes.get(ci)
+            log.debug(
+                "class %d/%d: size %d, centralizer order %d, %s%s",
+                ci + 1,
+                len(classes),
+                cl.size,
+                g.order // cl.size,
+                f"{p.rows.size} generators" if p and p.certified else "no certificate",
+                f", sure join with class {root[ci] + 1}" if root[ci] < ci else "",
+            )
         log.debug(
-            "class %d/%d: size %d, centralizer order %d, %s%s",
-            ci + 1,
+            "%d classes, %d sure components, %d heads probed, %d heads certified",
             len(classes),
-            cl.size,
-            g.order // cl.size,
-            f"{p.rows.size} generators" if p and p.certified else "no certificate",
-            f", sure join with class {root[ci] + 1}" if root[ci] < ci else "",
+            sum(r == ci for ci, r in enumerate(root)),
+            len(probes),
+            sum(p.certified for p in probes.values()),
         )
-    log.debug(
-        "%d classes, %d sure components, %d heads probed, %d heads certified",
-        len(classes),
-        sum(r == ci for ci, r in enumerate(root)),
-        len(probes),
-        sum(p.certified for p in probes.values()),
-    )
     return [[classes[ci] for ci in grp] for grp in zgroups]
+

@@ -213,6 +213,16 @@ class TestGroupTableContract:
         rows = elements(t1)
         assert rows == sorted(rows)
 
+    @pytest.mark.parametrize("text", ["B3", "D4 x I2(8)", "H3"])
+    def test_image_starts_bound_each_image_of_the_first_base_point(self, text):
+        table = build(text)
+        starts = table.image_starts()
+        assert starts is table.image_starts()  # found once per table
+        column = table.perms[:, table.base[0]]
+        for p in range(table.degree):
+            assert (column[starts[p] : starts[p + 1]] == p).all()
+        assert starts[0] == 0 and starts[-1] == table.order
+
     def test_row_index_round_trip(self):
         table = build("D4")
         idx = table.row_index(table.perms)
@@ -368,7 +378,45 @@ class TestRunChunks:
                 seen.append((lo, hi))
 
         groups._run_chunks(record, n, chunk)
-        assert sorted(seen) == [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
+        # ceil(n / chunk) chunks, rounded up to a multiple of the threads run
+        count = -(-n // chunk)
+        count += -count % max(1, min(workers, -(-count // groups._CHUNKS_PER_THREAD)))
+        size, longer = divmod(n, max(count, 1))
+        edges = [i * size + min(i, longer) for i in range(count + 1)]
+        assert sorted(seen) == list(zip(edges, edges[1:]))
+        assert all(0 < hi - lo <= chunk for lo, hi in seen)
+
+    @pytest.mark.parametrize("n", [35, 33])
+    def test_two_threads_get_equal_shares(self, monkeypatch, n):
+        # five chunks' worth of rows run as six, three on each thread
+        set_row_kernels(monkeypatch, 2)
+        shares, lock = {}, threading.Lock()
+
+        def record(lo, hi):
+            with lock:
+                shares.setdefault(threading.get_ident(), []).append((lo, hi))
+
+        groups._run_chunks(record, n, 7)
+        rows = [r for share in shares.values() for c in share for r in range(*c)]
+        assert sorted(rows) == list(range(n))
+        assert [len(share) for share in shares.values()] == [3, 3]
+        totals = [sum(hi - lo for lo, hi in share) for share in shares.values()]
+        assert max(totals) - min(totals) <= 1
+
+    @pytest.mark.parametrize(
+        "text, chunk", [("A4", 24), ("D4", 40), ("B3 x I2(5)", 70)]
+    )
+    def test_block_sort_chunks_never_cut_a_block(self, monkeypatch, text, chunk):
+        expected = build(text)
+        block = expected.order // np.unique(expected.perms[:, expected.base[0]]).size
+        # chunks of `chunk` rows on two threads would cut a block u_1 H
+        count = -(-expected.order // chunk)
+        count += count % 2
+        assert any(expected.order * i // count % block for i in range(count))
+        set_row_kernels(monkeypatch, 2, chunk)
+        table = build(text)
+        assert np.array_equal(table.perms, expected.perms)
+        assert np.array_equal(table.keys, expected.keys)
 
     def test_one_chunk_runs_in_the_caller(self, monkeypatch):
         set_row_kernels(monkeypatch, 4)

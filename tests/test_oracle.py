@@ -98,6 +98,55 @@ class TestConjugacyClasses:
         assert sizes == [1, 1, 2, 2, 3, 3]
 
 
+A1_9, A1_17 = " x ".join(["A1"] * 9), " x ".join(["A1"] * 17)  # past 2^8, 2^16 classes
+
+
+def argsort_classes(table) -> list[tuple[int, np.ndarray]]:
+    """(least row, member rows) of each class, by a stable argsort of the
+    orbit labels of the conjugation maps."""
+    label = groups.orbit_labels(table.conjugation_maps(), table.order)
+    reps = np.flatnonzero(label == np.arange(table.order))
+    members = np.argsort(label, kind="stable")
+    return list(zip(reps, np.split(members, np.cumsum(np.bincount(label)[reps])[:-1])))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "text", ["D7", "E6", "B6", "D4 x I2(8)", "I2(7)", "A1", A1_9, A1_17]
+)
+def test_members_match_a_stable_argsort_of_the_labels(monkeypatch, text, workers):
+    table = build(text)
+    expected = argsort_classes(table)
+    # about 20 chunks, so that several meet inside one class
+    set_row_kernels(monkeypatch, workers, table.order // 20 + 1)
+    classes = oracle.conjugacy_classes(table)
+    assert [cl.rep for cl in classes] == [rep for rep, _ in expected]
+    for cl, (_, members) in zip(classes, expected):
+        assert cl.members.dtype == np.int32
+        assert np.array_equal(cl.members, members)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("broken", ["label not a label", "size not dividing"])
+def test_labels_breaking_the_class_equation_raise(monkeypatch, workers, broken):
+    table = build("D4")
+    label = groups.orbit_labels(table.conjugation_maps(), table.order)
+    sizes = np.bincount(label)
+    moved = next(  # a row whose class breaks the class equation without it
+        r
+        for r in range(table.order)
+        if label[r] != r and table.order % (sizes[label[r]] - 1)
+    )
+    if broken == "label not a label":  # labelled with a row not labelling itself
+        label[-1] = moved
+    else:  # a row moved into the identity's class
+        label[moved] = 0
+    monkeypatch.setattr(groups, "orbit_labels", lambda maps, n: label.copy())
+    set_row_kernels(monkeypatch, workers, 16)  # chunks on threads
+    with pytest.raises(AssertionError, match="class equation"):
+        oracle.conjugacy_classes(table)
+
+
 def full_row_classes(table) -> list[tuple[int, list[int]]]:
     """(least row, sorted member rows) of each class, by a breadth-first search
     of conjugation by the generators over full rows, from the rows in order."""
@@ -661,7 +710,51 @@ def table_of(text: str):
     return build(text)
 
 
+def size_search_roots(table, classes) -> list[int]:
+    """The first class of each class's sure component, each image of a rep
+    (x^p for primes p dividing its order, and x c for c in the generators of
+    the center) looked for among the members of the classes of x's size."""
+    sizes = [cl.size for cl in classes]
+    central = np.array([cl.rep for cl in classes if cl.size == 1])
+    moving = [ci for ci, size in enumerate(sizes) if size > 1]
+    centre = oracle._generating_rows(table, central) if moving else []
+    root = [0 if size == 1 else ci for ci, size in enumerate(sizes)]
+
+    def find(ci):
+        while root[ci] != ci:
+            ci = root[ci]
+        return ci
+
+    for ci in moving:
+        x = table.perms[classes[ci].rep]
+        order = math.lcm(*groups.cycle_lengths(x[None])[0].tolist())
+        images = [x[table.perms[c]] for c in centre]  # x c
+        for p in range(2, order + 1):
+            if order % p == 0 and all(p % q for q in range(2, p)):
+                power = x
+                for _ in range(p - 1):
+                    power = x[power]
+                images.append(power)
+        for row in table.row_index(np.array(images)):
+            for j in (j for j in moving if sizes[j] == sizes[ci]):
+                members = classes[j].members
+                at = np.searchsorted(members, row)
+                if at < members.size and members[at] == row:
+                    a, b = find(ci), find(j)
+                    root[max(a, b)] = min(a, b)
+    return [find(ci) for ci in range(len(classes))]
+
+
 class TestSureComponents:
+    @pytest.mark.parametrize(
+        "text", EAGER_TYPES + [A1_POWER, "I2(255)", "S1", "A1 x A1 x A1 x B3"]
+    )
+    def test_roots_match_a_search_among_the_classes_of_each_size(self, text):
+        table = table_of(text)
+        classes = oracle.conjugacy_classes(table)
+        roots = oracle._sure_components(table, classes)
+        assert roots == size_search_roots(table, classes)
+
     @pytest.mark.parametrize("text", EAGER_TYPES + [A1_POWER, "I2(255)", "S1"])
     def test_components_lie_in_one_eager_class(self, text):
         table = table_of(text)
