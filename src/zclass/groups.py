@@ -1,30 +1,34 @@
-"""Enumerated finite groups as permutation tables indexed by a base.
+"""Enumerated finite groups as permutation tables indexed by a stabilizer chain.
 
 Every group the oracle consumes is realized concretely as permutations of a
 small point set: symmetric groups on their letters, signed-permutation groups
 on 2n signed points, dihedral groups on polygon vertices, reflection groups on
 their root sets, and direct products on disjoint unions.  Elements are stored
-as uint8 image arrays, so a point set holds at most 256 points; rows are kept
-lexicographically sorted so the order never depends on generation order.
+as uint8 image arrays, so a point set holds at most 256 points.
 
 A group is enumerated from a complete stabilizer chain, `extend([], gens)`.
 `extend` is the one Schreier-Sims step, over the one membership test `sift`:
 it adds generators to a complete chain and makes it complete again, so the
 oracle grows the chains of its probes and of the center as it takes them.
-Every element is exactly one product of one transversal element per level,
-so nothing is hashed or deduplicated, and their count must be the stated
-order.
+Every element is exactly one product u_1 ... u_k of one transversal element
+per level, so nothing is hashed or deduplicated, and their count must be the
+stated order.  The rows come in chain order: a row's index is the
+mixed-radix number of its transversal digits j_1, ..., j_k, the first level
+most significant.  The order depends on the chain, so on the generators;
+the oracle's answers do not (see `zclass.oracle`).
 
-Each table carries a base: points b_1 < ... < b_k, each the smallest point
-moved by the pointwise stabilizer of the points before it, until only the
-identity fixes them all.  Two elements are then equal exactly when they agree
-on the base, and two rows compare lexicographically as their base images do.
-The mixed-radix integer key of the base images is therefore strictly
-increasing down the table: a lookup is one int64 searchsorted of the query
-keys in any order, and an equation between group elements (commutation,
-conjugation) is checked at the base points alone.  The key of a conjugate
-t e t^-1 is read off e at the points t^-1(b_i) through the code composed
-with t, so no product row is formed.
+The chain is the table's one index (Seress, *Permutation Group Algorithms*,
+2003).  Its level points b_1, ..., b_k are the table's base: only the
+identity fixes them all, so two elements are equal exactly when they agree
+on the base.  A member is found from its base images by sifting them:
+level i's digit is the position of the image of b_i in its orbit, and the
+later images are pulled back through that transversal element's inverse
+(`GroupTable.base_index`).  So an equation between group elements
+(commutation, conjugation) is checked at the base points alone, and the
+conjugate t e t^-1 is found from e's images at the points t^-1(b_i) mapped
+through t, with no product row formed.  b_1 is the least point the group
+moves and the first transversal is sorted by image point, so the rows are
+sorted by their image of b_1.
 """
 
 from __future__ import annotations
@@ -107,28 +111,6 @@ def _run_chunks(fn: Callable[[int, int], None], n: int, chunk: int) -> None:
         raise errors[0]
 
 
-def _find_base(perms: np.ndarray) -> np.ndarray:
-    """Greedy base of the table's group.
-
-    Each base point is the least point moved by the pointwise stabilizer of the
-    points before it.  The search stops when one element is left, and that
-    element must be the identity.
-    """
-    order, degree = perms.shape
-    stab = np.arange(order)
-    base = []
-    for p in range(degree):
-        if stab.size <= 1:
-            break
-        fixed = perms[stab, p] == p
-        if not fixed.all():
-            base.append(p)
-            stab = stab[fixed]
-    if stab.size != 1 or np.any(perms[stab[0]] != np.arange(degree)):
-        raise ValueError("table has no base: the identity is not alone in fixing it")
-    return np.array(base, dtype=np.intp)
-
-
 def orbit_labels(maps: np.ndarray, n: int) -> np.ndarray:
     """label[p] = the least point of p's orbit under the group that the
     permutations `maps` of 0..n-1 (one row each) generate, as int32.
@@ -178,42 +160,18 @@ def cycle_lengths(perms: np.ndarray) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=n * degree)[flat]
 
 
-def _key_code(gens: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """code[i, p] = weight of base point i times the rank of p in its orbit
-    under the group generated by `gens`, the orbits taken by `orbit_labels`.
-
-    Weights are mixed-radix over the orbit sizes with the first base point most
-    significant, so keys sort like the rows.  A point outside the orbit codes
-    as the key bound, which no member key reaches.
-    """
-    label = orbit_labels(gens, gens.shape[1])
-    orbits = [np.flatnonzero(label == label[b]) for b in base]
-    bound = math.prod(o.size for o in orbits)
-    if bound * (len(base) + 1) >= 2**63:
-        raise UnsupportedGroupError("base keys of this group do not fit in 63 bits")
-    code = np.full((len(base), gens.shape[1]), bound, dtype=np.int64)
-    weight = bound
-    for i, orbit in enumerate(orbits):
-        weight //= orbit.size
-        code[i, orbit] = np.arange(orbit.size, dtype=np.int64) * weight
-    return code
-
-
-def _keys(code: np.ndarray, images: np.ndarray) -> np.ndarray:
-    keys = np.zeros(images.shape[0], dtype=np.int64)
-    for i, column in enumerate(code):
-        keys += column[images[:, i]]
-    return keys
-
-
 class GroupTable:
     """Enumerated permutation group on `degree` points.
 
-    `perms` holds all elements as image arrays, rows sorted lexicographically;
-    `keys` holds their strictly increasing base keys.  `gen_rows` index the
-    generators the table was built from (for a Coxeter group of rank 4 or
-    more, the three of `coxeter_generators`); conjugation by each gives one
-    row of `conjugation_maps`, which the table does not keep.
+    `perms` holds all elements as image arrays in the chain order of
+    `_products`: the row of u_1 ... u_k, u_i the j_i-th element of level i's
+    transversal, is the mixed-radix number of its digits j_1, ..., j_k over
+    the orbit lengths, the first level most significant.  The complete chain
+    `levels` it was built from is the table's one index (`base_index`), and
+    `base` holds its level points.  `gen_rows` index the generators the
+    table was built from (for a Coxeter group of rank 4 or more, the three
+    of `coxeter_generators`); conjugation by each gives one row of
+    `conjugation_maps`, which the table does not keep.
     """
 
     def __init__(
@@ -222,41 +180,78 @@ class GroupTable:
         gen_rows: tuple[int, ...],
         name: str,
         labeler: Callable[[np.ndarray], str] | None,
-        index: tuple[np.ndarray, np.ndarray, np.ndarray],
+        levels: list[ChainLevel],
     ):
-        # index: the (base, key code, keys) the builder found
         self.perms = perms
         self.order, self.degree = perms.shape
         self.name = name
         self.gen_rows = gen_rows
         self.labeler = labeler
-        self.base, self._code, self.keys = index
-        if np.any(self.keys[1:] <= self.keys[:-1]):
-            raise ValueError(f"{name}: table rows are not sorted and distinct")
-        identity = np.arange(self.degree, dtype=np.uint8)[None, :]
-        self.identity_row = int(self.row_index(identity)[0])
+        self.base = np.array([level.point for level in levels], dtype=np.intp)
+        identity = np.arange(self.degree)
+        # per level, as `base_index` reads it: share[q], the row index's share
+        # for the image q of the level's point (`order` off its orbit); the
+        # flat inverses and start[q], where u_j^-1 for that image begins in
+        # them; and the later base columns its transversal may move
+        self._steps = []
+        weight = self.order
+        for i, level in enumerate(levels):
+            weight //= level.transversal.shape[0]
+            on = level.position >= 0
+            share = np.where(on, level.position * weight, self.order)
+            start = np.where(on, level.position * self.degree, 0)
+            orbit = orbit_labels(level.gens, self.degree)
+            moved = set(orbit[(level.transversal != identity).any(axis=0)].tolist())
+            later = range(i + 1, len(levels))
+            pulls = [c for c in later if orbit[levels[c].point] in moved]
+            self._steps.append((share, level.inverse, start, pulls))
+        self.identity_row = int(self.row_index(identity[None, :])[0])
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
         self._starts: np.ndarray | None = None
 
-    def _search(self, query: np.ndarray) -> np.ndarray:
-        """Indices of the member keys `query`, in any order; a key with no
-        member raises (an index past the table clips to the last key, which
-        is less than the query)."""
-        idx = np.searchsorted(self.keys, query)
-        if np.any(self.keys.take(idx, mode="clip") != query):
-            raise LookupError(f"element not in group table {self.name}")
-        return idx
-
     def base_index(self, images: np.ndarray) -> np.ndarray:
         """Indices of members given by their base images, one (k,) row each;
-        a key with no member raises."""
-        return self._search(_keys(self._code, images))
+        images of no member raise LookupError, also under -O.
+
+        The images are sifted through the chain.  Level i's digit j is the
+        position of the image of b_i in its orbit, and the later images are
+        pulled back through u_j^-1, one uint8 column at a time, so level
+        i + 1 reads the images under u_{i+1} ... u_k.  The row index is the
+        sum of each digit times the product of the later orbit lengths.  An
+        image off a level's orbit adds `order` instead, past every row, and
+        images that pass every level are those of the row found, so a
+        non-member always raises.
+
+        A member's image of b_c, pulled back to level i < c, lies in the
+        orbit O of b_c under level i's group.  Where level i's transversal
+        fixes every point of O, the pull is skipped: it fixes a member's
+        image, and a non-member's image that it would move lies outside O,
+        where the later pulls, by elements of that group, keep it, so level
+        c finds it off its orbit either way.  So no level of a direct product
+        pulls another factor's images back.
+        """
+        return self._sift(np.array(np.asarray(images).T, dtype=np.uint8, order="C"))
+
+    def _sift(self, columns: np.ndarray) -> np.ndarray:
+        """`base_index` of the images `columns`, one uint8 row per base point,
+        which it overwrites."""
+        idx = np.zeros(columns.shape[1], dtype=np.intp)
+        buffer = np.empty_like(idx)
+        for (share, inverse, start, pulls), column in zip(self._steps, columns):
+            idx += np.take(share, column, out=buffer)
+            if pulls:
+                at = start[column]
+                for c in pulls:
+                    np.take(inverse, np.add(at, columns[c], out=buffer), out=columns[c])
+        if np.any(idx >= self.order):
+            raise LookupError(f"element not in group table {self.name}")
+        return idx
 
     def row_index(self, rows: np.ndarray) -> np.ndarray:
         """Indices of query rows in the table; a row that is not a member raises.
 
-        The base key finds the candidate row and the full row confirms it.
+        The base images find the candidate row and the full row confirms it.
         """
         rows = np.asarray(rows)
         idx = self.base_index(rows[:, self.base])
@@ -280,24 +275,26 @@ class GroupTable:
         """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as
         int32, computed anew on each call.
 
-        t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its key is the
-        sum of code[i, t(e(c_i))]: one lookup per base point in the code
-        composed with t, code[:, t].  Each chunk of at most `_ROW_CHUNK` rows
+        t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its base
+        images are those of e at the points c_i, mapped through t, and
+        `base_index` finds its row.  Each chunk of at most `_ROW_CHUNK` rows
         is read once, at the union of the columns c_i of every t, and writes
         only its own columns of the maps, so the chunks run on `_run_chunks`'
         threads; a conjugate with no member raises LookupError in the caller.
         """
         t_rows = self.perms[list(self.gen_rows)]
         columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
-        codes = self._code[:, t_rows]  # codes[:, s] is code[:, gen_rows[s]]
         read, at = np.unique(columns, return_inverse=True)
         at = at.reshape(columns.shape)  # columns[s, i] is read[at[s, i]]
         maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
 
         def conjugate(lo: int, hi: int) -> None:
-            block = self.perms[lo:hi, read]
-            for s, m in enumerate(maps):
-                m[lo:hi] = self._search(_keys(codes[:, s], block[:, at[s]]))
+            block = self.perms[lo:hi].T[read]  # one row per column read
+            images = np.empty((self.base.size, hi - lo), dtype=np.uint8)
+            for t, m, at_t in zip(t_rows, maps, at):
+                for image, a in zip(images, at_t):
+                    np.take(t, block[a], out=image)
+                m[lo:hi] = self._sift(images)
 
         _run_chunks(conjugate, self.order, _ROW_CHUNK)
         return maps
@@ -316,7 +313,8 @@ class GroupTable:
 
     def image_starts(self) -> np.ndarray:
         """starts[p], p = 0, ..., degree: the first row w with w(b) >= p, b the
-        first base point, or order; rows are sorted by w(b), so those with
+        first base point, or order; rows are sorted by w(b), their first digit
+        (the first transversal is sorted by image point), so those with
         w(b) = p are rows starts[p] to starts[p + 1] - 1.  Found once per
         table, by one search of that column."""
         if self._starts is None:
@@ -470,13 +468,10 @@ def group_from_generators(
     Every element is exactly one product u_1 ... u_k of one element of each
     level's transversal, so the order is the product of the orbit lengths,
     which must equal `order` (a defect otherwise, raised also under -O), and
-    the products are distinct: nothing is hashed or deduplicated.  b_1 is the
-    least point the group moves and the first transversal is sorted by image
-    point, so the rows come in blocks u_1 H, H the stabilizer of b_1, in order
-    of u_1(b_1): sorting each block by key sorts the table, without a copy.
-    The blocks are keyed and sorted on `_run_chunks`' threads, which walk the
-    blocks, not the rows, so no chunk cuts a block.  Generators may come in
-    any integer dtype; they are stored as uint8 once `degree` is known to fit.
+    the products are distinct: nothing is hashed, deduplicated or sorted.
+    The rows stay in the order `_products` makes them, which the chain
+    indexes (see `GroupTable`).  Generators may come in any integer dtype;
+    they are stored as uint8 once `degree` is known to fit.
     """
     _check_degree(name, degree)
     if order > LARGE_ORDER_CAP:
@@ -490,20 +485,7 @@ def group_from_generators(
     found = chain_order(levels)
     if found != order:
         raise AssertionError(f"{name}: {found} elements, not {order}")
-    perms = _products(levels, degree)
-    base = _find_base(perms)
-    code = _key_code(generators, base)
-    keys, n = np.empty(order, dtype=np.int64), order // chain_order(levels[:1])
-
-    def sort_blocks(lo: int, hi: int) -> None:  # the blocks u_1 H lo..hi-1 by key
-        keys[lo * n : hi * n] = _keys(code, perms[lo * n : hi * n, base])
-        for b in range(lo * n, hi * n, n):
-            by_key = np.argsort(keys[b : b + n])
-            keys[b : b + n] = keys[b : b + n][by_key]
-            perms[b : b + n] = perms[b : b + n][by_key]
-
-    _run_chunks(sort_blocks, order // n, max(1, _ROW_CHUNK // n))
-    table = GroupTable(perms, (), name, labeler, index=(base, code, keys))
+    table = GroupTable(_products(levels, degree), (), name, labeler, levels)
     table.gen_rows = tuple(int(r) for r in table.row_index(generators))
     return table
 

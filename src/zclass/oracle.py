@@ -3,8 +3,9 @@
 Mirrors the classic computer-algebra recipe: list conjugacy classes, find the
 centralizer of each representative, and group classes whose centralizers are
 conjugate subgroups, scanning existing groups in order and absorbing into the
-first match.  Everything is deterministic: classes are ordered by their least
-row and witnesses are the smallest-index conjugators.
+first match.  Everything is deterministic: classes are ordered by their reps,
+each its class's lexicographically least member row, and witnesses are the
+smallest-index conjugators.
 
 Classes.  `conjugacy_classes` labels every row with the least row of its
 orbit under the conjugation maps r -> s r s^-1 of the table's generators s
@@ -20,7 +21,15 @@ all, each chunk counts its class numbers (chunks are cut for at least as
 many rows as there are classes, so the counts never outgrow the rows by
 much), and each chunk's stable argsort of them fills its slot of one int32 array, after
 the earlier classes and the earlier chunks' rows of the same class.  So each
-class's members come out sorted, also when chunks run at once.
+class's members come out sorted, also when chunks run at once.  A class's rep
+is its lexicographically least member row, so reps and class order do not
+depend on the table's row order, which depends on the generators.  Every
+row fixes the points before b_1, the least point the group moves, and rows
+are sorted by w(b_1), so the rep lies before the first row past the w(b_1)
+of the class's first row; one lexsort of those candidate rows of every
+class gives each class's rep, its first row in that order, and the order of
+the reps, with no loop over classes.  The identity, the least row of all,
+keeps its class first.
 
 Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
 length, so w(b), b the first base point, lies in an x-cycle as long as b's.
@@ -92,9 +101,9 @@ _FIRST_PROBES = 4  # probes the first sample of a head is sized to hold
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class: its least row and its sorted member rows."""
+    """A conjugacy class: its rep and its sorted member rows."""
 
-    rep: int  # the least row of the class
+    rep: int  # the class's lexicographically least member row
     members: np.ndarray = field(repr=False)  # sorted row indices, int32
 
     @property
@@ -134,24 +143,26 @@ class SubgroupHandle:
 
 
 def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
-    """Orbit partition under conjugation, ordered by minimal representative:
-    the orbit labels of the conjugation maps, their members placed by a
-    counting sort of the class numbers (see the module docstring)."""
+    """Orbit partition under conjugation, each class with its rep, its
+    lexicographically least member row, and the classes in order of their
+    reps: the orbit labels of the conjugation maps, their members placed by
+    a counting sort of the class numbers (see the module docstring)."""
     label = groups.orbit_labels(g.conjugation_maps(), g.order)
-    reps = np.flatnonzero(label == np.arange(g.order, dtype=np.int32)).astype(np.int32)
-    number = np.zeros(g.order, dtype=np.min_scalar_type(reps.size - 1))
-    number[reps] = np.arange(reps.size)
+    # each class's first row, its label
+    roots = np.flatnonzero(label == np.arange(g.order, dtype=np.int32)).astype(np.int32)
+    number = np.zeros(g.order, dtype=np.min_scalar_type(roots.size - 1))
+    number[roots] = np.arange(roots.size)
     counts: dict[int, np.ndarray] = {}
-    chunk = max(groups._ROW_CHUNK, reps.size)
+    chunk = max(groups._ROW_CHUNK, roots.size)
 
     def count(lo: int, hi: int) -> None:
         # the class number of each row, in place: a class's least row keeps
         # its own number, so reading it while other chunks write is safe
         part = number[label[lo:hi]]
-        if np.any(reps[part] != label[lo:hi]):
+        if np.any(roots[part] != label[lo:hi]):
             raise AssertionError("conjugacy classes break the class equation")
         number[lo:hi] = part
-        counts[lo] = np.bincount(part, minlength=reps.size)
+        counts[lo] = np.bincount(part, minlength=roots.size)
 
     groups._run_chunks(count, g.order, chunk)
     del label
@@ -179,11 +190,30 @@ def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
         members[np.cumsum(step, out=step)] = rows
 
     groups._run_chunks(place, g.order, chunk)
-    ends = np.cumsum(sizes).tolist()
+    reps, by_rep = _reps(g, roots, number)
+    ends = np.cumsum(sizes)
+    spans = (reps, ends - sizes, ends)  # per class number
     return [
-        ConjugacyClass(r, members[lo:hi])
-        for r, lo, hi in zip(reps.tolist(), [0, *ends], ends)
+        ConjugacyClass(rep, members[lo:hi])
+        for rep, lo, hi in zip(*(s[by_rep].tolist() for s in spans))
     ]
+
+
+def _reps(
+    g: GroupTable, roots: np.ndarray, number: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each class's rep, its lexicographically least member row, and the
+    class numbers in the order of their reps, the identity's first, from each
+    class's first row `roots` and each row's class `number`: each rep is the
+    first of its class's candidate rows, those before the first row past the
+    w(b_1) of its first row, in their lexicographic order (see the module
+    docstring)."""
+    b = g.base[0] if g.base.size else 0  # a trivial group has no base
+    past = g.image_starts()[g.perms[roots, b].astype(np.intp) + 1].astype(np.int32)
+    rows = np.flatnonzero(np.arange(g.order, dtype=np.int32) < past[number])
+    rows = rows[np.lexsort(g.perms[rows].T[::-1])]
+    _, at = np.unique(number[rows], return_index=True)
+    return rows[at], np.argsort(at)
 
 
 def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray:

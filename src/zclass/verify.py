@@ -34,13 +34,15 @@ def oracle_grouping_labels(table: GroupTable) -> list[list[str]]:
 
     Each class is named by the table's label of its representative row (a
     cycle type, a signed partition with its D_n half, or a product's factor
-    labels joined by ' | '); a table without a labeler gives positional c<k>.
+    labels joined by ' | '); a table without a labeler gives positional c<k>,
+    k the class's place in class order, that of the representatives' rows.
     """
     zgroups = oracle.z_classes(table)
     if table.labeler is not None:
         return [[table.label(c.rep) for c in grp] for grp in zgroups]
-    classes = [c for grp in zgroups for c in grp]
-    position = {c.rep: i for i, c in enumerate(sorted(classes, key=lambda c: c.rep))}
+    reps = [c.rep for grp in zgroups for c in grp]
+    reps.sort(key=lambda r: table.perms[r].tolist())
+    position = {rep: i for i, rep in enumerate(reps)}
     return [[f"c{position[c.rep]}" for c in grp] for grp in zgroups]
 
 

@@ -1,9 +1,9 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
-the numpy engine, a tiny dict-based z-class oracle built on it, the row of a
-signed permutation, the certified centralizer probes of a class, the
-derandomized settings of the hypothesis property tests, a switch for the
-thread count and chunk size of the row kernels, and the table of a Coxeter
-type."""
+the numpy engine, each row's number in chain order, a tiny dict-based z-class
+oracle built on it, the row of a signed permutation, the certified centralizer
+probes of a class, the derandomized settings of the hypothesis property tests,
+a switch for the thread count and chunk size of the row kernels, and the table
+of a Coxeter type."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -42,6 +42,26 @@ def build(text: str):
 def elements(table) -> list[tuple[int, ...]]:
     """The table's elements as tuples of images, in row order."""
     return [tuple(row) for row in table.perms.tolist()]
+
+
+def chain_numbers(table) -> list[int]:
+    """Each row's number in chain order: the mixed-radix number of its
+    transversal digits, the first level most significant, found by sifting
+    the row in Python through the chain of the table's generators, which is
+    the chain the table was built from."""
+    numbers = []
+    levels = [
+        (level.point, [tuple(u) for u in level.transversal.tolist()])
+        for level in groups.extend([], table.perms[list(table.gen_rows)])
+    ]
+    for row in elements(table):
+        number = 0
+        for point, transversal in levels:
+            j = [u[point] for u in transversal].index(row[point])
+            number = number * len(transversal) + j
+            row = multiply(invert(transversal[j]), row)
+        numbers.append(number)
+    return numbers
 
 
 def multiply(a: tuple, b: tuple) -> tuple:

@@ -20,6 +20,7 @@ from conftest import (
     PROPERTY_SETTINGS,
     assert_valid_permutation_table,
     build,
+    chain_numbers,
     elements,
     invert,
     multiply,
@@ -207,11 +208,11 @@ class TestGroupTableContract:
             assert invert(a) in rows
 
     def test_rows_sorted_and_stable(self):
+        # rows come in chain order, sorted by the number of their digits
         t1 = build("B3")
         t2 = build("B3")
         assert np.array_equal(t1.perms, t2.perms)
-        rows = elements(t1)
-        assert rows == sorted(rows)
+        assert chain_numbers(t1) == list(range(t1.order))
 
     @pytest.mark.parametrize("text", ["B3", "D4 x I2(8)", "H3"])
     def test_image_starts_bound_each_image_of_the_first_base_point(self, text):
@@ -237,12 +238,27 @@ class TestGroupTableContract:
 
     def test_non_member_rows_refused(self):
         table = build("D4")
-        key_miss = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
-        key_hit = np.array([4, 1, 2, 3, 0, 5, 6, 7], dtype=np.uint8)  # in B4 only
-        for row in (key_miss, key_hit):
+        base_miss = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
+        base_hit = np.array([4, 1, 2, 3, 0, 5, 6, 7], dtype=np.uint8)  # in B4 only
+        for row in (base_miss, base_hit):
             with pytest.raises(LookupError):
                 table.row_index(row[None, :])
             assert not (table.perms == row).all(axis=1).any()
+
+    def test_base_images_of_non_members_refused(self):
+        # images that repeat a point, and those of the transposition (1 4),
+        # which sends e_0 and e_1 to e_0 and -e_0, sift to no row
+        table = build("D4")
+        assert table.base.tolist() == [0, 1, 2]
+        swap = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
+        repeated = np.zeros(table.base.size, dtype=np.uint8)
+        for images in (repeated, swap[table.base]):
+            with pytest.raises(LookupError):
+                table.base_index(images[None, :])
+            with pytest.raises(LookupError):  # also among member images
+                table.base_index(np.vstack([table.perms[:5, table.base], images]))
+        rows = table.perms[:, table.base]
+        assert table.base_index(rows).tolist() == list(range(table.order))
 
     def test_membership_checked_under_optimize(self):
         # under python -O assertions vanish; row_index must still refuse
@@ -280,13 +296,13 @@ MAP_GROUPS = {
 MAP_GROUPS["S1"] = lambda: product_table([symmetric_generators(1)], "S1", 1)
 
 
-def with_last_key_moved(table, delta: int):
-    """A copy of `table` whose last key is moved by `delta`; the last row is
-    a conjugate of some row, and no lookup finds it any more."""
-    moved = copy.copy(table)
-    moved.keys = table.keys.copy()
-    moved.keys[-1] += delta
-    return moved
+def with_row_collapsed(table, row: int):
+    """A copy of `table` whose row `row` maps every point to one point: the
+    base images of its conjugates repeat a point, so no lookup finds them."""
+    broken = copy.copy(table)
+    broken.perms = table.perms.copy()
+    broken.perms[row] = broken.perms[row, 0]
+    return broken
 
 
 def breadth_first_orbit_minima(maps: list[list[int]], n: int) -> list[int]:
@@ -403,21 +419,6 @@ class TestRunChunks:
         totals = [sum(hi - lo for lo, hi in share) for share in shares.values()]
         assert max(totals) - min(totals) <= 1
 
-    @pytest.mark.parametrize(
-        "text, chunk", [("A4", 24), ("D4", 40), ("B3 x I2(5)", 70)]
-    )
-    def test_block_sort_chunks_never_cut_a_block(self, monkeypatch, text, chunk):
-        expected = build(text)
-        block = expected.order // np.unique(expected.perms[:, expected.base[0]]).size
-        # chunks of `chunk` rows on two threads would cut a block u_1 H
-        count = -(-expected.order // chunk)
-        count += count % 2
-        assert any(expected.order * i // count % block for i in range(count))
-        set_row_kernels(monkeypatch, 2, chunk)
-        table = build(text)
-        assert np.array_equal(table.perms, expected.perms)
-        assert np.array_equal(table.keys, expected.keys)
-
     def test_one_chunk_runs_in_the_caller(self, monkeypatch):
         set_row_kernels(monkeypatch, 4)
         ran_on = []
@@ -498,20 +499,20 @@ class TestConjugationMaps:
             conjugated = t_row[table.perms[rows][:, np.argsort(t_row)]]  # t e t^-1
             assert np.array_equal(table.row_index(conjugated), maps[s, rows])
 
-    @pytest.mark.parametrize("delta", [1, -1])  # a key between, or past the table
-    def test_missing_conjugate_raises(self, delta):
+    @pytest.mark.parametrize("row", [1, -1])  # in the first chunk, or the last
+    def test_missing_conjugate_raises(self, row):
         table = build("D4")
         with pytest.raises(LookupError):
-            with_last_key_moved(table, delta).conjugation_maps()
+            with_row_collapsed(table, row).conjugation_maps()
         assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
 
-    @pytest.mark.parametrize("delta", [1, -1])
-    def test_missing_conjugate_raises_from_threads(self, monkeypatch, delta):
+    @pytest.mark.parametrize("row", [1, -1])  # raised in the caller, or a worker
+    def test_missing_conjugate_raises_from_threads(self, monkeypatch, row):
         table = build("D4")
         set_row_kernels(monkeypatch, 2, 16)  # 12 chunks on two threads
         before = threading.active_count()
         with pytest.raises(LookupError):
-            with_last_key_moved(table, delta).conjugation_maps()
+            with_row_collapsed(table, row).conjugation_maps()
         assert threading.active_count() == before
         assert sorted(table.conjugation_maps()[0].tolist()) == list(range(192))
 
@@ -523,9 +524,9 @@ class TestConjugationMaps:
 
 
 def check_missing_conjugate_under_optimize(threaded: bool):
-    """Under python -O, a D4 table whose last key is moved refuses its
-    conjugation maps, on one thread or over 12 chunks on two, and leaves no
-    thread behind."""
+    """Under python -O, a D4 table with a collapsed row (`with_row_collapsed`)
+    refuses its conjugation maps, on one thread or over 12 chunks on two,
+    and leaves no thread behind."""
     script = (
         "import copy, threading\n"
         "from zclass import groups\n"
@@ -536,12 +537,12 @@ def check_missing_conjugate_under_optimize(threaded: bool):
         "    groups._workers, groups._ROW_CHUNK = (lambda: 2), 16\n"
         "before = threading.active_count()\n"
         "print(__debug__)\n"
-        "for delta in (1, -1):\n"
-        "    moved = copy.copy(table)\n"
-        "    moved.keys = table.keys.copy()\n"
-        "    moved.keys[-1] += delta\n"
+        "for row in (1, -1):\n"
+        "    broken = copy.copy(table)\n"
+        "    broken.perms = table.perms.copy()\n"
+        "    broken.perms[row] = broken.perms[row, 0]\n"
         "    try:\n"
-        "        moved.conjugation_maps()\n"
+        "        broken.conjugation_maps()\n"
         "        print('accepted')\n"
         "    except LookupError:\n"
         "        print('refused')\n"
@@ -595,7 +596,8 @@ class TestStabilizerChain:
     @PROPERTY_SETTINGS
     @given(gens=generator_sets())
     def test_first_level_is_least_moved_point_sorted_by_image(self, gens):
-        # the table's block sort relies on both
+        # the table's rows are then sorted by their image of the first base
+        # point, which `image_starts` and the class reps rely on
         levels = extend([], gens)
         moved = np.flatnonzero((gens != np.arange(gens.shape[1])).any(axis=0))
         if not moved.size:
@@ -687,7 +689,8 @@ class TestStabilizerChain:
     def test_trivial_group_has_no_base(self):
         table = product_table([symmetric_generators(1)], "S1", 1)
         assert table.perms.tolist() == [[0]]
-        assert table.base.size == 0 and table.keys.tolist() == [0]
+        assert table.base.size == 0
+        assert table.base_index(np.zeros((1, 0), dtype=np.uint8)).tolist() == [0]
         assert table.gen_rows == ()
         identity = group_from_generators([np.arange(3)], name="1", degree=3, order=1)
         assert identity.order == 1 and identity.gen_rows == (0,)
