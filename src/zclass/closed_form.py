@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, repeat
 
-from .combinatorics import partition_numbers, product_series, zeta
+from .combinatorics import eta_series, zeta
 from .errors import MAX_FORMULA_RANK, UnsupportedGroupError, order_cap_exceeded
 from .families import FAMILIES, METHODS, CoxeterType, IrreducibleType
 from .families import parse_coxeter_type  # noqa: F401  (re-exported)
@@ -64,23 +64,9 @@ def check_order(parts: list[tuple[int, int, int]], what: str, cap: int) -> int:
     raise order_cap_exceeded(what, order, cap)
 
 
-def _part_series(n: int, odd, even) -> int:
-    """q^n coefficient of a product with one set of factors per part size p <= n.
-
-    `odd` and `even` list (scale, power) pairs: part size p contributes
-    1/(1 - q^(scale*p))^power for each pair of its parity.
-    """
-    factors = (
-        (p * scale, power)
-        for p in range(1, n + 1)
-        for scale, power in (odd if p % 2 else even)
-    )
-    return product_series(factors, n)[n]
-
-
 def partition_count(n: int) -> int:
-    """p(n): the conjugacy classes of S_n."""
-    return partition_numbers(n)[n]
+    """p(n): the conjugacy classes of S_n, the q^n coefficient of 1/E(q)."""
+    return eta_series(n, ((1, -1),))[n]
 
 
 def z_count_a(n: int) -> int:
@@ -89,14 +75,17 @@ def z_count_a(n: int) -> int:
     lam of n-2 free of parts 1 and 2; P(q)(1-q)(1-q^2) counts those lam."""
     if n < 1:
         raise ValueError("n must be positive")
-    p = partition_numbers(n)
+    p = eta_series(n, ((1, -1),))
     terms = ((0, 1), (2, -1), (3, 1), (4, 1), (5, -1))  # (power of q, sign)
     return sum(sign * p[n - k] for k, sign in terms if k <= n)
 
 
 def conjugacy_count_bc(n: int) -> int:
-    """Signed partitions (bipartitions) of n: the conjugacy classes of C2 wr S_n."""
-    return _part_series(n, ((1, 2),), ((1, 2),))
+    """Signed partitions (bipartitions) of n: the conjugacy classes of C2 wr S_n.
+
+    Each part size p, barred or not, gives 1/(1 - q^p)^2: 1/E(q)^2 in all.
+    """
+    return eta_series(n, ((1, -2),))[n]
 
 
 def conjugacy_count_d(n: int) -> int:
@@ -117,11 +106,12 @@ def z_count_bc(n: int) -> int:
     The paper's sum over partitions of n of prod (floor(m/2)+1) over odd parts
     of multiplicity m times prod (m+1) over even parts.  Per part size p
     those factors sum to 1/((1-q^p)(1-q^2p)) for odd p and 1/(1-q^p)^2 for
-    even p; the count is the q^n coefficient of their product.
+    even p; their product is E(q^4)/(E(q) E(q^2)^2), since the odd p alone
+    give 1/(1-q^2p) = E(q^4)/E(q^2).  The count is its q^n coefficient.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _part_series(n, ((1, 1), (2, 1)), ((1, 2),))
+    return eta_series(n, ((4, 1), (1, -1), (2, -2)))[n]
 
 
 def z_count_d(n: int) -> int:
@@ -131,16 +121,20 @@ def z_count_d(n: int) -> int:
     subtracts zeta(n-2) and adds |Delta'(n/2)|.  Delta'(n) (odd parts of even
     multiplicity) has a series per part size, so its z-sum and the number of
     its members with odd z are coefficients; the Delta sum is the rest of
-    z_count_bc(n).
+    z_count_bc(n).  Per odd p and even p, with 1/(1-q^2p) over odd p being
+    E(q^4)/E(q^2):
+    - the z-sum: 1/(1-q^2p)^2 and 1/(1-q^p)^2, so E(q^4)^2/E(q^2)^4;
+    - the odd-z count: 1/(1-q^4p) and 1/(1-q^2p), so E(q^8)/E(q^4)^2;
+    - |Delta'(n/2)|: 1/(1-q^2p) and 1/(1-q^p), so E(q^4)/E(q^2)^2 at n/2.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     all_z = z_count_bc(n)
     if n % 2:
         return all_z
-    prime_z = _part_series(n, ((2, 2),), ((1, 2),))
-    prime_odd_z = _part_series(n, ((4, 1),), ((2, 1),))
-    prime_half = _part_series(n // 2, ((2, 1),), ((1, 1),))
+    prime_z = eta_series(n, ((4, 2), (2, -4)))[n]
+    prime_odd_z = eta_series(n, ((8, 1), (4, -2)))[n]
+    prime_half = eta_series(n // 2, ((4, 1), (2, -2)))[n // 2]
     return all_z - prime_z + (prime_z + prime_odd_z) // 2 - zeta(n - 2) + prime_half
 
 

@@ -1,4 +1,4 @@
-"""Integer partitions, signed partitions, and restricted partition counts."""
+"""Integer partitions, signed partitions, eta-quotient series and restricted counts."""
 
 from __future__ import annotations
 
@@ -149,51 +149,47 @@ def signed_partitions_of(n: int) -> list[SignedPartition]:
     return out
 
 
-def product_series(factors, n: int) -> list[int]:
-    """Coefficients of q^0..q^n in the product of 1/(1 - q^step)^power.
+def eta_series(n: int, powers) -> list[int]:
+    """Coefficients of q^0..q^n in the product of E(q^a)^e over the (a, e) pairs
+    in `powers`, where E(q) = prod over k >= 1 of (1 - q^k).
 
-    `factors` yields (step, power) pairs with step >= 1.  Each power of each
-    factor costs n additions, so a product over part sizes 1..n is O(n^2).
+    By Euler's pentagonal theorem E(q^a) is 1 plus the terms (-1)^k q^(a k(3k-1)/2)
+    and (-1)^k q^(a k(3k+1)/2) for k >= 1, O(sqrt(n/a)) of them up to q^n.  So each
+    unit of e multiplies by E(q^a) (top coefficient down) or divides by it (bottom
+    up) in O(n^1.5) additions.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     coeffs = [1] + [0] * n
-    for step, power in factors:
-        for _ in range(power):
-            for k in range(step, n + 1):
-                coeffs[k] += coeffs[k - step]
+    for a, e in powers:
+        terms, k = [], 1  # (exponent, sign is +) past the 1 of E(q^a), ascending
+        while (t := a * k * (3 * k - 1) // 2) <= n:
+            terms += [(t, k % 2 == 0), (t + a * k, k % 2 == 0)]
+            k += 1
+        for _ in range(abs(e)):
+            for m in range(n, 0, -1) if e > 0 else range(1, n + 1):
+                total = 0
+                for t, plus in terms:
+                    if t > m:
+                        break
+                    if plus:
+                        total += coeffs[m - t]
+                    else:
+                        total -= coeffs[m - t]
+                coeffs[m] += total if e > 0 else -total
     return coeffs
-
-
-def partition_numbers(n: int) -> list[int]:
-    """p(0), ..., p(n) by Euler's pentagonal-number recurrence.
-
-    p(k) = sum over j >= 1 of (-1)^(j+1) (p(k - j(3j-1)/2) + p(k - j(3j+1)/2)),
-    with O(sqrt k) terms for each k, so O(n^1.5) additions in all.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    p = [1] + [0] * n
-    for k in range(1, n + 1):
-        total, j = 0, 1
-        while (pent := j * (3 * j - 1) // 2) <= k:
-            term = p[k - pent]
-            if pent + j <= k:
-                term += p[k - pent - j]
-            total += term if j % 2 else -term
-            j += 1
-        p[k] = total
-    return p
 
 
 def zeta(n: int) -> int:
     """Number of partitions of n with every part even and at least 4.
 
-    zeta(0) = 1: the empty partition qualifies vacuously.
+    One factor 1/(1 - q^p) per even p >= 4 makes (1 - q^2)/E(q^2), whose q^n
+    coefficient this is.  zeta(0) = 1: the empty partition qualifies vacuously.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return product_series(((p, 1) for p in range(4, n + 1, 2)), n)[n]
+    series = eta_series(n, ((2, -1),))
+    return series[n] - (series[n - 2] if n >= 2 else 0)
 
 
 def delta_set(n: int) -> list[Partition]:

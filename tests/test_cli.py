@@ -89,11 +89,19 @@ class TestCount:
         )
 
     def test_a5000_counts_in_process_quickly(self, capsys):
-        """p(0..5001) by the pentagonal recurrence, once for each of the two counts."""
+        """p(0..5001) as the series 1/E(q), once for each of the two counts."""
         start = time.perf_counter()
         code, _, _ = run_cli(capsys, "count", "A5000")
         assert code == 0
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text", ["B5000", "D5000"])
+    def test_bd5000_counts_in_process_quickly(self, capsys, text):
+        """The eta quotients at the rank cap: O(n^1.5) additions per series."""
+        start = time.perf_counter()
+        code, _, _ = run_cli(capsys, "count", text)
+        assert code == 0
+        assert time.perf_counter() - start < 2
 
     def test_e8_oracle_refused(self, capsys):
         code, _, err = run_cli(capsys, "count", "E8", "--method", "oracle")

@@ -6,15 +6,20 @@ from itertools import product
 
 import pytest
 
+from zclass.closed_form import (
+    conjugacy_count_bc,
+    partition_count,
+    z_count_bc,
+    z_count_d,
+)
 from zclass.combinatorics import (
     Partition,
     SignedPartition,
     delta_prime_set,
     delta_set,
+    eta_series,
     even_sum_tuple_count,
-    partition_numbers,
     partitions_of,
-    product_series,
     signed_partitions_of,
     zeta,
 )
@@ -33,6 +38,87 @@ def naive_partitions(n):
 
     rec(n, 1, [])
     return out
+
+
+def product_series(factors, n):
+    """Coefficients of q^0..q^n in the product of 1/(1 - q^step)^power, one
+    factor at a time: the reference the eta quotients are checked against.
+
+    `factors` yields (step, power) pairs with step >= 1.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    coeffs = [1] + [0] * n
+    for step, power in factors:
+        for _ in range(power):
+            for k in range(step, n + 1):
+                coeffs[k] += coeffs[k - step]
+    return coeffs
+
+
+def part_series(n, odd, even):
+    """q^0..q^n of a product with one set of factors per part size p <= n.
+
+    `odd` and `even` list (scale, power) pairs: part size p contributes
+    1/(1 - q^(scale*p))^power for each pair of its parity.
+    """
+    factors = (
+        (p * scale, power)
+        for p in range(1, n + 1)
+        for scale, power in (odd if p % 2 else even)
+    )
+    return product_series(factors, n)
+
+
+def z_count_d_by_products(n):
+    """z_count_d(2..n) from the paper's per-part factors, term by term."""
+    all_z = part_series(n, ((1, 1), (2, 1)), ((1, 2),))
+    prime_z = part_series(n, ((2, 2),), ((1, 2),))
+    prime_odd_z = part_series(n, ((4, 1),), ((2, 1),))
+    prime_half = part_series(n // 2, ((2, 1),), ((1, 1),))
+    zetas = product_series(((p, 1) for p in range(4, n + 1, 2)), n)
+
+    def count(k):
+        if k % 2:
+            return all_z[k]
+        prime_ceil = (prime_z[k] + prime_odd_z[k]) // 2
+        return all_z[k] - prime_z[k] + prime_ceil - zetas[k - 2] + prime_half[k // 2]
+
+    return [count(k) for k in range(2, n + 1)]
+
+
+def eta_form(powers, odd, even):
+    """An eta quotient and the product of its per-part factors, q^0..q^300."""
+    return lambda: (eta_series(300, powers), part_series(300, odd, even))
+
+
+# each series of the closed forms, up to q^300 (p(n) and zeta up to q^400),
+# against the product form
+SERIES_FORMS = {
+    "partition_count": lambda: (
+        [partition_count(n) for n in range(401)],
+        product_series(((k, 1) for k in range(1, 401)), 400),
+    ),
+    "zeta": lambda: (
+        [zeta(n) for n in range(401)],
+        product_series(((p, 1) for p in range(4, 401, 2)), 400),
+    ),
+    "conjugacy_count_bc": lambda: (
+        [conjugacy_count_bc(n) for n in range(301)],
+        part_series(300, ((1, 2),), ((1, 2),)),
+    ),
+    "z_count_bc": lambda: (
+        [z_count_bc(n) for n in range(1, 301)],
+        part_series(300, ((1, 1), (2, 1)), ((1, 2),))[1:],
+    ),
+    "z_count_d z-sum": eta_form(((4, 2), (2, -4)), ((2, 2),), ((1, 2),)),
+    "z_count_d odd-z count": eta_form(((8, 1), (4, -2)), ((4, 1),), ((2, 1),)),
+    "z_count_d half": eta_form(((4, 1), (2, -2)), ((2, 1),), ((1, 1),)),
+    "z_count_d": lambda: (
+        [z_count_d(n) for n in range(2, 301)],
+        z_count_d_by_products(300),
+    ),
+}
 
 
 class TestPartition:
@@ -119,14 +205,23 @@ class TestRestrictedCounts:
         with pytest.raises(ValueError):
             product_series([(1, 1)], -1)
 
-    def test_partition_numbers_match_the_series(self):
-        assert partition_numbers(0) == [1]
-        assert partition_numbers(7) == [1, 1, 2, 3, 5, 7, 11, 15]
-        series = product_series(((k, 1) for k in range(1, 401)), 400)
-        assert partition_numbers(400) == series
-        assert [len(partitions_of(n)) for n in range(13)] == partition_numbers(12)
+    def test_eta_series_small_quotients(self):
+        assert eta_series(0, ((1, -1),)) == [1]
+        assert eta_series(7, ((1, -1),)) == [1, 1, 2, 3, 5, 7, 11, 15]
+        assert [len(partitions_of(n)) for n in range(13)] == eta_series(12, ((1, -1),))
+        assert eta_series(7, ((1, 1),)) == [1, -1, -1, 0, 0, 1, 0, 1]
+        assert eta_series(6, ((2, 1),)) == [1, 0, -1, 0, -1, 0, 0]
+        assert eta_series(5, ((1, 1), (1, -1))) == [1, 0, 0, 0, 0, 0]
+        assert eta_series(3, ()) == [1, 0, 0, 0]
+
+    def test_eta_series_rejects_negative_n(self):
         with pytest.raises(ValueError):
-            partition_numbers(-1)
+            eta_series(-1, ((1, -1),))
+
+    @pytest.mark.parametrize("form", SERIES_FORMS)
+    def test_series_equals_the_product_form(self, form):
+        got, expected = SERIES_FORMS[form]()
+        assert got == expected
 
     def test_zeta_paper_value(self):
         assert zeta(8) == 2  # 4+4 and 8

@@ -33,6 +33,9 @@ ARGVS = [
     for fmt in ("table", "json")
 ] + [
     ("verify", "--all-small", "--format", "json"),
+    ("count", "B5000", "--format", "json"),
+    ("count", "D5000", "--format", "json"),
+    ("count", "D4999", "--format", "json"),
     ("count", "B6000"),
     ("classes", "B27"),
     ("count", "A1000000"),
@@ -696,6 +699,18 @@ GOLDEN = {
         0,
         "2507183c522857fd12ddee56cbecdd2b6cc5a9164b172b2a7fff7702042ad288",
     ),
+    "count B5000 --format json": (
+        0,
+        "3d551a0f9f577243ba90531e45f0385d3bbf8d92143757f9d83760f57f933b66",
+    ),
+    "count D5000 --format json": (
+        0,
+        "371f1a642694dfbb19e7e1eb7104da124ecf39cf00d49ebc1c239ad2a33d9186",
+    ),
+    "count D4999 --format json": (
+        0,
+        "19410f9ec0ba157d943bd492e4441c515041759659b487867b9b9d3879b2f755",
+    ),
     "count B6000": (
         3,
         "56e1b7876b8f89e2b821e454929003a9bca3c9469083fdf1d77f8b6975c230c0",
@@ -730,8 +745,8 @@ def test_cli_output_is_pinned(argv):
 
 def test_matrix_covers_every_exit_path():
     codes = [code for code, _ in GOLDEN.values()]
-    assert len(GOLDEN) == len(ARGVS) == 167
-    assert (codes.count(0), codes.count(2), codes.count(3)) == (137, 14, 16)
+    assert len(GOLDEN) == len(ARGVS) == 170
+    assert (codes.count(0), codes.count(2), codes.count(3)) == (140, 14, 16)
 
 
 if __name__ == "__main__":
