@@ -126,16 +126,19 @@ def z_count_d(n: int) -> int:
     - the z-sum: 1/(1-q^2p)^2 and 1/(1-q^p)^2, so E(q^4)^2/E(q^2)^4;
     - the odd-z count: 1/(1-q^4p) and 1/(1-q^2p), so E(q^8)/E(q^4)^2;
     - |Delta'(n/2)|: 1/(1-q^2p) and 1/(1-q^p), so E(q^4)/E(q^2)^2 at n/2.
+    A series in q^a has its q^n coefficient at q^(n/a) of the series with
+    q^a written as q, and none unless a | n: so the z-sum is E(q^2)^2/E(q)^4
+    at n/2, and the other two are one count, E(q^2)/E(q)^2 at n/4, 0 unless
+    4 | n.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     all_z = z_count_bc(n)
     if n % 2:
         return all_z
-    prime_z = eta_series(n, ((4, 2), (2, -4)))[n]
-    prime_odd_z = eta_series(n, ((8, 1), (4, -2)))[n]
-    prime_half = eta_series(n // 2, ((4, 1), (2, -2)))[n // 2]
-    return all_z - prime_z + (prime_z + prime_odd_z) // 2 - zeta(n - 2) + prime_half
+    prime_z = eta_series(n // 2, ((2, 2), (1, -4)))[n // 2]
+    prime_odd_z = eta_series(n // 4, ((2, 1), (1, -2)))[n // 4] if n % 4 == 0 else 0
+    return all_z - prime_z + (prime_z + prime_odd_z) // 2 - zeta(n - 2) + prime_odd_z
 
 
 def z_count_dihedral(m: int) -> int:

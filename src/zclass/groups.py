@@ -23,7 +23,12 @@ identity fixes them all, so two elements are equal exactly when they agree
 on the base.  A member is found from its base images by sifting them:
 level i's digit is the position of the image of b_i in its orbit, and the
 later images are pulled back through that transversal element's inverse
-(`GroupTable.base_index`).  So an equation between group elements
+(`GroupTable.base_index`).  Consecutive levels are fused into runs, as many
+as keep degree^levels within 2^16: the images of a run's points key one
+dense table that gives the digits' share of the row index at once, and
+`order`, past every row, for images of no product of the run's transversal
+elements.  Images past the degree are refused first, so a non-member's key
+never aliases a member's.  So an equation between group elements
 (commutation, conjugation) is checked at the base points alone, and the
 conjugate t e t^-1 is found from e's images at the points t^-1(b_i) mapped
 through t, with no product row formed.  b_1 is the least point the group
@@ -48,6 +53,7 @@ MAX_DEGREE = 256
 _ROW_CHUNK = 1 << 16
 _TAKE_CHUNK = 1 << 14
 _CHUNKS_PER_THREAD = 4
+_RUN_KEYS = 1 << 16  # a run fuses levels while degree^levels stays within this
 
 
 def _workers() -> int:
@@ -167,7 +173,8 @@ class GroupTable:
     `_products`: the row of u_1 ... u_k, u_i the j_i-th element of level i's
     transversal, is the mixed-radix number of its digits j_1, ..., j_k over
     the orbit lengths, the first level most significant.  The complete chain
-    `levels` it was built from is the table's one index (`base_index`), and
+    `levels` it was built from is the table's one index (`base_index`), cut
+    into runs of levels, each read by one table lookup (`_runs`), and
     `base` holds its level points.  `gen_rows` index the generators the
     table was built from (for a Coxeter group of rank 4 or more, the three
     of `coxeter_generators`); conjugation by each gives one row of
@@ -188,23 +195,8 @@ class GroupTable:
         self.gen_rows = gen_rows
         self.labeler = labeler
         self.base = np.array([level.point for level in levels], dtype=np.intp)
+        self._runs = _runs(levels, self.degree, self.order)
         identity = np.arange(self.degree)
-        # per level, as `base_index` reads it: share[q], the row index's share
-        # for the image q of the level's point (`order` off its orbit); the
-        # flat inverses and start[q], where u_j^-1 for that image begins in
-        # them; and the later base columns its transversal may move
-        self._steps = []
-        weight = self.order
-        for i, level in enumerate(levels):
-            weight //= level.transversal.shape[0]
-            on = level.position >= 0
-            share = np.where(on, level.position * weight, self.order)
-            start = np.where(on, level.position * self.degree, 0)
-            orbit = orbit_labels(level.gens, self.degree)
-            moved = set(orbit[(level.transversal != identity).any(axis=0)].tolist())
-            later = range(i + 1, len(levels))
-            pulls = [c for c in later if orbit[levels[c].point] in moved]
-            self._steps.append((share, level.inverse, start, pulls))
         self.identity_row = int(self.row_index(identity[None, :])[0])
         self._inverses: np.ndarray | None = None
         self._orders: np.ndarray | None = None
@@ -214,36 +206,52 @@ class GroupTable:
         """Indices of members given by their base images, one (k,) row each;
         images of no member raise LookupError, also under -O.
 
-        The images are sifted through the chain.  Level i's digit j is the
-        position of the image of b_i in its orbit, and the later images are
-        pulled back through u_j^-1, one uint8 column at a time, so level
-        i + 1 reads the images under u_{i+1} ... u_k.  The row index is the
-        sum of each digit times the product of the later orbit lengths.  An
-        image off a level's orbit adds `order` instead, past every row, and
-        images that pass every level are those of the row found, so a
-        non-member always raises.
+        The images are sifted through the chain a run of levels lo..hi-1 at
+        a time (`_runs`), each run as many consecutive levels as keep
+        degree^(hi - lo) within 2^16.  The earlier runs have pulled the
+        images back through their products' inverses, so a member's images
+        of b_lo, ..., b_{hi-1} are those of u_lo ... u_{hi-1}, as the later
+        levels fix these points.  Their mixed-radix key, the first most
+        significant, reads the run's share of the row index (the mixed-radix
+        number of its digits times the product of the later orbit lengths)
+        from one dense table; then the later images are pulled back through
+        that product's inverse, one uint8 column at a time.
+
+        Every image is checked to lie below `degree` first, so distinct
+        images have distinct keys and no key aliases a member's.  A key that
+        is no product's images reads `order`, past every row, and images
+        that pass every run are those of the row found: a non-member always
+        raises.
 
         A member's image of b_c, pulled back to level i < c, lies in the
         orbit O of b_c under level i's group.  Where level i's transversal
-        fixes every point of O, the pull is skipped: it fixes a member's
+        fixes every point of O, its pull is skipped: it fixes a member's
         image, and a non-member's image that it would move lies outside O,
-        where the later pulls, by elements of that group, keep it, so level
-        c finds it off its orbit either way.  So no level of a direct product
-        pulls another factor's images back.
+        where the later pulls, by elements of that group, keep it, so the
+        run of b_c finds it off its orbit either way.  A run pulls a column
+        where one of its levels would, so no run of a direct product pulls
+        back the images of a factor it holds no level of.
         """
-        return self._sift(np.array(np.asarray(images).T, dtype=np.uint8, order="C"))
+        images = np.asarray(images)
+        if images.size and (images.min() < 0 or images.max() >= self.degree):
+            raise LookupError(f"base image past the points of {self.name}")
+        return self._sift(np.array(images.T, dtype=np.uint8, order="C"))
 
     def _sift(self, columns: np.ndarray) -> np.ndarray:
         """`base_index` of the images `columns`, one uint8 row per base point,
-        which it overwrites."""
+        each below `degree`, which it overwrites: per run, f - 1 in-place
+        multiply-adds make the key, one lookup reads the share, and one
+        gather per pulled column pulls it back."""
         idx = np.zeros(columns.shape[1], dtype=np.intp)
-        buffer = np.empty_like(idx)
-        for (share, inverse, start, pulls), column in zip(self._steps, columns):
-            idx += np.take(share, column, out=buffer)
+        key = np.empty_like(idx)
+        buffer = np.empty(idx.shape, dtype=np.int32)
+        for lo, hi, share, start, inverse, pulls in self._runs:
+            at = _run_key(columns[lo:hi], self.degree, key)
+            idx += np.take(share, at, out=buffer)
             if pulls:
-                at = start[column]
+                np.take(start, at, out=buffer)
                 for c in pulls:
-                    np.take(inverse, np.add(at, columns[c], out=buffer), out=columns[c])
+                    np.take(inverse, np.add(buffer, columns[c], out=key), out=columns[c])
         if np.any(idx >= self.order):
             raise LookupError(f"element not in group table {self.name}")
         return idx
@@ -356,6 +364,58 @@ def _level(point: int, gens: np.ndarray) -> ChainLevel:
     transversal = np.array([found[p] for p in points])
     inverse = np.argsort(transversal, axis=1).astype(np.uint8)
     return ChainLevel(point, gens, position, transversal, inverse)
+
+
+def _runs(levels: list[ChainLevel], degree: int, order: int) -> list[tuple]:
+    """The runs `GroupTable._sift` reads, (lo, hi, share, start, inverse,
+    pulls) for levels lo..hi-1 (see `GroupTable.base_index`): share[key] and
+    start[key] are the row index's share of the product u_lo ... u_{hi-1}
+    whose images of the run's points have that `_run_key` (`order` where
+    none has) and where its inverse begins in the flat inverses `inverse`,
+    composed from the levels' inverses by gathers; `pulls` are the later
+    base columns some level of the run may move.  The tables are int32;
+    start and inverse are None where nothing is pulled."""
+    identity, base = np.arange(degree), np.array([level.point for level in levels])
+    runs, weight, lo = [], order, 0
+    while lo < len(levels):
+        hi = lo + 1
+        while hi < len(levels) and degree ** (hi + 1 - lo) <= _RUN_KEYS:
+            hi += 1
+        images = base[None, lo:hi]
+        for level in reversed(levels[lo:hi]):  # the products, first digit most significant
+            images = np.take(level.transversal, images, axis=1).reshape(-1, hi - lo)
+        key = _run_key(images.T, degree, np.empty(len(images), dtype=np.intp))
+        rank, weight = np.arange(len(images)), weight // len(images)
+        share = np.full(degree ** (hi - lo), order, dtype=np.int32)
+        share[key] = rank * weight
+        pulls = set()
+        for level in levels[lo:hi]:
+            orbit = orbit_labels(level.gens, degree)
+            moved = set(orbit[(level.transversal != identity).any(axis=0)].tolist())
+            pulls.update(c for c in range(hi, len(levels)) if orbit[base[c]] in moved)
+        start = inverse = None
+        if pulls:
+            start = np.zeros_like(share)
+            start[key] = rank * degree
+            inverse = levels[lo].inverse
+            for level in levels[lo + 1 : hi]:  # (u v)^-1 = v^-1 u^-1, in the same order
+                inverse = np.take(level.inverse.T, inverse, axis=0).swapaxes(-1, -2)
+            inverse = inverse.ravel()
+        runs.append((lo, hi, share, start, inverse, sorted(pulls)))
+        lo = hi
+    return runs
+
+
+def _run_key(columns: np.ndarray, degree: int, key: np.ndarray) -> np.ndarray:
+    """The mixed-radix number of the images in each column of `columns`, one
+    row per point of a run, the first most significant, written to the intp
+    `key` by one in-place multiply-add per row past the first; the images of
+    a run of one level are their own key."""
+    at = columns[0]
+    for column in columns[1:]:
+        np.multiply(at, degree, out=key, dtype=np.intp)
+        at = np.add(key, column, out=key)
+    return at
 
 
 def chain_order(levels: list[ChainLevel]) -> int:

@@ -67,10 +67,10 @@ for c central, which holds x = (xc)c^-1.  So `z_classes` first joins into sure
 components all central classes (C = G), each other rep x with the class of
 x^p, for p a prime dividing ord(x) (read off x's cycle lengths), when that
 class has x's size, and x with the class of xc for c in a generating set of
-Z(G) (`_generating_rows`).  A row's class is read from an index of the
-class of every row, built once with one scatter per class outside the
-center.  Only the first class of a component meets the center test; the
-others join its group.
+Z(G) (`_generating_rows`).  A row's class is read from the class pass's
+own index of every row's class number, mapped in place to the order of the
+reps (`_classes`).  Only the first class of a component meets the center
+test; the others join its group.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
@@ -147,6 +147,13 @@ def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     lexicographically least member row, and the classes in order of their
     reps: the orbit labels of the conjugation maps, their members placed by
     a counting sort of the class numbers (see the module docstring)."""
+    return _classes(g)[0]
+
+
+def _classes(g: GroupTable) -> tuple[list[ConjugacyClass], np.ndarray]:
+    """`conjugacy_classes`, and each row's class as its position in that
+    list: the class numbers the counting sort placed the members by, mapped
+    through the order of the reps in place."""
     label = groups.orbit_labels(g.conjugation_maps(), g.order)
     # each class's first row, its label
     roots = np.flatnonzero(label == np.arange(g.order, dtype=np.int32)).astype(np.int32)
@@ -193,10 +200,18 @@ def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
     reps, by_rep = _reps(g, roots, number)
     ends = np.cumsum(sizes)
     spans = (reps, ends - sizes, ends)  # per class number
-    return [
+    classes = [
         ConjugacyClass(rep, members[lo:hi])
         for rep, lo, hi in zip(*(s[by_rep].tolist() for s in spans))
     ]
+    position = np.empty(roots.size, dtype=number.dtype)
+    position[by_rep] = np.arange(roots.size)
+
+    def renumber(lo: int, hi: int) -> None:
+        number[lo:hi] = position[number[lo:hi]]
+
+    groups._run_chunks(renumber, g.order, chunk)
+    return classes, number
 
 
 def _reps(
@@ -251,8 +266,11 @@ def _generating_rows(g: GroupTable, rows: np.ndarray) -> list[int]:
     return kept
 
 
-def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
-    """The first class of each class's sure component (see the module docstring)."""
+def _sure_components(
+    g: GroupTable, classes: list[ConjugacyClass], number: np.ndarray
+) -> list[int]:
+    """The first class of each class's sure component (see the module
+    docstring), each row's class read from `number`, as `_classes` gives it."""
     sizes = np.array([cl.size for cl in classes])
     reps = np.array([cl.rep for cl in classes])
     central, moving = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
@@ -270,9 +288,6 @@ def _sure_components(g: GroupTable, classes: list[ConjugacyClass]) -> list[int]:
         images.append(xs[:, g.perms[c][g.base]])  # x c
     src = np.concatenate([moving[:0], *src])
     rows = g.base_index(np.concatenate([xs[:0, g.base], *images]))
-    number = np.zeros(g.order, dtype=np.min_scalar_type(len(classes) - 1))
-    for j in moving:  # each row's class; a central row reads the identity's, 0
-        number[classes[j].members.astype(np.intp)] = j  # faster than by int32
     dst = number[rows]
     same = sizes[dst] == sizes[src]
     a, b = src[same], dst[same]
@@ -438,8 +453,9 @@ def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
     a conjugate centralizer absorbs it, decided by the center test on the
     probes of that group's first class, or the class opens a new group.
     """
-    classes = conjugacy_classes(g)
-    root = _sure_components(g, classes)
+    classes, number = _classes(g)
+    root = _sure_components(g, classes, number)
+    del number
     zgroups: list[list[int]] = []
     group_of: list[int] = []
     probes: dict[int, _Probes] = {}

@@ -1,9 +1,9 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
 the numpy engine, each row's number in chain order, a tiny dict-based z-class
-oracle built on it, the row of a signed permutation, the certified centralizer
-probes of a class, the derandomized settings of the hypothesis property tests,
-a switch for the thread count and chunk size of the row kernels, and the table
-of a Coxeter type."""
+oracle built on it, the per-level sift of base images, the row of a signed
+permutation, the certified centralizer probes of a class, the derandomized
+settings of the hypothesis property tests, a switch for the thread count and
+chunk size of the row kernels, and the table of a Coxeter type."""
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -62,6 +62,42 @@ def chain_numbers(table) -> list[int]:
             row = multiply(invert(transversal[j]), row)
         numbers.append(number)
     return numbers
+
+
+def per_level_sift(table):
+    """`table.base_index` one chain level at a time, as a reference for its
+    fused runs, for the chain of the table's generators, which is the chain
+    the table was built from.  Per level, one gather reads the row index's
+    share for the image of its point (`order` off its orbit), then one uint8
+    gather per later base column pulls it back through the flat inverse
+    transversal, skipped where the level's transversal fixes that column's
+    orbit under the level's group.  Images of no member raise LookupError,
+    and an image past the points that a level reads raises IndexError."""
+    levels = groups.extend([], table.perms[list(table.gen_rows)])
+    identity = np.arange(table.degree)
+    steps, weight = [], table.order
+    for i, level in enumerate(levels):
+        weight //= level.transversal.shape[0]
+        on = level.position >= 0
+        share = np.where(on, level.position * weight, table.order)
+        start = np.where(on, level.position * table.degree, 0)
+        orbit = groups.orbit_labels(level.gens, table.degree)
+        moved = set(orbit[(level.transversal != identity).any(axis=0)].tolist())
+        pulls = [c for c in range(i + 1, len(levels)) if orbit[levels[c].point] in moved]
+        steps.append((share, level.inverse, start, pulls))
+
+    def lookup(images: np.ndarray) -> np.ndarray:
+        columns = np.array(np.asarray(images).T, dtype=np.uint8, order="C")
+        idx = np.zeros(columns.shape[1], dtype=np.intp)
+        for (share, inverse, start, pulls), column in zip(steps, columns):
+            idx += share[column]
+            for c in pulls:
+                columns[c] = np.take(inverse, start[column] + columns[c])
+        if np.any(idx >= table.order):
+            raise LookupError(f"element not in group table {table.name}")
+        return idx
+
+    return lookup
 
 
 def multiply(a: tuple, b: tuple) -> tuple:

@@ -24,6 +24,7 @@ from conftest import (
     elements,
     invert,
     multiply,
+    per_level_sift,
     set_row_kernels,
     signed_perm_to_row,
     validate,
@@ -247,18 +248,69 @@ class TestGroupTableContract:
 
     def test_base_images_of_non_members_refused(self):
         # images that repeat a point, and those of the transposition (1 4),
-        # which sends e_0 and e_1 to e_0 and -e_0, sift to no row
+        # which sends e_0 and e_1 to e_0 and -e_0, sift to no row; nor do
+        # images past the 8 points.  D4's three levels are one run keyed by
+        # 64 a + 8 b + c, so (a, 8, c) and (a, b, 8), were they not refused
+        # first, would read the shares of the members (a + 1, 0, c) and
+        # (a, b + 1, 0)
         table = build("D4")
         assert table.base.tolist() == [0, 1, 2]
+        assert [run[:2] for run in table._runs] == [(0, 3)]
+        rows = table.perms[:, table.base].astype(np.intp)
+        head = rows[(rows[:, 0] > 0) & (rows[:, 1] == 0)][0] + [-1, 8, 0]
+        tail = rows[(rows[:, 1] > 0) & (rows[:, 2] == 0)][0] + [0, -1, 8]
         swap = np.array([0, 4, 2, 3, 1, 5, 6, 7], dtype=np.uint8)
         repeated = np.zeros(table.base.size, dtype=np.uint8)
-        for images in (repeated, swap[table.base]):
+        past = [[8, 0, 0], [255, 255, 255], [-1, 1, 2], [257, 1, 2]]
+        for images in (repeated, swap[table.base], head, tail, *np.array(past)):
             with pytest.raises(LookupError):
                 table.base_index(images[None, :])
             with pytest.raises(LookupError):  # also among member images
                 table.base_index(np.vstack([table.perms[:5, table.base], images]))
-        rows = table.perms[:, table.base]
         assert table.base_index(rows).tolist() == list(range(table.order))
+
+    @pytest.mark.parametrize(
+        "text,runs",
+        [
+            ("B6", [(0, 4), (4, 6)]),
+            ("A7", [(0, 5), (5, 7)]),
+            ("E6", [(0, 2), (2, 4)]),
+            ("H4", [(0, 2), (2, 4)]),
+            ("D7", [(0, 4), (4, 6)]),
+            ("B3 x I2(7)", [(0, 4), (4, 5)]),  # runs straddle the factors
+            ("D4 x I2(8)", [(0, 4), (4, 5)]),
+            ("I2(128) x I2(128)", [(0, 2), (2, 4)]),  # 256^2 keys, exactly 2^16
+            ("A1", [(0, 1)]),
+            ("I2(5)", [(0, 2)]),
+            ("S1", []),
+        ],
+    )
+    def test_fused_sift_matches_the_per_level_sift(self, text, runs):
+        table = MAP_GROUPS["S1"]() if text == "S1" else build(text)
+        assert [run[:2] for run in table._runs] == runs
+        assert all(run[2].size <= 1 << 16 for run in table._runs)
+        reference = per_level_sift(table)
+        rows = table.perms[:, table.base]
+        every = list(range(table.order))
+        assert table.base_index(rows).tolist() == reference(rows).tolist() == every
+        # member images with one image replaced, and random images, one at a time
+        rng = np.random.default_rng(5)
+        near = rows[rng.integers(0, table.order, size=200)]
+        if table.base.size:
+            at = rng.integers(0, table.base.size, size=near.shape[0])
+            near[np.arange(near.shape[0]), at] = rng.integers(0, table.degree, size=at.size)
+        scattered = rng.integers(0, table.degree, size=(200, table.base.size))
+        refused = 0
+        for images in np.vstack([near, scattered])[:, None, :]:
+            try:
+                expected = reference(images).tolist()
+            except LookupError:
+                refused += 1
+                with pytest.raises(LookupError):
+                    table.base_index(images)
+            else:
+                assert table.base_index(images).tolist() == expected
+        assert refused > 0 or table.order == table.degree ** table.base.size
 
     def test_membership_checked_under_optimize(self):
         # under python -O assertions vanish; row_index must still refuse
@@ -274,13 +326,19 @@ class TestGroupTableContract:
             "        print('accepted')\n"
             "    except LookupError:\n"
             "        print('refused')\n"
+            "for images in ([0, 0, 0], [8, 0, 0]):  # off an orbit, past the points\n"
+            "    try:\n"
+            "        table.base_index(np.array([images], dtype=np.uint8))\n"
+            "        print('accepted')\n"
+            "    except LookupError:\n"
+            "        print('refused')\n"
             "print(table.row_index(table.perms[:3]).tolist())\n"
         )
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["False", "refused", "refused", "[0, 1, 2]"]
+        assert proc.stdout.splitlines() == ["False"] + ["refused"] * 4 + ["[0, 1, 2]"]
 
     def test_rejects_non_permutation_generator(self):
         with pytest.raises(ValueError):

@@ -83,6 +83,19 @@ class TestConjugacyClasses:
             for c in classes:
                 assert table.order % c.size == 0
 
+    @pytest.mark.parametrize("text", ["S1", "B3", "D4 x I2(8)", "E6"])
+    def test_row_classes_index_the_listed_classes(self, text):
+        # the class pass's own row index, in the order of the list it returns
+        table = table_of(text)
+        classes, number = oracle._classes(table)
+        assert [(cl.rep, cl.members.tolist()) for cl in classes] == [
+            (cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)
+        ]
+        expected = np.empty(table.order, dtype=np.intp)
+        for i, cl in enumerate(classes):
+            expected[cl.members] = i
+        assert number.tolist() == expected.tolist()
+
     def test_representative_is_minimal_encoding(self):
         table = build("D3")
         for c in oracle.conjugacy_classes(table):
@@ -623,10 +636,11 @@ def eager_grouping(table) -> tuple[list, list[list[int]]]:
     return classes, groups
 
 
-def sure_roots(table, classes) -> dict[int, int]:
+def sure_roots(table) -> dict[int, int]:
     """The rep of each class mapped to the rep of the first class of its sure
     component."""
-    root = oracle._sure_components(table, classes)
+    classes, number = oracle._classes(table)
+    root = oracle._sure_components(table, classes, number)
     return {cl.rep: classes[r].rep for cl, r in zip(classes, root)}
 
 
@@ -686,7 +700,7 @@ class TestLazyCertificates:
     )
     def test_certifies_only_reached_heads(self, monkeypatch, text, probed, n_classes):
         table = build(text)
-        root = sure_roots(table, oracle.conjugacy_classes(table))
+        root = sure_roots(table)
         made = []
 
         class Counting(oracle._Probes):
@@ -713,7 +727,7 @@ class TestLazyCertificates:
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
         rep_row = lambda cl: table.perms[cl.rep].tolist()
         classes = sorted((cl for grp in groups for cl in grp), key=rep_row)
-        root = sure_roots(table, classes)
+        root = sure_roots(table)
         index = {cl.rep: i for i, cl in enumerate(classes, 1)}
         certified, joined = set(), []
         assert len(lines) == len(classes) + 1 == 26
@@ -789,8 +803,8 @@ class TestSureComponents:
     )
     def test_roots_match_a_search_among_the_classes_of_each_size(self, text):
         table = table_of(text)
-        classes = oracle.conjugacy_classes(table)
-        roots = oracle._sure_components(table, classes)
+        classes, number = oracle._classes(table)
+        roots = oracle._sure_components(table, classes, number)
         assert roots == size_search_roots(table, classes)
 
     @pytest.mark.parametrize("text", EAGER_TYPES + [A1_POWER, "I2(255)", "S1"])
@@ -798,7 +812,7 @@ class TestSureComponents:
         table = table_of(text)
         classes, eager = eager_grouping(table)
         group_of = {ci: gi for gi, grp in enumerate(eager) for ci in grp}
-        root = oracle._sure_components(table, classes)
+        root = oracle._sure_components(table, *oracle._classes(table))
         for ci, r in enumerate(root):
             assert root[r] == r <= ci
             assert group_of[r] == group_of[ci], table.label(classes[ci].rep)
@@ -822,7 +836,7 @@ class TestSureComponents:
     )
     def test_rows_looked_up_are_bounded(self, monkeypatch, text, n_generators):
         table = table_of(text)
-        classes = oracle.conjugacy_classes(table)
+        classes, number = oracle._classes(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
         assert len(oracle._generating_rows(table, central)) == n_generators
         looked_up = []
@@ -833,7 +847,7 @@ class TestSureComponents:
             return base_index(g, images)
 
         monkeypatch.setattr(type(table), "base_index", counting)
-        oracle._sure_components(table, classes)
+        oracle._sure_components(table, classes, number)
         primes = sum(
             table.order % p == 0 and all(p % q for q in range(2, p))
             for p in range(2, table.degree + 1)
@@ -847,11 +861,11 @@ class TestSureComponents:
     )
     def test_trivial_group_all_central_and_trivial_centers(self, text):
         table = table_of(text)
-        classes = oracle.conjugacy_classes(table)
+        classes, number = oracle._classes(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
         generators = oracle._generating_rows(table, central)
         assert len(generators) == math.ceil(math.log2(central.size))
-        assert len(oracle._sure_components(table, classes)) == len(classes)
+        assert len(oracle._sure_components(table, classes, number)) == len(classes)
         expected = 1 if text == "S1" else z_count(parse_coxeter_type(text)).total
         assert len(oracle.z_classes(table)) == expected
 
