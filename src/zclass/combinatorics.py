@@ -108,26 +108,41 @@ class SignedPartition:
         return _notation(chunks)
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, in reverse-lexicographic order of part sequences.
+def partition_runs(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """All partitions of n as run-length tuples ((part, multiplicity), ...).
 
-    partitions_of(0) is the single empty partition.
+    Parts are strictly decreasing within a tuple, and the tuples come in the
+    reverse-lexicographic order of their part sequences: n first, 1^n last.
+    Leading with more copies of a part sorts first, so each part's
+    multiplicities are walked down from the largest that fits.
+    partition_runs(0) is the single empty tuple.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out: list[Partition] = []
+    out: list[tuple[tuple[int, int], ...]] = []
 
-    def descend(remaining: int, cap: int, prefix: list[int]) -> None:
-        if remaining == 0:
-            out.append(Partition.from_parts(prefix))
-            return
-        for p in range(min(cap, remaining), 0, -1):
-            prefix.append(p)
-            descend(remaining - p, p, prefix)
-            prefix.pop()
+    def descend(remaining: int, cap: int, prefix: tuple) -> None:
+        for p in range(min(cap, remaining), 1, -1):
+            for m in range(remaining // p, 0, -1):
+                run = prefix + ((p, m),)
+                if remaining == p * m:
+                    out.append(run)
+                else:
+                    descend(remaining - p * m, p - 1, run)
+        out.append(prefix + ((1, remaining),))
 
-    descend(n, n, [])
+    if n == 0:
+        return [()]
+    descend(n, n, ())
     return out
+
+
+def partitions_of(n: int) -> list[Partition]:
+    """All partitions of n, in the order of `partition_runs`.
+
+    partitions_of(0) is the single empty partition.
+    """
+    return [Partition(runs) for runs in partition_runs(n)]
 
 
 def signed_partitions_of(n: int) -> list[SignedPartition]:
@@ -139,12 +154,10 @@ def signed_partitions_of(n: int) -> list[SignedPartition]:
     if n < 1:
         raise ValueError("n must be positive")
     out: list[SignedPartition] = []
-    for lam in reversed(partitions_of(n)):
-        for bars in product(*[range(m + 1) for _, m in lam.entries]):
+    for runs in reversed(partition_runs(n)):
+        for bars in product(*[range(m + 1) for _, m in runs]):
             out.append(
-                SignedPartition(
-                    tuple((p, m - t, t) for (p, m), t in zip(lam.entries, bars))
-                )
+                SignedPartition(tuple((p, m - t, t) for (p, m), t in zip(runs, bars)))
             )
     return out
 

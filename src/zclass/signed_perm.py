@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
+from itertools import product
 
 from .combinatorics import Partition, SignedPartition
-from .combinatorics import partitions_of, signed_partitions_of
+from .combinatorics import partition_runs, signed_partitions_of
 
 
 def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -132,43 +134,59 @@ def centralizer_order_bc(sp: SignedPartition) -> int:
     return order
 
 
-def _bc_z_key(sp: SignedPartition) -> tuple:
-    # odd parts: the multiplicity pair is unordered; even parts: exact match
-    key = []
-    for p, s, t in sp.entries:
-        if p % 2 == 1:
-            key.append((p, max(s, t), min(s, t)))
-        else:
-            key.append((p, s, t))
-    return tuple(key)
+def _choice_table(p: int, m: int) -> tuple[tuple[tuple, str, int], ...]:
+    """The choices t = 0..m of barred copies in a run of m parts p.
+
+    Each entry is (z-key component, label words, bar count).  An odd part's
+    component leaves its two sign multiplicities unordered, an even part's
+    keeps them exact.
+    """
+    return tuple(
+        (
+            (p, max(m - t, t), min(m - t, t)) if p % 2 else (p, m - t, t),
+            str(SignedPartition(((p, m - t, t),))),
+            t,
+        )
+        for t in range(m + 1)
+    )
 
 
-def z_classes_bc(n: int) -> list[list[SignedPartition]]:
-    """Partition of the signed partitions of n into z-classes of C2 wr S_n.
+def z_classes_bc(n: int) -> list[list[str]]:
+    """The z-classes of C2 wr S_n, each a list of signed-partition labels.
 
     Two classes are z-equivalent iff they share the underlying partition, the
     sign multiplicities of every odd part agree up to swapping, and those of
-    every even part agree exactly.
+    every even part agree exactly.  Underlying partitions run from 1^n up to
+    n; within one, the bar counts of larger parts vary more slowly, and
+    groups come in the order of their first class.
     """
-    groups: dict[tuple, list[SignedPartition]] = {}
-    for sp in signed_partitions_of(n):
-        groups.setdefault(_bc_z_key(sp), []).append(sp)
+    if n < 1:
+        raise ValueError("n must be positive")
+    choices = cache(_choice_table)
+    groups: dict[tuple, list[str]] = {}
+    for runs in reversed(partition_runs(n)):
+        for choice in product(*[choices(p, m) for p, m in runs]):
+            key, words, _ = zip(*choice)
+            groups.setdefault(key, []).append(" ".join(words))
     return list(groups.values())
 
 
-def z_classes_a(n: int) -> list[list[Partition]]:
-    """Partition of the cycle types of S_n into z-classes of S_n.
+def z_classes_a(n: int) -> list[list[str]]:
+    """The z-classes of S_n, each a list of cycle-type labels.
 
     lam+{1,1} and lam+{2} are one z-class when lam has no part 1 or 2: on
     the same points both have the centralizer C(lam) x S_2.  Every other
     class stands alone.  Classes run from 1^n up to n.
     """
-    groups: dict[Partition, list[Partition]] = {}
-    for lam in reversed(partitions_of(n)):
-        key = lam
-        if lam.multiplicity(1) == 2 and lam.multiplicity(2) == 0:
-            key = Partition(lam.entries[:-1] + ((2, 1),))
-        groups.setdefault(key, []).append(lam)
+    if n < 1:
+        raise ValueError("n must be positive")
+    words = cache(lambda p, m: str(Partition(((p, m),))))
+    groups: dict[tuple, list[str]] = {}
+    for runs in reversed(partition_runs(n)):
+        key = runs
+        if runs[-1] == (1, 2) and (len(runs) == 1 or runs[-2][0] != 2):
+            key = runs[:-1] + ((2, 1),)
+        groups.setdefault(key, []).append(" ".join([words(p, m) for p, m in runs]))
     return list(groups.values())
 
 
@@ -232,43 +250,38 @@ def dn_conjugacy_classes(n: int) -> list[SignedClassLabel]:
     return labels
 
 
-def _split_pair_merges(sp: SignedPartition) -> bool:
-    # the two halves of a split class are z-conjugate iff some part = 2 mod 4
-    # occurs with odd multiplicity
-    return any(p % 4 == 2 and s % 2 == 1 for p, s, _ in sp.entries)
+def z_classes_dn(n: int) -> list[list[str]]:
+    """The z-classes of D_n, each a list of class labels in the order of
+    `dn_conjugacy_classes`.
 
-
-def _absorbs_split_pair(sp: SignedPartition) -> SignedPartition | None:
-    """For a split class of type 2^1 m_2^{x_2}...: the non-split type it merges with.
-
-    Returns the signed partition 1^2 m_2^{x_2}... whose z-group absorbs both
-    split halves, or None when the shape does not match.  The remaining parts
-    are automatically >= 4 (even and distinct from the unique part 2).
+    Non-split classes group by z-equivalence in C2 wr S_n.  The split pair
+    of type 2^1 m_2^{x_2}... (every m_i >= 4, as all parts are even) joins
+    the group of 1^2 m... / 1b^2 m..., which comes earlier.  Any other split
+    pair merges with itself iff some part = 2 mod 4 has odd multiplicity.
+    Groups come in the order of their first class.
     """
-    if not any(p == 2 and s == 1 for p, s, _ in sp.entries):
-        return None
-    rest = tuple((p, s, t) for p, s, t in sp.entries if p != 2)
-    return SignedPartition(rest + ((1, 2, 0),))
-
-
-def z_classes_dn(n: int) -> list[list[SignedClassLabel]]:
-    """Partition of the D_n conjugacy classes into z-classes of D_n.
-
-    Non-split classes group by z-equivalence in C2 wr S_n; the split pair of
-    type 2^1 m_2^{x_2}... (all m_i >= 4) joins the group of 1^2 m... / 1b^2 m...;
-    any other split pair merges with itself iff some part = 2 mod 4 has odd
-    multiplicity.  Groups come in the order of their first class.
-    """
-    groups: dict[object, list[SignedClassLabel]] = {}
-    for label in dn_conjugacy_classes(n):
-        sp = label.signed_partition
-        if label.split_half is None:
-            key = _bc_z_key(sp)
-        elif (target := _absorbs_split_pair(sp)) is not None:
-            key = _bc_z_key(target)
-        elif _split_pair_merges(sp):
-            key = sp
-        else:
-            key = label
-        groups.setdefault(key, []).append(label)
+    if n < 2:
+        raise ValueError("n must be at least 2")
+    choices = cache(_choice_table)
+    groups: dict[object, list[str]] = {}
+    for runs in reversed(partition_runs(n)):
+        all_even = all(p % 2 == 0 for p, _ in runs)
+        for choice in product(*[choices(p, m) for p, m in runs]):
+            key, words, bars = zip(*choice)
+            bar_count = sum(bars)
+            if bar_count % 2:
+                continue
+            label = " ".join(words)
+            if bar_count or not all_even:
+                groups.setdefault(key, []).append(label)
+                continue
+            # the all-positive choice of an all-even type: its class splits
+            halves = [label + "+", label + "-"]
+            if runs[-1] == (2, 1):
+                groups[key[:-1] + ((1, 2, 0),)].extend(halves)
+            elif any(p % 4 == 2 and m % 2 for p, m in runs):
+                groups[key] = halves
+            else:
+                groups[halves[0]] = halves[:1]
+                groups[halves[1]] = halves[1:]
     return list(groups.values())

@@ -70,7 +70,7 @@ def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | Non
         raise UnsupportedGroupError(
             f"{factor} has {what}; a listing holds at most {MAX_LISTED_CLASSES}"
         )
-    return [[str(label) for label in grp] for grp in family.structural(factor.rank)]
+    return family.structural(factor.rank)
 
 
 def verify_type(t: CoxeterType, order_cap: int = DEFAULT_ORDER_CAP) -> dict:

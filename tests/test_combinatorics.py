@@ -19,6 +19,7 @@ from zclass.combinatorics import (
     delta_set,
     eta_series,
     even_sum_tuple_count,
+    partition_runs,
     partitions_of,
     signed_partitions_of,
     zeta,
@@ -142,6 +143,19 @@ class TestPartition:
         for n in range(2, 12):
             seqs = [p.parts() for p in partitions_of(n)]
             assert seqs == sorted(seqs, reverse=True)
+
+    def test_runs_of_four(self):
+        assert partition_runs(4) == [
+            ((4, 1),), ((3, 1), (1, 1)), ((2, 2),), ((2, 1), (1, 2)), ((1, 4),),
+        ]  # fmt: skip
+        assert partition_runs(0) == [()]
+
+    @pytest.mark.parametrize("n", range(0, 16))
+    def test_runs_are_the_partitions_entries(self, n):
+        assert partition_runs(n) == [
+            Partition.from_parts(seq).entries
+            for seq in sorted(naive_partitions(n), reverse=True)
+        ]
 
     def test_sum_invariant(self):
         for p in partitions_of(9):

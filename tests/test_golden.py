@@ -1,6 +1,7 @@
 """Golden CLI output: (argv, exit code, stdout, stderr) pinned as one sha256 each.
 
-Every family, a product of each kind and every refusal path is run through
+Every family, a product of each kind, the largest class listing of A, B and
+D under the listing cap and every refusal path is run through
 `zclass.cli.main` in process.  A change that alters any byte a user sees, or
 an exit code, fails here.  To print the table for a deliberate change of
 output, run `PYTHONPATH=src python tests/test_golden.py`.
@@ -37,6 +38,9 @@ ARGVS = [
     ("count", "D5000", "--format", "json"),
     ("count", "D4999", "--format", "json"),
     ("count", "B6000"),
+    ("classes", "B26", "--format", "json"),
+    ("classes", "D28", "--format", "json"),
+    ("classes", "A48", "--format", "json"),
     ("classes", "B27"),
     ("count", "A1000000"),
     ("count", "E9"),
@@ -715,6 +719,18 @@ GOLDEN = {
         3,
         "56e1b7876b8f89e2b821e454929003a9bca3c9469083fdf1d77f8b6975c230c0",
     ),
+    "classes B26 --format json": (
+        0,
+        "e769465733d828c7c013e4bb70d434112ceb274a9a0de058dd12a89341d3339b",
+    ),
+    "classes D28 --format json": (
+        0,
+        "4e41ecbdd715358eacc2fe3efc647ad63e1017aa56a50e5b5c7b9bf69551a17b",
+    ),
+    "classes A48 --format json": (
+        0,
+        "06e11510452b10f3c3491934fd023dded71cfb14e535fd21edbfd6cc050bc390",
+    ),
     "classes B27": (
         3,
         "ebbb877151bd95840bf45b5f4549e09a61002736f1c8fa8911b64e4e9194025b",
@@ -745,8 +761,8 @@ def test_cli_output_is_pinned(argv):
 
 def test_matrix_covers_every_exit_path():
     codes = [code for code, _ in GOLDEN.values()]
-    assert len(GOLDEN) == len(ARGVS) == 170
-    assert (codes.count(0), codes.count(2), codes.count(3)) == (140, 14, 16)
+    assert len(GOLDEN) == len(ARGVS) == 173
+    assert (codes.count(0), codes.count(2), codes.count(3)) == (143, 14, 16)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Signed-permutation model: arithmetic, cycle types, centralizers, z-grouping.
 
 Brute-force checks enumerate C2 wr S_n directly with itertools, independently
-of the numpy oracle.
+of the numpy oracle.  The z-groupings are also checked against a reference
+that groups one `Partition`, `SignedPartition` or `SignedClassLabel` object
+per class by its z-key.
 """
 
 import math
@@ -18,7 +20,12 @@ from zclass.closed_form import (
     z_count_bc,
     z_count_d,
 )
-from zclass.combinatorics import SignedPartition, partitions_of, signed_partitions_of
+from zclass.combinatorics import (
+    Partition,
+    SignedPartition,
+    partitions_of,
+    signed_partitions_of,
+)
 from zclass.signed_perm import (
     SignedClassLabel,
     SignedPermutation,
@@ -184,10 +191,97 @@ class TestCentralizerOrder:
             assert count == centralizer_order_bc(sp)
 
 
+def _bc_z_key(sp):
+    # odd parts: the multiplicity pair is unordered; even parts: exact match
+    key = []
+    for p, s, t in sp.entries:
+        if p % 2 == 1:
+            key.append((p, max(s, t), min(s, t)))
+        else:
+            key.append((p, s, t))
+    return tuple(key)
+
+
+def _split_pair_merges(sp):
+    # the two halves of a split class are z-conjugate iff some part = 2 mod 4
+    # occurs with odd multiplicity
+    return any(p % 4 == 2 and s % 2 == 1 for p, s, _ in sp.entries)
+
+
+def _absorbs_split_pair(sp):
+    """For a split class of type 2^1 m_2^{x_2}...: the non-split type
+    1^2 m_2^{x_2}... whose z-group absorbs both halves, else None."""
+    if not any(p == 2 and s == 1 for p, s, _ in sp.entries):
+        return None
+    rest = tuple((p, s, t) for p, s, t in sp.entries if p != 2)
+    return SignedPartition(rest + ((1, 2, 0),))
+
+
+def reference_z_classes_a(n):
+    groups = {}
+    for lam in reversed(partitions_of(n)):
+        key = lam
+        if lam.multiplicity(1) == 2 and lam.multiplicity(2) == 0:
+            key = Partition(lam.entries[:-1] + ((2, 1),))
+        groups.setdefault(key, []).append(lam)
+    return list(groups.values())
+
+
+def reference_z_classes_bc(n):
+    groups = {}
+    for sp in signed_partitions_of(n):
+        groups.setdefault(_bc_z_key(sp), []).append(sp)
+    return list(groups.values())
+
+
+def reference_z_classes_dn(n):
+    groups = {}
+    for label in dn_conjugacy_classes(n):
+        sp = label.signed_partition
+        if label.split_half is None:
+            key = _bc_z_key(sp)
+        elif (target := _absorbs_split_pair(sp)) is not None:
+            key = _bc_z_key(target)
+        elif _split_pair_merges(sp):
+            key = sp
+        else:
+            key = label
+        groups.setdefault(key, []).append(label)
+    return list(groups.values())
+
+
+def labels(groups):
+    return [[str(member) for member in g] for g in groups]
+
+
+class TestGroupingsMatchReference:
+    """Same groups, same members, same order as the object-based reference."""
+
+    @pytest.mark.parametrize("n", range(2, 32))
+    def test_a(self, n):
+        assert z_classes_a(n) == labels(reference_z_classes_a(n))
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_bc(self, n):
+        assert z_classes_bc(n) == labels(reference_z_classes_bc(n))
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_dn(self, n):
+        assert z_classes_dn(n) == labels(reference_z_classes_dn(n))
+
+    @pytest.mark.parametrize("listing", [z_classes_a, z_classes_bc])
+    def test_rank_zero_is_refused(self, listing):
+        with pytest.raises(ValueError):
+            listing(0)
+
+    def test_dn_needs_rank_two(self):
+        with pytest.raises(ValueError):
+            z_classes_dn(1)
+
+
 class TestZClassesA:
     def test_rank_six(self):
-        got = [[str(lam) for lam in g] for g in z_classes_a(6)]
-        assert got == [
+        assert z_classes_a(6) == [
             ["1~6"], ["2 1~4"], ["2~2 1~2"], ["2~3"], ["3 1~3"], ["3 2 1"],
             ["3~2"], ["4 1~2", "4 2"], ["5 1"], ["6"],
         ]  # fmt: skip
@@ -197,20 +291,19 @@ class TestZClassesA:
         groups = z_classes_a(n)
         assert len(groups) == z_count_a(n)
         assert sum(len(g) for g in groups) == partition_count(n)
-        members = sorted(str(lam) for g in groups for lam in g)
+        members = sorted(lam for g in groups for lam in g)
         assert members == sorted(str(lam) for lam in partitions_of(n))
 
 
 class TestZClassesBC:
     def test_rank_one(self):
-        assert [[str(s) for s in g] for g in z_classes_bc(1)] == [["1", "1b"]]
+        assert z_classes_bc(1) == [["1", "1b"]]
 
     def test_rank_two(self):
-        got = [[str(s) for s in g] for g in z_classes_bc(2)]
-        assert got == [["1~2", "1b~2"], ["1 1b"], ["2"], ["2b"]]
+        assert z_classes_bc(2) == [["1~2", "1b~2"], ["1 1b"], ["2"], ["2b"]]
 
     def test_rank_three_structure(self):
-        groups = [set(str(s) for s in g) for g in z_classes_bc(3)]
+        groups = [set(g) for g in z_classes_bc(3)]
         assert {"3", "3b"} in groups
         assert {"2 1", "2 1b"} in groups
         assert {"2b 1", "2b 1b"} in groups
@@ -225,7 +318,7 @@ class TestZClassesBC:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_groups_partition_all_classes(self, n):
         members = [sp for g in z_classes_bc(n) for sp in g]
-        assert sorted(map(str, members)) == sorted(map(str, signed_partitions_of(n)))
+        assert sorted(members) == sorted(map(str, signed_partitions_of(n)))
 
 
 class TestDnClasses:
@@ -266,23 +359,23 @@ class TestDnClasses:
 
 class TestZClassesDn:
     def test_rank_four_grouping(self):
-        groups = [set(map(str, g)) for g in z_classes_dn(4)]
+        groups = [set(g) for g in z_classes_dn(4)]
         assert len(groups) == 10
         assert {"4+"} in groups and {"4-"} in groups
         assert {"2~2+"} in groups and {"2~2-"} in groups
         assert {"1~4", "1b~4"} in groups
 
     def test_rank_six_split_six_merges(self):
-        groups = [set(map(str, g)) for g in z_classes_dn(6)]
+        groups = [set(g) for g in z_classes_dn(6)]
         assert {"6+", "6-"} in groups
         assert {"2~3+", "2~3-"} in groups
 
     def test_rank_six_split_absorbed_into_nonsplit(self):
-        groups = [set(map(str, g)) for g in z_classes_dn(6)]
+        groups = [set(g) for g in z_classes_dn(6)]
         assert {"4 1~2", "4 1b~2", "4 2+", "4 2-"} in groups
 
     def test_rank_two_single_class(self):
-        groups = [set(map(str, g)) for g in z_classes_dn(2)]
+        groups = [set(g) for g in z_classes_dn(2)]
         assert groups == [{"1~2", "1b~2", "2+", "2-"}]
 
     @pytest.mark.parametrize("n", range(2, 13))
@@ -294,6 +387,4 @@ class TestZClassesDn:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_groups_partition_all_classes(self, n):
         members = [lbl for g in z_classes_dn(n) for lbl in g]
-        assert sorted(map(str, members)) == sorted(
-            map(str, dn_conjugacy_classes(n))
-        )
+        assert sorted(members) == sorted(map(str, dn_conjugacy_classes(n)))
