@@ -177,8 +177,8 @@ class GroupTable:
     into runs of levels, each read by one table lookup (`_runs`), and
     `base` holds its level points.  `gen_rows` index the generators the
     table was built from (for a Coxeter group of rank 4 or more, the three
-    of `coxeter_generators`); conjugation by each gives one row of
-    `conjugation_maps`, which the table does not keep.
+    of `coxeter_generators`); conjugation by each that is not central gives
+    one row of `conjugation_maps`, which the table does not keep.
     """
 
     def __init__(
@@ -280,8 +280,12 @@ class GroupTable:
         return self._inverses
 
     def conjugation_maps(self) -> np.ndarray:
-        """maps[s, r] is the index of t * e_r * t^-1 for t = gen_rows[s], as
-        int32, computed anew on each call.
+        """maps[s, r] is the index of t * e_r * t^-1 for t the s-th of
+        `gen_rows` that does not commute with every generator, as int32,
+        computed anew on each call.  A generator that commutes with every
+        generator is central, so its map is the identity and adds no orbit;
+        with every generator central there is no map, and `orbit_labels`
+        stops after its first round, which changes no label.
 
         t e t^-1 takes b_i to t(e(c_i)) for c_i = t^-1(b_i), so its base
         images are those of e at the points c_i, mapped through t, and
@@ -291,10 +295,12 @@ class GroupTable:
         threads; a conjugate with no member raises LookupError in the caller.
         """
         t_rows = self.perms[list(self.gen_rows)]
+        products = t_rows[:, t_rows]  # products[s, u] = t_s t_u
+        t_rows = t_rows[(products != products.transpose(1, 0, 2)).any(axis=(1, 2))]
         columns = np.argsort(t_rows, axis=1)[:, self.base]  # c_i of each t
         read, at = np.unique(columns, return_inverse=True)
         at = at.reshape(columns.shape)  # columns[s, i] is read[at[s, i]]
-        maps = np.empty((len(self.gen_rows), self.order), dtype=np.int32)
+        maps = np.empty((len(t_rows), self.order), dtype=np.int32)
 
         def conjugate(lo: int, hi: int) -> None:
             block = self.perms[lo:hi].T[read]  # one row per column read

@@ -7,29 +7,32 @@ first match.  Everything is deterministic: classes are ordered by their reps,
 each its class's lexicographically least member row, and witnesses are the
 smallest-index conjugators.
 
-Classes.  `conjugacy_classes` labels every row with the least row of its
-orbit under the conjugation maps r -> s r s^-1 of the table's generators s
-(any generating set of G serves; a Coxeter group of rank 4 or more has
-three, see `zclass.groups.coxeter_generators`), by the min-label rounds of
-`zclass.groups.orbit_labels`, which carries their proof.  Both the maps and
-the rounds run over chunks of rows on up to one thread per allowed CPU and
-per four chunks; the labels, and so the classes, are the same at any thread
-count, though the number of rounds may vary between runs.  The members come
-from a counting sort, with no sort of the whole table: each row's label
-becomes its class number, in the narrowest unsigned dtype that holds them
-all, each chunk counts its class numbers (chunks are cut for at least as
-many rows as there are classes, so the counts never outgrow the rows by
-much), and each chunk's stable argsort of them fills its slot of one int32 array, after
-the earlier classes and the earlier chunks' rows of the same class.  So each
-class's members come out sorted, also when chunks run at once.  A class's rep
-is its lexicographically least member row, so reps and class order do not
-depend on the table's row order, which depends on the generators.  Every
-row fixes the points before b_1, the least point the group moves, and rows
-are sorted by w(b_1), so the rep lies before the first row past the w(b_1)
-of the class's first row; one lexsort of those candidate rows of every
-class gives each class's rep, its first row in that order, and the order of
-the reps, with no loop over classes.  The identity, the least row of all,
-keeps its class first.
+Classes.  `_classes` labels every row with the least row of its orbit
+under the conjugation maps r -> s r s^-1 of the table's generators s (any
+generating set of G serves; a Coxeter group of rank 4 or more has three,
+see `zclass.groups.coxeter_generators`; a central generator has no map), by
+the min-label rounds of `zclass.groups.orbit_labels`, which carries their
+proof.  Both the maps and the rounds run over chunks of rows on up to one
+thread per allowed CPU and per four chunks; the labels, and so the classes,
+are the same at any thread count, though the number of rounds may vary
+between runs.  A class's rep is its lexicographically least member row, so
+reps and class order do not depend on the table's row order, which depends
+on the generators.  Every row fixes the points before b_1, the least point
+the group moves, and rows are sorted by w(b_1), so the rep lies before the
+first row past the w(b_1) of the class's first row; one lexsort of those
+candidate rows of every class gives each class's rep, its first row in that
+order, and the order of the reps, with no loop over classes.  The identity,
+the least row of all, keeps its class first.  The members come from a
+counting sort, with no sort of the whole table, in three sweeps over chunks
+of rows: the first turns each row's label into the number of its class's
+first row, in the narrowest unsigned dtype that holds them all; the second
+renumbers them in the order of the reps and counts each chunk's class
+numbers (chunks are cut for at least as many rows as there are classes, so
+the counts never outgrow the rows by much); and in the third, each chunk's
+stable argsort of them fills its slot of one int32 array, after the earlier
+classes and the earlier chunks' rows of the same class.  So the members
+come out in class order, each class's sorted, also when chunks run at once,
+with no object per class.
 
 Probes.  A member w of C(x) maps each x-cycle onto an x-cycle of the same
 length, so w(b), b the first base point, lies in an x-cycle as long as b's.
@@ -68,17 +71,18 @@ components all central classes (C = G), each other rep x with the class of
 x^p, for p a prime dividing ord(x) (read off x's cycle lengths), when that
 class has x's size, and x with the class of xc for c in a generating set of
 Z(G) (`_generating_rows`).  A row's class is read from the class pass's
-own index of every row's class number, mapped in place to the order of the
-reps (`_classes`).  Only the first class of a component meets the center
-test; the others join its group.
+own index of every row's class (`_classes`).  Only the first class of a
+component meets the center test, in a loop over those first classes alone;
+the others join its group.
 
 Every equation between elements is decided on the table's base (see
 `zclass.groups`): w commutes with x when w(x(b)) == x(w(b)) at each base point
 b, and a product or conjugate is looked up by its base images alone, so no
 full product row is formed on the hot paths.
 
-References.  The tests' `centralizer` and `subgroups_conjugate` share these
-kernels: `zclass.groups.cycle_lengths`, `GroupTable.base_index`, `_run_chunks`.
+References.  `centralizer` and `subgroups_conjugate` live here, in `src/`,
+though only the tests call them.  They share these kernels:
+`zclass.groups.cycle_lengths`, `GroupTable.base_index`, `_run_chunks`.
 """
 
 from __future__ import annotations
@@ -97,18 +101,6 @@ from .groups import ChainLevel, GroupTable, chain_order, cycle_lengths, extend, 
 log = logging.getLogger(__name__)
 
 _FIRST_PROBES = 4  # probes the first sample of a head is sized to hold
-
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    """A conjugacy class: its rep and its sorted member rows."""
-
-    rep: int  # the class's lexicographically least member row
-    members: np.ndarray = field(repr=False)  # sorted row indices, int32
-
-    @property
-    def size(self) -> int:
-        return int(self.members.size)
 
 
 @dataclass(frozen=True)
@@ -142,37 +134,44 @@ class SubgroupHandle:
         return (self.order, histogram, int(self.center_rows.size))
 
 
-def conjugacy_classes(g: GroupTable) -> list[ConjugacyClass]:
-    """Orbit partition under conjugation, each class with its rep, its
-    lexicographically least member row, and the classes in order of their
-    reps: the orbit labels of the conjugation maps, their members placed by
-    a counting sort of the class numbers (see the module docstring)."""
-    return _classes(g)[0]
+def conjugacy_classes(g: GroupTable) -> list[tuple[int, np.ndarray]]:
+    """Each class's rep, its lexicographically least member row, and its
+    sorted member rows, the classes in order of their reps (see `_classes`)."""
+    reps, ends, members, _ = _classes(g)
+    return list(zip(reps.tolist(), np.split(members, ends[:-1])))
 
 
-def _classes(g: GroupTable) -> tuple[list[ConjugacyClass], np.ndarray]:
-    """`conjugacy_classes`, and each row's class as its position in that
-    list: the class numbers the counting sort placed the members by, mapped
-    through the order of the reps in place."""
+def _classes(g: GroupTable) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit partition under conjugation, with the classes in order of
+    their reps (see the module docstring), as `(reps, ends, members,
+    number)`: the rep rows, the running total of the class sizes, the member
+    rows, class i's at `members[ends[i - 1]:ends[i]]` and sorted, as one
+    int32 array, and each row's class."""
     label = groups.orbit_labels(g.conjugation_maps(), g.order)
     # each class's first row, its label
     roots = np.flatnonzero(label == np.arange(g.order, dtype=np.int32)).astype(np.int32)
     number = np.zeros(g.order, dtype=np.min_scalar_type(roots.size - 1))
     number[roots] = np.arange(roots.size)
-    counts: dict[int, np.ndarray] = {}
     chunk = max(groups._ROW_CHUNK, roots.size)
 
-    def count(lo: int, hi: int) -> None:
-        # the class number of each row, in place: a class's least row keeps
+    def root_number(lo: int, hi: int) -> None:
+        # the root number of each row, in place: a class's least row keeps
         # its own number, so reading it while other chunks write is safe
         part = number[label[lo:hi]]
         if np.any(roots[part] != label[lo:hi]):
             raise AssertionError("conjugacy classes break the class equation")
         number[lo:hi] = part
-        counts[lo] = np.bincount(part, minlength=roots.size)
+
+    groups._run_chunks(root_number, g.order, chunk)
+    del label
+    reps, position = _reps(g, roots, number)
+    counts: dict[int, np.ndarray] = {}
+
+    def count(lo: int, hi: int) -> None:  # the class number of each row, in place
+        number[lo:hi] = position[number[lo:hi]]
+        counts[lo] = np.bincount(number[lo:hi], minlength=roots.size)
 
     groups._run_chunks(count, g.order, chunk)
-    del label
     starts = sorted(counts)
     chunks = np.array([counts[lo] for lo in starts])
     sizes = chunks.sum(axis=0)
@@ -180,7 +179,8 @@ def _classes(g: GroupTable) -> tuple[list[ConjugacyClass], np.ndarray]:
         raise AssertionError("conjugacy classes break the class equation")
     # where each chunk's first row of each class goes: after the rows of the
     # earlier classes and the earlier chunks' rows of that class
-    before = np.cumsum(chunks, axis=0) - chunks + (np.cumsum(sizes) - sizes)
+    ends = np.cumsum(sizes)
+    before = np.cumsum(chunks, axis=0) - chunks + (ends - sizes)
     first = dict(zip(starts, before))
     members = np.empty(g.order, dtype=np.int32)
 
@@ -197,38 +197,24 @@ def _classes(g: GroupTable) -> tuple[list[ConjugacyClass], np.ndarray]:
         members[np.cumsum(step, out=step)] = rows
 
     groups._run_chunks(place, g.order, chunk)
-    reps, by_rep = _reps(g, roots, number)
-    ends = np.cumsum(sizes)
-    spans = (reps, ends - sizes, ends)  # per class number
-    classes = [
-        ConjugacyClass(rep, members[lo:hi])
-        for rep, lo, hi in zip(*(s[by_rep].tolist() for s in spans))
-    ]
-    position = np.empty(roots.size, dtype=number.dtype)
-    position[by_rep] = np.arange(roots.size)
-
-    def renumber(lo: int, hi: int) -> None:
-        number[lo:hi] = position[number[lo:hi]]
-
-    groups._run_chunks(renumber, g.order, chunk)
-    return classes, number
+    return reps, ends, members, number
 
 
 def _reps(
     g: GroupTable, roots: np.ndarray, number: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each class's rep, its lexicographically least member row, and the
-    class numbers in the order of their reps, the identity's first, from each
-    class's first row `roots` and each row's class `number`: each rep is the
-    first of its class's candidate rows, those before the first row past the
-    w(b_1) of its first row, in their lexicographic order (see the module
-    docstring)."""
+    """Each class's rep, its lexicographically least member row, in the
+    order of the reps, the identity's first, and each class's place in that
+    order, from each class's first row `roots` and each row's class `number`
+    in the order of `roots`: each rep is the first of its class's candidate
+    rows, those before the first row past the w(b_1) of its first row, in
+    their lexicographic order (see the module docstring)."""
     b = g.base[0] if g.base.size else 0  # a trivial group has no base
     past = g.image_starts()[g.perms[roots, b].astype(np.intp) + 1].astype(np.int32)
     rows = np.flatnonzero(np.arange(g.order, dtype=np.int32) < past[number])
     rows = rows[np.lexsort(g.perms[rows].T[::-1])]
     _, at = np.unique(number[rows], return_index=True)
-    return rows[at], np.argsort(at)
+    return rows[np.sort(at)], np.argsort(np.argsort(at)).astype(number.dtype)
 
 
 def _commuting(g: GroupTable, rows: np.ndarray, xs: Iterable[int]) -> np.ndarray:
@@ -267,12 +253,11 @@ def _generating_rows(g: GroupTable, rows: np.ndarray) -> list[int]:
 
 
 def _sure_components(
-    g: GroupTable, classes: list[ConjugacyClass], number: np.ndarray
-) -> list[int]:
+    g: GroupTable, reps: np.ndarray, sizes: np.ndarray, number: np.ndarray
+) -> np.ndarray:
     """The first class of each class's sure component (see the module
-    docstring), each row's class read from `number`, as `_classes` gives it."""
-    sizes = np.array([cl.size for cl in classes])
-    reps = np.array([cl.rep for cl in classes])
+    docstring), from the classes' rep rows and sizes, each row's class read
+    from `number`, as `_classes` gives them."""
     central, moving = np.flatnonzero(sizes == 1), np.flatnonzero(sizes > 1)
     xs = g.perms[reps[moving]]
     cycle = cycle_lengths(xs)
@@ -291,7 +276,7 @@ def _sure_components(
     dst = number[rows]
     same = sizes[dst] == sizes[src]
     a, b = src[same], dst[same]
-    root = np.arange(len(classes))
+    root = np.arange(reps.size)
     root[central] = 0  # the identity's class
     while True:  # min-label rounds over the joined pairs
         low, new = np.minimum(root[a], root[b]), root.copy()
@@ -299,7 +284,7 @@ def _sure_components(
         np.minimum.at(new, b, low)
         new = new[new]
         if np.array_equal(new, root):
-            return root.tolist()
+            return root
         root = new
 
 
@@ -392,19 +377,13 @@ class _Probes:
         return bool(rows.size)
 
 
-def centralizer(
-    g: GroupTable, row: int, cl: ConjugacyClass | None = None
-) -> SubgroupHandle:
+def centralizer(g: GroupTable, row: int, order: int | None = None) -> SubgroupHandle:
     """All elements commuting with the element at `row`, listed from the rows
-    that may, with generators taken from that list by `_generating_rows`.  The
-    class `cl` of `row` fixes |C(x)| = |G|/|class|, which the listing must
-    match."""
-    if cl is not None and cl.rep != row:
-        raise ValueError(f"class of row {cl.rep}, not {row}")
+    that may, with generators taken from that list by `_generating_rows`.  A
+    given `order`, |C(x)| = |G|/|class|, is what the listing must match."""
     blocks = _candidate_blocks(g, row)
     members = _commuting(g, _rows_at(blocks, np.arange(blocks[1][-1])), [row])
-    order = members.size if cl is None else g.order // cl.size
-    if members.size != order:
+    if order not in (None, members.size):
         raise AssertionError("centralizer scan missed |G|/|class|")
     return SubgroupHandle(g, members, tuple(_generating_rows(g, members)))
 
@@ -445,53 +424,56 @@ def subgroups_conjugate(
     return True, witness
 
 
-def z_classes(g: GroupTable) -> list[list[ConjugacyClass]]:
-    """Group conjugacy classes whose centralizers are conjugate in g.
+def z_classes(g: GroupTable) -> list[list[int]]:
+    """Group conjugacy classes whose centralizers are conjugate in g, each
+    class given by its rep row.
 
     A class whose sure component (see the module docstring) holds an earlier
     class joins that class's group.  Otherwise the first existing group with
     a conjugate centralizer absorbs it, decided by the center test on the
     probes of that group's first class, or the class opens a new group.
     """
-    classes, number = _classes(g)
-    root = _sure_components(g, classes, number)
+    reps, ends, members, number = _classes(g)
+    sizes = np.diff(ends, prepend=0)
+    root = _sure_components(g, reps, sizes, number)
     del number
-    zgroups: list[list[int]] = []
-    group_of: list[int] = []
+    firsts = np.flatnonzero(root == np.arange(reps.size))
+    heads: list[int] = []  # the first class of each group
+    group_of = np.empty(reps.size, dtype=np.intp)
     probes: dict[int, _Probes] = {}
-    for ci, cl in enumerate(classes):
-        gi = group_of[root[ci]] if root[ci] < ci else len(zgroups)
-        for k, grp in enumerate(zgroups if root[ci] == ci else ()):
-            head = grp[0]
-            if classes[head].size != cl.size:
+    for ci in firsts.tolist():  # the other classes join their first's group
+        size, gi = int(sizes[ci]), len(heads)
+        for k, head in enumerate(heads):
+            if sizes[head] != size:
                 continue
             if head not in probes:
-                probes[head] = _Probes(g, classes[head].rep, g.order // cl.size)
-            if probes[head].meet(cl.members):
+                probes[head] = _Probes(g, int(reps[head]), g.order // size)
+            if probes[head].meet(members[ends[ci] - size : ends[ci]]):
                 gi = k
                 break
-        if gi == len(zgroups):
-            zgroups.append([])
-        zgroups[gi].append(ci)
-        group_of.append(gi)
+        if gi == len(heads):
+            heads.append(ci)
+        group_of[ci] = gi
+    group_of = group_of[root]
     if log.isEnabledFor(logging.DEBUG):  # the arguments are formatted here
-        for ci, cl in enumerate(classes):
+        for ci, (size, r) in enumerate(zip(sizes.tolist(), root.tolist())):
             p = probes.get(ci)
             log.debug(
                 "class %d/%d: size %d, centralizer order %d, %s%s",
                 ci + 1,
-                len(classes),
-                cl.size,
-                g.order // cl.size,
+                reps.size,
+                size,
+                g.order // size,
                 f"{p.rows.size} generators" if p and p.certified else "no certificate",
-                f", sure join with class {root[ci] + 1}" if root[ci] < ci else "",
+                f", sure join with class {r + 1}" if r < ci else "",
             )
         log.debug(
             "%d classes, %d sure components, %d heads probed, %d heads certified",
-            len(classes),
-            sum(r == ci for ci, r in enumerate(root)),
+            reps.size,
+            firsts.size,
             len(probes),
             sum(p.certified for p in probes.values()),
         )
-    return [[classes[ci] for ci in grp] for grp in zgroups]
-
+    grouped = reps[np.argsort(group_of, kind="stable")]
+    cuts = np.cumsum(np.bincount(group_of))[:-1]
+    return [grp.tolist() for grp in np.split(grouped, cuts)]

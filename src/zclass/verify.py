@@ -39,11 +39,11 @@ def oracle_grouping_labels(table: GroupTable) -> list[list[str]]:
     """
     zgroups = oracle.z_classes(table)
     if table.labeler is not None:
-        return [[table.label(c.rep) for c in grp] for grp in zgroups]
-    reps = [c.rep for grp in zgroups for c in grp]
+        return [[table.label(rep) for rep in grp] for grp in zgroups]
+    reps = [rep for grp in zgroups for rep in grp]
     reps.sort(key=lambda r: table.perms[r].tolist())
     position = {rep: i for i, rep in enumerate(reps)}
-    return [[f"c{position[c.rep]}" for c in grp] for grp in zgroups]
+    return [[f"c{position[rep]}" for rep in grp] for grp in zgroups]
 
 
 def structural_grouping_labels(factor: IrreducibleType) -> list[list[str]] | None:

@@ -1,9 +1,13 @@
 """Shared helpers: reference group arithmetic over `table.perms`, independent of
 the numpy engine, each row's number in chain order, a tiny dict-based z-class
 oracle built on it, the per-level sift of base images, the row of a signed
-permutation, the certified centralizer probes of a class, the derandomized
+permutation, the oracle's conjugacy classes and z-classes as objects with
+`.rep`, `.members` and `.size`, the certified centralizer probes of a class,
+the derandomized
 settings of the hypothesis property tests, a switch for the thread count and
 chunk size of the row kernels, and the table of a Coxeter type."""
+
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import HealthCheck, settings
@@ -197,6 +201,29 @@ def assert_valid_permutation_table(table):
     assert perms.dtype == np.uint8
     for row in perms:
         assert sorted(row.tolist()) == list(range(table.degree))
+
+
+class OracleClass(NamedTuple):
+    """A conjugacy class as `oracle.conjugacy_classes` lists it: its rep, the
+    lexicographically least member row, and its sorted member rows."""
+
+    rep: int
+    members: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return int(self.members.size)
+
+
+def classes_of(table) -> list[OracleClass]:
+    """`oracle.conjugacy_classes` of the table, in its order."""
+    return [OracleClass(*pair) for pair in oracle.conjugacy_classes(table)]
+
+
+def z_groups_of(table) -> list[list[OracleClass]]:
+    """`oracle.z_classes` of the table, each rep row read as its class."""
+    by_rep = {cl.rep: cl for cl in classes_of(table)}
+    return [[by_rep[rep] for rep in grp] for grp in oracle.z_classes(table)]
 
 
 def certified_probe_rows(table, cl) -> list[int]:

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 from itertools import product as iproduct
 
 import pytest
-from conftest import build
+from conftest import build, classes_of
 
 from zclass import oracle
 from zclass.closed_form import (
@@ -72,7 +72,7 @@ def test_criterion_2_rank_two_and_three_class_tables():
             }
             assert [by_formula[lbl] for lbl in labels] == expected_sizes
             table = build(f"B{n}")
-            classes = oracle.conjugacy_classes(table)
+            classes = classes_of(table)
             assert len(classes) == len(expected_sizes)
             by_oracle = {
                 table.label(c.rep): oracle.centralizer(table, c.rep).order

@@ -1,7 +1,8 @@
 """Golden CLI output: (argv, exit code, stdout, stderr) pinned as one sha256 each.
 
 Every family, a product of each kind, the largest class listing of A, B and
-D under the listing cap and every refusal path is run through
+D under the listing cap, the oracle count of the widest class-number table
+(A1^17, 131,072 classes) and every refusal path is run through
 `zclass.cli.main` in process.  A change that alters any byte a user sees, or
 an exit code, fails here.  To print the table for a deliberate change of
 output, run `PYTHONPATH=src python tests/test_golden.py`.
@@ -20,6 +21,7 @@ TYPES = (
     "A3", "B4", "C3", "D4", "D5", "I2(7)", "I2(8)", "H3", "F4", "E6", "E7",
     "E8", "H4", "B3 x I2(8)", "A2 x D4", "A1 x A1 x B3",
 )  # fmt: skip
+A1_17 = " x ".join(["A1"] * 17)
 COMMANDS = (
     ("count",),
     ("count", "--method", "oracle"),
@@ -46,6 +48,8 @@ ARGVS = [
     ("count", "E9"),
     ("count", "I2(2)"),
     ("classes", "I2(300)", "--method", "oracle"),
+    # 131072 classes: the widest class numbers, past 65536
+    ("count", A1_17, "--method", "oracle", "--allow-large", "--format", "json"),
 ]
 
 
@@ -751,6 +755,10 @@ GOLDEN = {
         3,
         "627e41950d77bc823e1488ea47e979ad2e68107b004d9999702dd918888a4a15",
     ),
+    "count A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 x A1 --method oracle --allow-large --format json": (
+        0,
+        "d0d72789589e2dfb01394080cea4cdad3abcad32c864306a71d3c4469a420179",
+    ),
 }
 
 
@@ -761,8 +769,8 @@ def test_cli_output_is_pinned(argv):
 
 def test_matrix_covers_every_exit_path():
     codes = [code for code, _ in GOLDEN.values()]
-    assert len(GOLDEN) == len(ARGVS) == 173
-    assert (codes.count(0), codes.count(2), codes.count(3)) == (143, 14, 16)
+    assert len(GOLDEN) == len(ARGVS) == 174
+    assert (codes.count(0), codes.count(2), codes.count(3)) == (144, 14, 16)
 
 
 if __name__ == "__main__":

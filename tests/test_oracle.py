@@ -12,12 +12,14 @@ import pytest
 from conftest import (
     build,
     certified_probe_rows,
+    classes_of,
     elements,
     invert,
     multiply,
     naive_z_class_count,
     set_row_kernels,
     signed_perm_to_row,
+    z_groups_of,
 )
 
 from zclass import groups, oracle, reflection
@@ -68,46 +70,48 @@ def class_of(table, classes, signed_partition_entries):
 class TestConjugacyClasses:
     def test_b2_has_five_classes(self):
         table = build("B2")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         assert len(classes) == 5
         assert sorted(c.size for c in classes) == [1, 1, 2, 2, 2]
 
     def test_b3_has_ten_classes(self):
         table = build("B3")
-        assert len(oracle.conjugacy_classes(table)) == 10
+        assert len(classes_of(table)) == 10
 
     def test_class_equation(self):
         for table in (build("B3"), build("D4"), build("I2(7)")):
-            classes = oracle.conjugacy_classes(table)
+            classes = classes_of(table)
             assert sum(c.size for c in classes) == table.order
             for c in classes:
                 assert table.order % c.size == 0
 
     @pytest.mark.parametrize("text", ["S1", "B3", "D4 x I2(8)", "E6"])
     def test_row_classes_index_the_listed_classes(self, text):
-        # the class pass's own row index, in the order of the list it returns
+        # class i's members are contiguous and sorted, the class pass's own
+        # row index gives each of them class i, and reps[i] is the least row
         table = table_of(text)
-        classes, number = oracle._classes(table)
-        assert [(cl.rep, cl.members.tolist()) for cl in classes] == [
-            (cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)
-        ]
-        expected = np.empty(table.order, dtype=np.intp)
-        for i, cl in enumerate(classes):
-            expected[cl.members] = i
-        assert number.tolist() == expected.tolist()
+        reps, ends, members, number = oracle._classes(table)
+        assert members.dtype == np.int32
+        assert sorted(members.tolist()) == list(range(table.order))
+        rows = elements(table)
+        for i, mine in enumerate(np.split(members, ends[:-1])):
+            assert mine.size and np.all(np.diff(mine) > 0)
+            assert np.all(number[mine] == i)
+            assert rows[reps[i]] == min(rows[m] for m in mine.tolist())
+        assert ends[-1] == table.order
 
     def test_representative_is_minimal_encoding(self):
         table = build("D3")
-        for c in oracle.conjugacy_classes(table):
+        for c in classes_of(table):
             assert c.rep == int(c.members.min())
 
     def test_dihedral_8_has_five_classes(self):
-        assert len(oracle.conjugacy_classes(build("I2(4)"))) == 5
+        assert len(classes_of(build("I2(4)"))) == 5
 
     def test_dihedral_12_class_structure(self):
         # two central singletons, two rotation pairs, two reflection triples
         table = build("I2(6)")
-        sizes = sorted(c.size for c in oracle.conjugacy_classes(table))
+        sizes = sorted(c.size for c in classes_of(table))
         assert sizes == [1, 1, 2, 2, 3, 3]
 
 
@@ -133,7 +137,7 @@ def test_members_match_a_stable_argsort_of_the_labels(monkeypatch, text, workers
     label, expected = argsort_classes(table)
     # about 20 chunks, so that several meet inside one class
     set_row_kernels(monkeypatch, workers, table.order // 20 + 1)
-    classes = oracle.conjugacy_classes(table)
+    classes = classes_of(table)
     assert len(classes) == len(expected)
     for cl in classes:  # the members of the class of the rep, each class once
         assert cl.members.dtype == np.int32
@@ -149,7 +153,7 @@ def test_reps_are_least_member_rows_in_order(monkeypatch, text, workers):
     # come in order of those rows, and so the identity's class comes first
     table = build(text)
     set_row_kernels(monkeypatch, workers, table.order // 20 + 1)
-    classes = oracle.conjugacy_classes(table)
+    classes = classes_of(table)
     rows = elements(table)
     reps = [rows[cl.rep] for cl in classes]
     for cl, rep in zip(classes, reps):
@@ -176,7 +180,7 @@ def test_labels_breaking_the_class_equation_raise(monkeypatch, workers, broken):
     monkeypatch.setattr(groups, "orbit_labels", lambda maps, n: label.copy())
     set_row_kernels(monkeypatch, workers, 16)  # chunks on threads
     with pytest.raises(AssertionError, match="class equation"):
-        oracle.conjugacy_classes(table)
+        classes_of(table)
 
 
 def full_row_classes(table) -> list[tuple[int, list[int]]]:
@@ -210,15 +214,14 @@ class TestFullRowClasses:
     )
     def test_propagation_matches_breadth_first_search(self, text):
         table = build(text)
-        got = [(cl.rep, cl.members.tolist()) for cl in oracle.conjugacy_classes(table)]
+        got = [(cl.rep, cl.members.tolist()) for cl in classes_of(table)]
         assert got == full_row_classes(table)
 
 
 def class_answers(table):
     """Class reps and members, and the z_classes grouping by reps."""
-    classes = [(c.rep, c.members.tolist()) for c in oracle.conjugacy_classes(table)]
-    grouping = [[c.rep for c in grp] for grp in oracle.z_classes(table)]
-    return classes, grouping
+    classes = [(c.rep, c.members.tolist()) for c in classes_of(table)]
+    return classes, oracle.z_classes(table)
 
 
 def class_rows(table):
@@ -228,9 +231,9 @@ def class_rows(table):
     rows = elements(table)
     classes = [
         (rows[c.rep], sorted(rows[m] for m in c.members.tolist()))
-        for c in oracle.conjugacy_classes(table)
+        for c in classes_of(table)
     ]
-    grouping = [[rows[c.rep] for c in grp] for grp in oracle.z_classes(table)]
+    grouping = [[rows[rep] for rep in grp] for grp in oracle.z_classes(table)]
     return classes, grouping
 
 
@@ -318,7 +321,7 @@ class TestCentralizer:
 
     def test_b2_table_sizes(self):
         table = build("B2")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         expected = {"1~2": 8, "1 1b": 4, "1b~2": 8, "2": 4, "2b": 4}
         for cl in classes:
             cen = oracle.centralizer(table, cl.rep)
@@ -326,19 +329,19 @@ class TestCentralizer:
 
     def test_b3_negative_three_cycle(self):
         table = build("B3")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         cl = class_of(table, classes, ((3, 0, 1),))
         assert oracle.centralizer(table, cl.rep).order == 6
 
     def test_order_times_class_size(self):
         table = build("D4")
-        for cl in oracle.conjugacy_classes(table):
+        for cl in classes_of(table):
             cen = oracle.centralizer(table, cl.rep)
             assert cen.order * cl.size == table.order
 
     def test_generators_generate(self):
         table = build("B3")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         for cl in classes:
             cen = oracle.centralizer(table, cl.rep)
             assert len(cen.generator_rows) <= 6
@@ -363,7 +366,7 @@ class TestCentralizer:
 
     def test_running_out_of_probes_raises(self, monkeypatch):
         table = build("B3")
-        cl = oracle.conjugacy_classes(table)[1]
+        cl = classes_of(table)[1]
         monkeypatch.setattr(
             oracle,
             "_probes",
@@ -374,7 +377,7 @@ class TestCentralizer:
 
     def test_non_centralizing_generator_raises(self, monkeypatch):
         table = build("B3")
-        cl = oracle.conjugacy_classes(table)[1]
+        cl = classes_of(table)[1]
         monkeypatch.setattr(
             oracle,
             "_probes",
@@ -387,7 +390,7 @@ class TestCentralizer:
     def other_members_centralizer(table, cl):
         """Certified generator rows of C(y), for the first y in x's class with
         C(y) != C(x): they generate a subgroup of order |G|/|class| exactly."""
-        own = oracle.centralizer(table, cl.rep, cl).member_rows
+        own = oracle.centralizer(table, cl.rep, table.order // cl.size).member_rows
         for y in cl.members.tolist():
             other = oracle.centralizer(table, y)
             if not np.array_equal(other.member_rows, own):
@@ -398,7 +401,7 @@ class TestCentralizer:
         # C(y) has the right order, so the complete chain reaches |G|/|class|
         # exactly and only the commuting check can refuse
         table = build("B3")
-        cl = oracle.conjugacy_classes(table)[1]
+        cl = classes_of(table)[1]
         rows = self.other_members_centralizer(table, cl)
         target = table.order // cl.size
         assert chain_order(extend([], table.perms[rows])) == target
@@ -409,7 +412,7 @@ class TestCentralizer:
 
     def test_centralizer_checks_survive_python_O(self):
         table = build("B3")
-        rows = self.other_members_centralizer(table, oracle.conjugacy_classes(table)[1])
+        rows = self.other_members_centralizer(table, classes_of(table)[1])
         script = textwrap.dedent(
             f"""
             import numpy as np
@@ -418,8 +421,8 @@ class TestCentralizer:
             from zclass.verify import build_group
 
             table = build_group(parse_coxeter_type("B3"))
-            cl = oracle.conjugacy_classes(table)[1]
-            order = table.order // cl.size
+            rep, members = oracle.conjugacy_classes(table)[1]
+            order = table.order // members.size
             fakes = {{
                 "ran out": lambda g, x, rows: np.full(rows.size, g.identity_row),
                 "passed": lambda g, x, rows: np.array(g.gen_rows),
@@ -427,7 +430,7 @@ class TestCentralizer:
             }}
             for name, fake in fakes.items():
                 oracle._probes = fake
-                probes = oracle._Probes(table, cl.rep, order)
+                probes = oracle._Probes(table, rep, order)
                 try:
                     while not probes.certify():
                         probes.draw()
@@ -449,23 +452,44 @@ class TestCentralizer:
     @pytest.mark.parametrize("text", ["B3", "D4", "H3", "B2 x I2(5)"])
     def test_generator_rows_generate_exactly_the_members(self, text):
         table = build(text)
-        for cl in oracle.conjugacy_classes(table):
-            cen = oracle.centralizer(table, cl.rep, cl)
+        for cl in classes_of(table):
+            cen = oracle.centralizer(table, cl.rep, table.order // cl.size)
             chain = extend([], table.perms[list(cen.generator_rows)])
             assert chain_order(chain) == cen.order == table.order // cl.size
 
-    def test_class_walked_from_another_row_is_refused(self):
+    def test_wrong_order_is_refused(self):
+        # the listing must match a given |C(x)|, also under python -O
         table = build("B2")
-        cl = oracle.conjugacy_classes(table)[1]
-        other = int(cl.members[cl.members != cl.rep][0])
-        with pytest.raises(ValueError):
-            oracle.centralizer(table, other, cl)
+        cl = classes_of(table)[1]
+        order = table.order // cl.size
+        assert oracle.centralizer(table, cl.rep, order).order == order
+        with pytest.raises(AssertionError, match="missed"):
+            oracle.centralizer(table, cl.rep, order + 1)
+        script = textwrap.dedent(
+            f"""
+            from zclass import oracle
+            from zclass.families import parse_coxeter_type
+            from zclass.verify import build_group
+
+            table = build_group(parse_coxeter_type("B2"))
+            try:
+                oracle.centralizer(table, {cl.rep}, {order + 1})
+                print("accepted")
+            except AssertionError as exc:
+                print("refused", "missed" in str(exc))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["refused True"]
 
 
 class TestSubgroupsConjugate:
     def test_identical_subgroups_identity_witness(self):
         table = build("B2")
-        cl = oracle.conjugacy_classes(table)[1]
+        cl = classes_of(table)[1]
         cen = oracle.centralizer(table, cl.rep)
         ok, witness = oracle.subgroups_conjugate(table, cen, cen)
         assert ok and witness == table.identity_row
@@ -473,7 +497,7 @@ class TestSubgroupsConjugate:
     def test_positive_and_negative_two_cycle_not_conjugate(self):
         # Z(2) ~ C2 x C2 but Z(2b) ~ C4: same order, different element orders
         table = build("B2")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         cen_pos = oracle.centralizer(
             table, class_of(table, classes, ((2, 1, 0),)).rep
         )
@@ -487,7 +511,7 @@ class TestSubgroupsConjugate:
 
     def test_dihedral_16_reflection_centralizers_not_conjugate(self):
         table = build("I2(8)")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         reflection_classes = [c for c in classes if c.size == 4]
         assert len(reflection_classes) == 2
         h, k = (oracle.centralizer(table, c.rep) for c in reflection_classes)
@@ -496,7 +520,7 @@ class TestSubgroupsConjugate:
 
     def test_dihedral_12_reflection_centralizers_conjugate(self):
         table = build("I2(6)")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         reflection_classes = [c for c in classes if c.size == 3]
         assert len(reflection_classes) == 2
         h, k = (oracle.centralizer(table, c.rep) for c in reflection_classes)
@@ -505,7 +529,7 @@ class TestSubgroupsConjugate:
 
     def test_witness_actually_conjugates(self):
         table = build("B3")
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         cens = [oracle.centralizer(table, c.rep) for c in classes]
         found_any = False
         for i in range(len(cens)):
@@ -556,9 +580,8 @@ class TestZClasses:
 
     def test_refines_conjugacy(self):
         table = build("D4")
-        groups = oracle.z_classes(table)
-        reps = [c.rep for grp in groups for c in grp]
-        assert len(reps) == len(set(reps)) == len(oracle.conjugacy_classes(table))
+        reps = [rep for grp in oracle.z_classes(table) for rep in grp]
+        assert len(reps) == len(set(reps)) == len(classes_of(table))
 
     @pytest.mark.parametrize(
         "text",
@@ -579,8 +602,7 @@ class TestZClasses:
 
     def test_first_matching_group_absorbs(self):
         table = build("B3")
-        groups = oracle.z_classes(table)
-        firsts = [grp[0].rep for grp in groups]
+        firsts = [grp[0] for grp in oracle.z_classes(table)]
         assert firsts == sorted(firsts)
 
 
@@ -622,10 +644,10 @@ def eager_grouping(table) -> tuple[list, list[list[int]]]:
     """Classes and groups of class indices, listing every centralizer and
     testing each class from its own side: a class joins the first group whose
     head's members meet the listed center of the class's centralizer."""
-    classes = oracle.conjugacy_classes(table)
+    classes = classes_of(table)
     groups: list[list[int]] = []
     for ci, cl in enumerate(classes):
-        center = oracle.centralizer(table, cl.rep, cl).center_rows
+        center = oracle.centralizer(table, cl.rep, table.order // cl.size).center_rows
         for grp in groups:
             head = classes[grp[0]]
             if head.size == cl.size and np.isin(head.members, center).any():
@@ -636,12 +658,18 @@ def eager_grouping(table) -> tuple[list, list[list[int]]]:
     return classes, groups
 
 
+def sure_components(table) -> np.ndarray:
+    """`oracle._sure_components` of the table's classes, as `_classes` gives
+    them."""
+    reps, ends, _, number = oracle._classes(table)
+    return oracle._sure_components(table, reps, np.diff(ends, prepend=0), number)
+
+
 def sure_roots(table) -> dict[int, int]:
     """The rep of each class mapped to the rep of the first class of its sure
     component."""
-    classes, number = oracle._classes(table)
-    root = oracle._sure_components(table, classes, number)
-    return {cl.rep: classes[r].rep for cl, r in zip(classes, root)}
+    reps = np.array([cl.rep for cl in classes_of(table)])
+    return dict(zip(reps.tolist(), reps[sure_components(table)].tolist()))
 
 
 def reached_heads(groups, root) -> set[int]:
@@ -687,13 +715,11 @@ class TestLazyCertificates:
         classes, eager = eager_grouping(table)
         eager_group_of = {classes[ci].rep: gi for gi, grp in enumerate(eager) for ci in grp}
         got = oracle.z_classes(table)
-        got_group_of = {cl.rep: gi for gi, grp in enumerate(got) for cl in grp}
+        got_group_of = {rep: gi for gi, grp in enumerate(got) for rep in grp}
         assert len(got_group_of) == len(classes)
         for cl in classes:
             assert got_group_of[cl.rep] == eager_group_of[cl.rep], table.label(cl.rep)
-        assert [[cl.rep for cl in grp] for grp in got] == [
-            [classes[ci].rep for ci in grp] for grp in eager
-        ]
+        assert got == [[classes[ci].rep for ci in grp] for grp in eager]
 
     @pytest.mark.parametrize(
         "text,probed,n_classes", [("B6", 22, 65), ("E6", 7, 25), ("D7", 26, 55)]
@@ -709,7 +735,7 @@ class TestLazyCertificates:
                 made.append(self)
 
         monkeypatch.setattr(oracle, "_Probes", Counting)
-        groups = oracle.z_classes(table)
+        groups = z_groups_of(table)
         assert sum(len(grp) for grp in groups) == n_classes
         heads = [p.x for p in made]
         assert len(heads) == len(set(heads)) == probed
@@ -723,7 +749,8 @@ class TestLazyCertificates:
     def test_debug_log_marks_uncertified_classes(self, caplog):
         table = build("E6")
         with caplog.at_level(logging.DEBUG, logger="zclass.oracle"):
-            groups = oracle.z_classes(table)
+            oracle.z_classes(table)
+        groups = z_groups_of(table)
         lines = [r.getMessage() for r in caplog.records if r.name == "zclass.oracle"]
         rep_row = lambda cl: table.perms[cl.rep].tolist()
         classes = sorted((cl for grp in groups for cl in grp), key=rep_row)
@@ -803,16 +830,15 @@ class TestSureComponents:
     )
     def test_roots_match_a_search_among_the_classes_of_each_size(self, text):
         table = table_of(text)
-        classes, number = oracle._classes(table)
-        roots = oracle._sure_components(table, classes, number)
-        assert roots == size_search_roots(table, classes)
+        roots = sure_components(table)
+        assert roots.tolist() == size_search_roots(table, classes_of(table))
 
     @pytest.mark.parametrize("text", EAGER_TYPES + [A1_POWER, "I2(255)", "S1"])
     def test_components_lie_in_one_eager_class(self, text):
         table = table_of(text)
         classes, eager = eager_grouping(table)
         group_of = {ci: gi for gi, grp in enumerate(eager) for ci in grp}
-        root = oracle._sure_components(table, *oracle._classes(table))
+        root = sure_components(table).tolist()
         for ci, r in enumerate(root):
             assert root[r] == r <= ci
             assert group_of[r] == group_of[ci], table.label(classes[ci].rep)
@@ -836,7 +862,7 @@ class TestSureComponents:
     )
     def test_rows_looked_up_are_bounded(self, monkeypatch, text, n_generators):
         table = table_of(text)
-        classes, number = oracle._classes(table)
+        classes = classes_of(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
         assert len(oracle._generating_rows(table, central)) == n_generators
         looked_up = []
@@ -847,7 +873,7 @@ class TestSureComponents:
             return base_index(g, images)
 
         monkeypatch.setattr(type(table), "base_index", counting)
-        oracle._sure_components(table, classes, number)
+        sure_components(table)
         primes = sum(
             table.order % p == 0 and all(p % q for q in range(2, p))
             for p in range(2, table.degree + 1)
@@ -861,11 +887,11 @@ class TestSureComponents:
     )
     def test_trivial_group_all_central_and_trivial_centers(self, text):
         table = table_of(text)
-        classes, number = oracle._classes(table)
+        classes = classes_of(table)
         central = np.array([cl.rep for cl in classes if cl.size == 1])
         generators = oracle._generating_rows(table, central)
         assert len(generators) == math.ceil(math.log2(central.size))
-        assert len(oracle._sure_components(table, classes, number)) == len(classes)
+        assert len(sure_components(table)) == len(classes)
         expected = 1 if text == "S1" else z_count(parse_coxeter_type(text)).total
         assert len(oracle.z_classes(table)) == expected
 
@@ -874,9 +900,10 @@ class TestSureComponents:
     def test_generating_rows_sift_once_per_generator(self, monkeypatch, text):
         # both callers pass every row of a subgroup: Z(G), and a listed C(x)
         table = table_of(text)
-        classes = oracle.conjugacy_classes(table)
+        classes = classes_of(table)
         subgroups = [np.array([cl.rep for cl in classes if cl.size == 1])] + [
-            oracle.centralizer(table, cl.rep, cl).member_rows for cl in classes
+            oracle.centralizer(table, cl.rep, table.order // cl.size).member_rows
+            for cl in classes
         ]
         calls, outside = [], oracle._outside
         monkeypatch.setattr(
@@ -894,12 +921,12 @@ class TestIndexTwoConsistency:
     def test_nonsplit_z_grouping_agrees_between_d_and_b(self, n):
         bn = build(f"B{n}")
         dn = build(f"D{n}")
-        d_groups = oracle.z_classes(dn)
+        d_groups = z_groups_of(dn)
         b_groups = oracle.z_classes(bn)
 
         def b_group_of(label):
             for gi, grp in enumerate(b_groups):
-                if any(bn.label(c.rep) == label for c in grp):
+                if any(bn.label(rep) == label for rep in grp):
                     return gi
             raise AssertionError(label)
 
@@ -922,7 +949,7 @@ class TestIndexTwoConsistency:
         # conjugating the all-plus representative by a lone sign flip
         # (an element outside D_n) lands in the '-' half
         dn = build("D4")
-        classes = oracle.conjugacy_classes(dn)
+        classes = classes_of(dn)
         by_label = {dn_membership_label(dn, c): c for c in classes}
         for sp_entries in (((4, 1, 0),), ((2, 2, 0),)):
             rep = class_representative(SignedPartition(sp_entries))
@@ -942,7 +969,7 @@ class TestIndexTwoConsistency:
         # the D_n table labels every row, not only class representatives,
         # with the half its class holds by membership
         dn = build(f"D{n}")
-        for cl in oracle.conjugacy_classes(dn):
+        for cl in classes_of(dn):
             expected = dn_membership_label(dn, cl)
             assert {dn.label(r) for r in cl.members.tolist()} == {expected}
 
@@ -950,7 +977,7 @@ class TestIndexTwoConsistency:
         for n in (2, 4, 6):
             bn = build(f"B{n}")
             dn = build(f"D{n}")
-            for cl in oracle.conjugacy_classes(dn):
+            for cl in classes_of(dn):
                 label = dn_membership_label(dn, cl)
                 row_in_b = int(bn.row_index(dn.perms[cl.rep][None, :])[0])
                 cen_b = oracle.centralizer(bn, row_in_b)
